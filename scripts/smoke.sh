@@ -87,3 +87,15 @@ python -m pytest -q -m "chaos" \
     tests/test_resilience.py \
     tests/test_process_workers.py \
     benchmarks/bench_resilience.py
+
+# Benchmark gates: the served end-to-end benchmark must pass its own
+# self-check, and a short `serve_cached` run (prepared key lookups on
+# the default row engine) must exit zero with every operation verified
+# by the sqlite referee — the last output line is the result object.
+python3 -m bench.run --selfcheck
+python3 -m bench.run --workload serve_cached --seconds 5 | tail -n 1 \
+    | python3 -c '
+import json, sys
+result = json.load(sys.stdin)
+print("bench serve_cached:", {k: result[k] for k in ("correct", "attempted", "failed")})
+sys.exit(0 if result["correct"] and result["attempted"] and result["failed"] == 0 else 1)'

@@ -146,11 +146,14 @@ class JdbcQuery(RelNode):
     def copy(self, inputs=None, traits=None) -> "JdbcQuery":
         return JdbcQuery(self.schema, self.inner, traits or self.traits)
 
-    def sql(self) -> str:
-        return RelToSqlConverter(self.schema.dialect).convert(self.inner)
+    def sql(self, parameters: Optional[Sequence] = None) -> str:
+        """The query text; with ``parameters``, every pushed ``?`` is
+        rendered as the value bound to its index."""
+        return RelToSqlConverter(self.schema.dialect,
+                                 parameters).convert(self.inner)
 
     def execute_rows(self, ctx):
-        _, rows = self.schema.db.execute(self.sql())
+        _, rows = self.schema.db.execute(self.sql(ctx.parameters))
         return rows
 
     def compute_self_cost(self, mq) -> RelOptCost:

@@ -25,7 +25,11 @@ from ...core.rel import (
     Project,
     RelNode,
 )
-from ...core.rex_eval import EvalContext, evaluate
+from ...core.rex_eval import (
+    bind_projection,
+    compile as compile_rex,
+    tuple_getter,
+)
 from ...core.rule import ConverterRule, RelOptRuleCall
 from ...core.traits import Convention, RelTraitSet
 from ..capability import ScanCapabilities
@@ -69,8 +73,9 @@ class SparkRel(RelNode):
 class SparkFilter(Filter, SparkRel):
     def rdd(self, ctx) -> RDD:
         eval_ctx = ctx.eval_context()
+        condition = compile_rex(self.condition)
         return _input_rdd(self, ctx).filter(
-            lambda row: evaluate(self.condition, row, eval_ctx) is True)
+            lambda row: condition(row, eval_ctx) is True)
 
     def compute_self_cost(self, mq) -> RelOptCost:
         in_rows = mq.row_count(self.input)
@@ -82,10 +87,8 @@ class SparkFilter(Filter, SparkRel):
 
 class SparkProject(Project, SparkRel):
     def rdd(self, ctx) -> RDD:
-        eval_ctx = ctx.eval_context()
-        exprs = self.projects
         return _input_rdd(self, ctx).map(
-            lambda row: tuple(evaluate(e, row, eval_ctx) for e in exprs))
+            bind_projection(self.projects, ctx.eval_context()))
 
     def compute_self_cost(self, mq) -> RelOptCost:
         rows = mq.row_count(self)
@@ -103,15 +106,14 @@ class SparkJoin(Join, SparkRel):
         left = sc.parallelize(left_rows)
         right = sc.parallelize(right_rows)
         if info.left_keys and not info.non_equi:
-            lk, rk = info.left_keys, info.right_keys
-            paired = left.key_by(lambda r: tuple(r[k] for k in lk)).join(
-                right.key_by(lambda r: tuple(r[k] for k in rk)))
+            paired = left.key_by(tuple_getter(info.left_keys)).join(
+                right.key_by(tuple_getter(info.right_keys)))
             return paired.map(lambda kv: kv[1][0] + kv[1][1])
         eval_ctx = ctx.eval_context()
-        condition = self.condition
+        condition = compile_rex(self.condition)
         return left.flat_map(
             lambda l: [l + r for r in right_rows
-                       if evaluate(condition, l + r, eval_ctx) is True])
+                       if condition(l + r, eval_ctx) is True])
 
     def compute_self_cost(self, mq) -> RelOptCost:
         left = mq.row_count(self.left)

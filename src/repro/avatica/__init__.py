@@ -222,11 +222,10 @@ class Cursor:
         fetchable).  -1 when no statement has produced a result set.
         """
         if self._rowcount < 0 and self._stream is not None:
+            ctx, buffered = self._context, len(self._pending)
             try:
-                while True:
-                    row = next(self._stream)
-                    self._pending.append(row)
-            except StopIteration:
+                self._pending.extend(self._stream)
+                self._note_emitted(ctx, len(self._pending) - buffered)
                 self._end_of_stream()
             except Error:
                 self._finish()
@@ -239,34 +238,40 @@ class Cursor:
                 raise ProgrammingError(str(exc)) from exc
         return self._rowcount
 
-    def fetchone(self) -> Optional[tuple]:
-        return self._pull()
+    def _note_emitted(self, ctx, n: int) -> None:
+        """``n`` rows left the statement's root: counted per page, on
+        the statement's context and in the server's totals."""
+        if n > 0:
+            ctx.rows_emitted += n
+            self.connection._server._note_rows_emitted(n)
 
-    def fetchmany(self, size: Optional[int] = None) -> List[tuple]:
-        if size is None:
-            size = self.arraysize
+    def _page(self, limit: Optional[int]) -> List[tuple]:
+        """Up to ``limit`` rows (all of them if None)."""
+        ctx = self._context
+        buffered = len(self._pending) - self._pending_pos
         out: List[tuple] = []
-        while len(out) < size:
+        while limit is None or len(out) < limit:
             row = self._pull()
             if row is None:
                 break
             out.append(row)
+        # rows served from the ``rowcount`` buffer were counted when
+        # they were drained into it
+        self._note_emitted(ctx, len(out) - buffered)
         return out
 
+    def fetchone(self) -> Optional[tuple]:
+        page = self._page(1)
+        return page[0] if page else None
+
+    def fetchmany(self, size: Optional[int] = None) -> List[tuple]:
+        return self._page(self.arraysize if size is None else size)
+
     def fetchall(self) -> List[tuple]:
-        out: List[tuple] = []
-        while True:
-            row = self._pull()
-            if row is None:
-                return out
-            out.append(row)
+        return self._page(None)
 
     def __iter__(self):
-        while True:
-            row = self._pull()
-            if row is None:
-                return
-            yield row
+        return iter(self.fetchone, None)
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -369,6 +374,12 @@ class PreparedStatement:
             self._version = version
             self._executions = 0
         reused = self._executions > 0 or self._initial_hit
+        if self._executions > 0:
+            # The pinned plan stands in for a cache lookup that would
+            # have hit; the first execution's lookup was ``prepare``'s.
+            cache = self.connection._planner.plan_cache
+            if cache is not None:
+                cache.note_reuse()
         self._executions += 1
         cursor = self.connection.cursor()
         cursor._start(self._prepared, parameters, cache_hit=reused)

@@ -127,6 +127,12 @@ class PlanCache:
             self.stats.hits += 1
             return value
 
+    def note_reuse(self) -> None:
+        """Count a hit for a plan its holder re-executed without a
+        lookup (a prepared statement pins its plan)."""
+        with self._lock:
+            self.stats.hits += 1
+
     def put(self, key: Tuple, value: Any) -> None:
         with self._lock:
             if key in self._entries:

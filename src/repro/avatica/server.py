@@ -93,6 +93,7 @@ class QueryServer:
         self._admitted = 0
         self._rejected = 0
         self._connections_opened = 0
+        self._rows_emitted = 0
         self._statements: Dict[int, Any] = {}  # id -> ExecutionContext
         self._next_statement_id = 0
         self._resilience_totals: Dict[str, int] = {
@@ -194,6 +195,11 @@ class QueryServer:
                 if key in self._resilience_totals:
                     self._resilience_totals[key] += value
 
+    def _note_rows_emitted(self, n: int) -> None:
+        """A cursor handed ``n`` rows to its client (called per page)."""
+        with self._lock:
+            self._rows_emitted += n
+
     def statements(self) -> Dict[int, Dict[str, int]]:
         """Live statements: id -> current resilience counters."""
         with self._lock:
@@ -235,6 +241,7 @@ class QueryServer:
                     "rejected": self._rejected,
                     "max_concurrent": self.max_concurrent_statements,
                     "live": len(self._statements),
+                    "rows_emitted": self._rows_emitted,
                 },
                 "resilience": dict(self._resilience_totals),
                 # The execution profile new connections inherit (a

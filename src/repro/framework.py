@@ -11,7 +11,7 @@ Two built-in execution engines are available, selected by
 
 * ``engine="row"`` (the default) — the enumerable convention of
   Section 5: operators pull tuples through iterators, and row
-  expressions are interpreted per row.
+  expressions are compiled once per plan into closures called per row.
 * ``engine="vectorized"`` — the batch/columnar convention
   (:mod:`repro.runtime.vectorized`): operators stream
   ``ColumnBatch`` values (typed columns plus a selection vector), and
@@ -477,6 +477,7 @@ class Planner:
         """Bind + execute eagerly, draining every row into a Result."""
         running = self.bind(prepared, parameters)
         rows = list(running.rows)
+        running.context.rows_emitted = len(rows)
         return Result(rows, prepared.columns, prepared.plan, running.context,
                       cache_hit=cache_hit,
                       plan_cache_stats=(self.plan_cache.stats.snapshot()
@@ -489,6 +490,7 @@ class Planner:
         physical = self.optimize(rel_or_sql)
         ctx = self.execution_context(parameters)
         rows = list(execute(physical, ctx))
+        ctx.rows_emitted = len(rows)
         return Result(rows, list(physical.row_type.field_names), physical, ctx)
 
 

@@ -7,9 +7,17 @@ each adapter's backend.  For example, the EnumerableJoin operator
 implements joins by collecting rows from its child nodes and joining on
 the desired attributes."
 
-:func:`execute` interprets any operator tree: adapter-specific physical
+:func:`execute` runs any operator tree: adapter-specific physical
 nodes provide ``execute_rows``; everything else falls back to the
 built-in enumerable implementations here.  Rows are Python tuples.
+
+Row expressions are not interpreted per row: each operator binds the
+compiled closures of its expressions (:func:`repro.core.rex_eval.compile`,
+memoised on the plan's rex nodes) once per execution and calls them in
+its row loop.  Correlated subqueries and :class:`Correlate` re-execute
+the *same* inner plan per outer row, handing it the outer row through
+:attr:`ExecutionContext.correlations`, so the inner plan's closures are
+compiled once too.
 """
 
 from __future__ import annotations
@@ -38,8 +46,21 @@ from ..core.rel import (
     Values,
     Window,
 )
-from ..core.rex import RANKING_KINDS, RexNode, RexOver, RexSubQuery, SqlKind
-from ..core.rex_eval import EvalContext, RexExecutionError, evaluate
+from ..core.rex import (
+    RANKING_KINDS,
+    RexCorrelVariable,
+    RexNode,
+    RexOver,
+    RexSubQuery,
+    SqlKind,
+)
+from ..core.rex_eval import (
+    EvalContext,
+    RexExecutionError,
+    bind_projection,
+    compile as compile_rex,
+    tuple_getter,
+)
 from ..errors import Deadline, DeadlineExceeded, StatementCancelled
 
 
@@ -92,6 +113,7 @@ class ExecutionContext:
         self.worker_crashes = 0
         self._deadline_noted = False
         self._shuffle_lock = _threading.Lock()
+        self._scope = _threading.local()
 
     def add_shuffled(self, n: int) -> None:
         """Thread-safe: exchange producers run on worker threads."""
@@ -191,19 +213,43 @@ class ExecutionContext:
                 "cancelled": 1 if self.user_cancelled else 0,
             }
 
-    def eval_context(self, correlations: Optional[Dict[str, tuple]] = None) -> EvalContext:
-        return EvalContext(self.parameters, correlations, self._run_subquery)
+    @property
+    def correlations(self) -> Dict[str, tuple]:
+        """Correlation variable name -> the outer row it stands for, as
+        bound by the enclosing subquery/:class:`Correlate` executions.
+
+        Bindings are published as fresh dicts, never mutated, and kept
+        per thread: an operator's generator is driven by one thread, and
+        parallel workers evaluating the same subquery-bearing filter
+        must not see each other's outer rows.
+        """
+        return getattr(self._scope, "correlations", None) or {}
+
+    @correlations.setter
+    def correlations(self, bindings: Dict[str, tuple]) -> None:
+        self._scope.correlations = bindings
+
+    def eval_context(self) -> EvalContext:
+        """Bindings for compiled expressions; an operator takes one when
+        its row loop starts, inside the scope that executes it."""
+        return EvalContext(self.parameters, self.correlations,
+                           self._run_subquery)
 
     def _run_subquery(self, subquery: RexSubQuery, row: tuple,
                       eval_ctx: EvalContext) -> Any:
-        # Bind any correlation variables in the subquery to the row
+        # Every correlation variable of the subquery stands for the row
         # currently being evaluated (one level of correlation).
-        bound = _bind_correlation(subquery.rel, None, row)
-        rows = list(execute(bound, self))
+        outer = self.correlations
+        self.correlations = {**outer,
+                             **dict.fromkeys(_correlation_names(subquery), row)}
+        try:
+            rows = list(execute(subquery.rel, self))
+        finally:
+            self.correlations = outer
         if subquery.kind is SqlKind.EXISTS:
             return bool(rows)
         if subquery.kind is SqlKind.IN:
-            values = tuple(evaluate(o, row, eval_ctx) for o in subquery.operands)
+            values = bind_projection(subquery.operands, eval_ctx)(row)
             if any(v is None for v in values):
                 return None
             flat = values[0] if len(values) == 1 else values
@@ -283,16 +329,15 @@ def _scan(rel: TableScan, ctx: ExecutionContext) -> Iterator[tuple]:
 
 def _filter(rel: Filter, ctx: ExecutionContext) -> Iterator[tuple]:
     eval_ctx = ctx.eval_context()
+    condition = compile_rex(rel.condition)
     for row in _execute(rel.input, ctx):
-        if evaluate(rel.condition, row, eval_ctx) is True:
+        if condition(row, eval_ctx) is True:
             yield row
 
 
 def _project(rel: Project, ctx: ExecutionContext) -> Iterator[tuple]:
-    eval_ctx = ctx.eval_context()
-    exprs = rel.projects
-    for row in _execute(rel.input, ctx):
-        yield tuple(evaluate(e, row, eval_ctx) for e in exprs)
+    project = bind_projection(rel.projects, ctx.eval_context())
+    yield from map(project, _execute(rel.input, ctx))
 
 
 def _join(rel: Join, ctx: ExecutionContext) -> Iterator[tuple]:
@@ -309,13 +354,16 @@ def _hash_join(rel: Join, left_keys: List[int], right_keys: List[int],
                ctx: ExecutionContext,
                residual: Optional[RexNode] = None) -> Iterator[tuple]:
     eval_ctx = ctx.eval_context()
+    left_key = tuple_getter(left_keys)
+    right_key = tuple_getter(right_keys)
+    residual_fn = compile_rex(residual) if residual is not None else None
     index: Dict[tuple, List[tuple]] = {}
     right_rows_matched: set = set()
     right_rows: List[tuple] = []
     for r in _execute(rel.right, ctx):
         right_rows.append(r)
-        key = tuple(r[k] for k in right_keys)
-        if any(v is None for v in key):
+        key = right_key(r)
+        if None in key:
             continue  # NULL keys never match
         index.setdefault(key, []).append(r)
 
@@ -324,11 +372,11 @@ def _hash_join(rel: Join, left_keys: List[int], right_keys: List[int],
     null_right = (None,) * n_right
 
     for l in _execute(rel.left, ctx):
-        key = tuple(l[k] for k in left_keys)
-        matches = [] if any(v is None for v in key) else index.get(key, [])
-        if residual is not None:
+        key = left_key(l)
+        matches = [] if None in key else index.get(key, [])
+        if residual_fn is not None:
             matches = [r for r in matches
-                       if evaluate(residual, l + r, eval_ctx) is True]
+                       if residual_fn(l + r, eval_ctx) is True]
         if join_type is JoinRelType.SEMI:
             if matches:
                 yield l
@@ -354,6 +402,7 @@ def _hash_join(rel: Join, left_keys: List[int], right_keys: List[int],
 
 def _nested_loop_join(rel: Join, ctx: ExecutionContext) -> Iterator[tuple]:
     eval_ctx = ctx.eval_context()
+    condition = compile_rex(rel.condition)
     right_rows = list(_execute(rel.right, ctx))
     join_type = rel.join_type
     n_right = rel.right.row_type.field_count
@@ -363,7 +412,7 @@ def _nested_loop_join(rel: Join, ctx: ExecutionContext) -> Iterator[tuple]:
     for l in _execute(rel.left, ctx):
         matched = False
         for idx, r in enumerate(right_rows):
-            if evaluate(rel.condition, l + r, eval_ctx) is True:
+            if condition(l + r, eval_ctx) is True:
                 matched = True
                 right_matched[idx] = True
                 if join_type is JoinRelType.SEMI:
@@ -383,90 +432,59 @@ def _nested_loop_join(rel: Join, ctx: ExecutionContext) -> Iterator[tuple]:
                 yield null_left + r
 
 
-class _CorrelShuttle:
-    pass
-
-
 def _correlate(rel: Correlate, ctx: ExecutionContext) -> Iterator[tuple]:
-    from ..core.rex import RexCorrelVariable, RexShuttle
-
     n_right = rel.right.row_type.field_count
     null_right = (None,) * n_right
+    outer = ctx.correlations
 
     for l in _execute(rel.left, ctx):
-        left_row = l
-
-        class Binder(RexShuttle):
-            def visit_RexCorrelVariable(self, node: RexCorrelVariable):
-                from ..core import rex as rexmod
-                # Correlation variables resolve to the left row's fields
-                # through field access; represent the whole row.
-                return rexmod.literal(left_row, node.type)
-
-        # Re-execute the right side with the correlation bound.
-        bound = _bind_correlation(rel.right, rel.correlation_id, left_row)
+        # Re-execute the right side with the correlation bound: its
+        # operators take their eval context as they start, inside this
+        # binding.  An abandoned or failed run leaves the binding set,
+        # which only adds a name nothing outside the right side reads.
+        ctx.correlations = {**outer, rel.correlation_id: l}
         matched = False
-        for r in _execute(bound, ctx):
+        for r in _execute(rel.right, ctx):
             matched = True
-            if rel.join_type.projects_right:
-                yield l + r
-            else:
+            if not rel.join_type.projects_right:
+                break  # SEMI/ANTI only ask whether a match exists
+            yield l + r
+        ctx.correlations = outer
+        if matched:
+            if rel.join_type is JoinRelType.SEMI:
                 yield l
-                break
-        if not matched and rel.join_type is JoinRelType.LEFT:
+        elif rel.join_type is JoinRelType.LEFT:
             yield l + null_right
-        elif not matched and rel.join_type is JoinRelType.ANTI:
+        elif rel.join_type is JoinRelType.ANTI:
             yield l
 
 
-def _bind_correlation(rel: RelNode, correlation_id: Optional[str],
-                      row: tuple) -> RelNode:
-    """Substitute a correlation variable with the current outer row.
+def _correlation_names(subquery: RexSubQuery) -> Tuple[str, ...]:
+    """Names of the correlation variables a subquery's own operators
+    reference (nested subqueries bind theirs when they run); computed
+    once per subquery node."""
+    names = getattr(subquery, "_correlation_names", None)
+    if names is None:
+        found: Dict[str, None] = {}
 
-    ``correlation_id=None`` binds *any* correlation variable (used for
-    correlated subqueries, which correlate with exactly the enclosing
-    query in this implementation).
-    """
-    from ..core.rel import RelShuttle
-    from ..core.rex import RexCorrelVariable, RexFieldAccess, RexShuttle
-    from ..core import rex as rexmod
+        def scan(node: RexNode) -> None:
+            if isinstance(node, RexCorrelVariable):
+                found[node.name] = None
+            for o in node.operands:
+                scan(o)
 
-    class RexBinder(RexShuttle):
-        def visit_RexFieldAccess(self, node: RexFieldAccess):
-            expr = node.expr
-            if isinstance(expr, RexCorrelVariable) and (
-                    correlation_id is None or expr.name == correlation_id):
-                struct = expr.type
-                f = struct.field_by_name(node.field_name)
-                value = row[f.index] if f is not None else None
-                return rexmod.literal(value, node.type)
-            inner = self.apply(node.expr)
-            if inner is node.expr:
-                return node
-            return RexFieldAccess(inner, node.field_name, node.type)
+        def walk(rel: RelNode) -> None:
+            if isinstance(rel, (Filter, Join)):
+                scan(rel.condition)
+            elif isinstance(rel, Project):
+                for p in rel.projects:
+                    scan(p)
+            for i in rel.inputs:
+                walk(i)
 
-    binder = RexBinder()
-
-    class TreeBinder(RelShuttle):
-        def visit(self, r: RelNode) -> RelNode:
-            new_inputs = [self.visit(i) for i in r.inputs]
-            if any(a is not b for a, b in zip(new_inputs, r.inputs)):
-                r = r.copy(inputs=new_inputs)
-            if isinstance(r, Filter):
-                new_cond = binder.apply(r.condition)
-                if new_cond is not r.condition:
-                    r = r.with_condition(new_cond)
-            elif isinstance(r, Project):
-                new_projects = binder.apply_all(r.projects)
-                if any(a is not b for a, b in zip(new_projects, r.projects)):
-                    r = type(r)(r.input, new_projects, r.field_names, r.traits)
-            elif isinstance(r, Join):
-                new_cond = binder.apply(r.condition)
-                if new_cond is not r.condition:
-                    r = r.with_condition(new_cond)
-            return r
-
-    return TreeBinder().visit(rel)
+        walk(subquery.rel)
+        names = subquery._correlation_names = tuple(found)
+    return names
 
 
 # -- aggregation --------------------------------------------------------------
@@ -535,8 +553,9 @@ class _Accumulator:
 def _aggregate(rel: Aggregate, ctx: ExecutionContext) -> Iterator[tuple]:
     groups: "OrderedDict[tuple, List[_Accumulator]]" = OrderedDict()
     group_set = rel.group_set
+    group_key = tuple_getter(group_set)
     for row in _execute(rel.input, ctx):
-        key = tuple(row[g] for g in group_set)
+        key = group_key(row)
         if key not in groups:
             groups[key] = [_Accumulator(c) for c in rel.agg_calls]
         for acc in groups[key]:
@@ -706,19 +725,17 @@ def _evaluate_over(over: RexOver, rows: List[tuple],
                    eval_ctx: EvalContext) -> List[Any]:
     """Evaluate one windowed aggregate for every input row."""
     results: List[Any] = [None] * len(rows)
+    partition_key = bind_projection(over.partition_keys, eval_ctx)
+    order_key = bind_projection([k for k, _desc in over.order_keys], eval_ctx)
     # Partition.
     partitions: "OrderedDict[tuple, List[int]]" = OrderedDict()
     for idx, row in enumerate(rows):
-        key = tuple(evaluate(k, row, eval_ctx) for k in over.partition_keys)
-        partitions.setdefault(key, []).append(idx)
+        partitions.setdefault(partition_key(row), []).append(idx)
     kind = over.op.kind
     for indices in partitions.values():
         # Order within the partition (stable, so peers keep input order).
         if over.order_keys:
-            order_vals = {
-                i: tuple(evaluate(k, rows[i], eval_ctx)
-                         for k, _desc in over.order_keys)
-                for i in indices}
+            order_vals = {i: order_key(rows[i]) for i in indices}
             ordered = sorted(indices, key=lambda i: window_order_key(
                 order_vals[i], over.order_keys))
         else:
@@ -769,18 +786,18 @@ def _apply_lag_lead(over: RexOver, ordered: List[int], rows: List[tuple],
     outside the partition (NULL when absent).  Frames are ignored."""
     n = len(ordered)
     step = -1 if over.op.kind is SqlKind.LAG else 1
+    operands = [compile_rex(o) for o in over.operands]
     for pos, row_idx in enumerate(ordered):
         row = rows[row_idx]
         offset = 1
-        if len(over.operands) > 1:
-            off = evaluate(over.operands[1], row, eval_ctx)
+        if len(operands) > 1:
+            off = operands[1](row, eval_ctx)
             offset = 1 if off is None else int(off)
         target = pos + step * offset
         if 0 <= target < n:
-            results[row_idx] = evaluate(over.operands[0], rows[ordered[target]],
-                                        eval_ctx)
-        elif len(over.operands) > 2:
-            results[row_idx] = evaluate(over.operands[2], row, eval_ctx)
+            results[row_idx] = operands[0](rows[ordered[target]], eval_ctx)
+        elif len(operands) > 2:
+            results[row_idx] = operands[2](row, eval_ctx)
         else:
             results[row_idx] = None
 
@@ -800,22 +817,22 @@ def _frame_rows(over: RexOver, ordered: List[int], pos: int,
     # "RANGE INTERVAL '1' HOUR PRECEDING" sliding windows).
     if not over.order_keys:
         return list(ordered)
-    key_expr, _desc = over.order_keys[0]
-    current = evaluate(key_expr, rows[ordered[pos]], eval_ctx)
+    key = compile_rex(over.order_keys[0][0])
+    current = key(rows[ordered[pos]], eval_ctx)
     lo_val, hi_val = None, current
     if over.lower.bound_kind == "PRECEDING" and over.lower.offset is not None:
-        delta = evaluate(over.lower.offset, rows[ordered[pos]], eval_ctx)
+        delta = compile_rex(over.lower.offset)(rows[ordered[pos]], eval_ctx)
         lo_val = current - delta
     elif over.lower.bound_kind == "CURRENT_ROW":
         lo_val = current
     if over.upper.bound_kind == "UNBOUNDED_FOLLOWING":
         hi_val = None
     elif over.upper.bound_kind == "FOLLOWING" and over.upper.offset is not None:
-        delta = evaluate(over.upper.offset, rows[ordered[pos]], eval_ctx)
+        delta = compile_rex(over.upper.offset)(rows[ordered[pos]], eval_ctx)
         hi_val = current + delta
     out = []
     for i in ordered:
-        v = evaluate(key_expr, rows[i], eval_ctx)
+        v = key(rows[i], eval_ctx)
         if v is None:
             continue
         if lo_val is not None and v < lo_val:
@@ -835,7 +852,8 @@ def _row_bound(bound, pos: int, n: int, eval_ctx: EvalContext,
         return n - 1
     if kind == "CURRENT_ROW":
         return pos
-    offset = evaluate(bound.offset, (), eval_ctx) if bound.offset is not None else 0
+    offset = (compile_rex(bound.offset)((), eval_ctx)
+              if bound.offset is not None else 0)
     if kind == "PRECEDING":
         return pos - int(offset)
     return pos + int(offset)
@@ -844,14 +862,12 @@ def _row_bound(bound, pos: int, n: int, eval_ctx: EvalContext,
 def _apply_window_agg(over: RexOver, frame_rows: List[tuple],
                       current_row: tuple, eval_ctx: EvalContext) -> Any:
     kind = over.op.kind
-    values: List[Any] = []
-    for row in frame_rows:
-        if over.operands:
-            v = evaluate(over.operands[0], row, eval_ctx)
-            if v is not None:
-                values.append(v)
-        else:
-            values.append(1)
+    if over.operands:
+        operand = compile_rex(over.operands[0])
+        values = [v for v in (operand(row, eval_ctx) for row in frame_rows)
+                  if v is not None]
+    else:
+        values = [1] * len(frame_rows)
     if kind is SqlKind.COUNT:
         return len(values)
     if kind in (SqlKind.SUM, SqlKind.SUM0):

@@ -4,7 +4,7 @@
 into a closure tree evaluated *batch at a time*: each compiled node
 consumes whole operand columns and produces a whole result column in
 one tight loop, instead of re-walking the expression tree per row the
-way :func:`repro.core.rex_eval.evaluate` does.
+way the reference interpreter :func:`repro.core.rex_eval.evaluate` does.
 
 Semantics must agree exactly with the row interpreter (the differential
 suite enforces this), so the scalar kernels are shared: strict calls
@@ -38,8 +38,8 @@ lazily gathered sub-frame (:func:`_eval_subset`).
 
 Expressions the columnar engine cannot evaluate batch-wise (subqueries,
 correlation variables, window calls, field accesses) fall back to the
-row interpreter over lazily materialised row tuples, so any rex tree is
-compilable.
+row engine's compiled closure (:func:`repro.core.rex_eval.compile`)
+over lazily materialised row tuples, so any rex tree is compilable.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ from ...core.rex_eval import (
     FUNCTION_REGISTRY,
     RexExecutionError,
     cast_value,
-    evaluate,
+    compile as compile_row_rex,
 )
 from .batch import ColumnBatch
 
@@ -148,14 +148,16 @@ def _compile_rex(node: RexNode) -> CompiledExpr:
     if isinstance(node, RexCall):
         return _compile_call(node)
     # Subqueries, correlation variables, field accesses, RexOver: delegate
-    # row by row to the interpreter (same error behaviour, same results).
+    # row by row to the row engine (same error behaviour, same results).
     return _row_fallback(node)
 
 
 def _row_fallback(node: RexNode) -> CompiledExpr:
+    run_row = compile_row_rex(node)
+
     def run_fallback(frame: Frame) -> Vector:
         ctx = frame.ctx
-        return [evaluate(node, row, ctx) for row in frame.rows()]
+        return [run_row(row, ctx) for row in frame.rows()]
     return run_fallback
 
 

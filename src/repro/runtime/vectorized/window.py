@@ -32,7 +32,7 @@ from typing import Any, Iterator, List, Optional, Sequence, Tuple
 from ...core.cost import RelOptCost
 from ...core.rel import LogicalWindow, RelNode, Window
 from ...core.rex import RANKING_KINDS, RexOver, SqlKind
-from ...core.rex_eval import EvalContext, evaluate
+from ...core.rex_eval import EvalContext, compile as compile_row_rex
 from ..operators import ExecutionContext, window_order_key
 from .batch import ColumnBatch
 from .expr import Frame, as_column, compile_rex
@@ -265,7 +265,7 @@ def _bound_pos(bound: Any, pos: int, n: int, eval_ctx: EvalContext) -> int:
         return n - 1
     if kind == "CURRENT_ROW":
         return pos
-    offset = (evaluate(bound.offset, (), eval_ctx)
+    offset = (compile_row_rex(bound.offset)((), eval_ctx)
               if bound.offset is not None else 0)
     return pos - int(offset) if kind == "PRECEDING" else pos + int(offset)
 

@@ -13,7 +13,7 @@ SELECT where SQL allows.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from ..core.rel import (
     Aggregate,
@@ -39,16 +39,26 @@ from ..core.rex import (
     RexOver,
     SqlKind,
 )
+from ..core.rex_eval import RexExecutionError
 from .dialect import SqlDialect, dialect_for
 
 
 class RelToSqlConverter:
-    """Renders relational expressions as SQL strings."""
+    """Renders relational expressions as SQL strings.
 
-    def __init__(self, dialect: Optional[SqlDialect] = None) -> None:
+    Without ``parameters`` a dynamic parameter renders as ``?`` (plan
+    text, ``explain``).  With them it renders as the literal bound to
+    its *rex index* — the text a backend can run: positions in the
+    rendered SQL do not identify parameters, because a partially
+    pushed predicate carries only some of the statement's markers.
+    """
+
+    def __init__(self, dialect: Optional[SqlDialect] = None,
+                 parameters: Optional[Sequence[Any]] = None) -> None:
         if isinstance(dialect, str):
             dialect = dialect_for(dialect)
         self.dialect = dialect or SqlDialect()
+        self.parameters = parameters
         self._alias_count = 0
 
     def convert(self, rel: RelNode) -> str:
@@ -196,7 +206,11 @@ class RelToSqlConverter:
         if isinstance(node, RexInputRef):
             return refs[node.index]
         if isinstance(node, RexDynamicParam):
-            return "?"
+            if self.parameters is None:
+                return "?"
+            if node.index >= len(self.parameters):
+                raise RexExecutionError(f"unbound parameter ?{node.index}")
+            return d.quote_literal(self.parameters[node.index])
         if isinstance(node, RexFieldAccess):
             return f"{self._rex_qualified(node.expr, refs)}.{node.field_name}"
         if isinstance(node, RexOver):

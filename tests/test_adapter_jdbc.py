@@ -190,3 +190,72 @@ class TestJdbcQueryNode:
         sql = query.sql()
         assert sql.startswith("SELECT")
         assert "`price` > 15" in sql
+
+
+class TestDynamicParameterPushdown:
+    """A ``?`` pushed into a JdbcQuery is bound by its rex index when
+    the query is shipped; the plan text keeps the marker."""
+
+    SQL = "SELECT name FROM mysql.products WHERE price > ? AND name <> ?"
+
+    @pytest.mark.parametrize("engine", ["row", "vectorized"])
+    def test_pushed_parameters_bind_at_execution(self, jdbc_catalog, engine):
+        catalog, schema, db = jdbc_catalog
+        p = planner_for(catalog, engine=engine)
+        prepared = p.prepare(self.SQL)
+        text = prepared.explain()
+        assert "JdbcQuery" in text and "EnumerableFilter" not in text
+        assert text.count("?") == 2          # explain shows the markers
+        res = p.execute_plan(prepared, [15, "gizmo"])
+        assert res.rows == [("gadget",)]
+        res = p.execute_plan(prepared, [5, "it's"])   # quoting survives
+        assert sorted(res.rows) == [("gadget",), ("gizmo",), ("widget",)]
+
+    @pytest.mark.parametrize("engine", ["row", "vectorized"])
+    def test_prepared_statement_rebinds_through_server(self, jdbc_catalog,
+                                                       engine):
+        from repro.avatica import QueryServer
+        catalog, schema, db = jdbc_catalog
+        server = QueryServer(engine=engine)
+        server.register_catalog("shop", catalog)
+        conn = server.connect("shop")
+        stmt = conn.prepare(self.SQL)
+        assert stmt.execute([15, "gizmo"]).fetchall() == [("gadget",)]
+        second = stmt.execute([20, "gadget"])
+        assert second.cache_hit
+        assert second.fetchall() == [("gizmo",)]
+        conn.close()
+
+    def test_partially_pushed_predicate_binds_by_index(self, jdbc_catalog):
+        """Only the second marker reaches the backend, where it is the
+        first ``?`` of the rendered text: binding by position would
+        hand it the memory table's value."""
+        from repro import MemoryTable, Schema
+        catalog, schema, db = jdbc_catalog
+        mem = Schema("mem")
+        catalog.add_schema(mem)
+        mem.add_table(MemoryTable(
+            "tags", ["productId", "tag"], [F.integer(False), F.varchar()],
+            [(1, "new"), (2, "new"), (3, "old")]))
+        p = planner_for(catalog)
+        prepared = p.prepare(
+            "SELECT pr.name FROM mem.tags t JOIN mysql.products pr "
+            "ON t.productId = pr.productId WHERE t.tag = ? AND pr.price > ?")
+        query = [n for n in _walk(prepared.plan) if isinstance(n, JdbcQuery)]
+        assert len(query) == 1 and query[0].sql().count("?") == 1
+        assert "> 15" in query[0].sql(["new", 15])
+        assert p.execute_plan(prepared, ["new", 15]).rows == [("gadget",)]
+        assert p.execute_plan(prepared, ["old", 15]).rows == [("gizmo",)]
+
+    def test_unbound_pushed_parameter_is_an_error(self, jdbc_catalog):
+        catalog, schema, db = jdbc_catalog
+        p = planner_for(catalog)
+        from repro.core.rex_eval import RexExecutionError
+        with pytest.raises(RexExecutionError, match=r"unbound parameter \?1"):
+            p.execute(self.SQL, [15])
+
+
+def _walk(rel):
+    yield rel
+    for i in rel.inputs:
+        yield from _walk(i)

@@ -289,3 +289,52 @@ def test_server_stats_shape(hr_catalog):
     assert stats["statements"]["admitted"] == 1
     assert stats["plan_cache"]["misses"] == 1
     conn.close()
+
+
+# -- server counters ----------------------------------------------------------
+
+
+def test_rows_emitted_counts_fetched_pages(hr_catalog):
+    server = QueryServer()
+    server.register_catalog("hr", hr_catalog)
+    conn = server.connect("hr")
+    cur = conn.execute("SELECT empid FROM hr.emps ORDER BY empid")
+    ctx = cur._context
+    assert ctx.rows_emitted == 0
+    cur.fetchmany(2)
+    assert ctx.rows_emitted == 2
+    assert server.stats()["statements"]["rows_emitted"] == 2
+    cur.fetchone()
+    cur.fetchall()                         # the page that ends the stream
+    assert ctx.rows_emitted == 5
+    assert server.stats()["statements"]["rows_emitted"] == 5
+
+    # rows drained into the rowcount buffer are counted once, there
+    cur = conn.execute("SELECT empid FROM hr.emps")
+    ctx = cur._context
+    assert cur.rowcount == 5 and ctx.rows_emitted == 5
+    assert len(cur.fetchall()) == 5
+    assert ctx.rows_emitted == 5
+    assert server.stats()["statements"]["rows_emitted"] == 10
+    conn.close()
+
+
+def test_result_reports_rows_emitted(hr_planner):
+    result = hr_planner.execute("SELECT name FROM hr.emps WHERE sal > 7000")
+    assert result.context.rows_emitted == len(result.rows) == 3
+
+
+def test_prepared_reuse_counts_as_plan_cache_hits(hr_catalog):
+    server = QueryServer()
+    server.register_catalog("hr", hr_catalog)
+    conn = server.connect("hr")
+    stmt = conn.prepare("SELECT name FROM hr.emps WHERE sal > ?")
+    assert server.stats()["plan_cache"]["misses"] == 1
+    stmt.execute([9000]).fetchall()        # prepare's lookup, not a new one
+    assert server.stats()["plan_cache"]["hits"] == 0
+    for threshold in (7500, 100000):
+        assert stmt.execute([threshold]).cache_hit
+    cache = server.stats()["plan_cache"]
+    assert (cache["hits"], cache["misses"]) == (2, 1)
+    assert cache["hit_rate"] == round(2 / 3, 4)
+    conn.close()

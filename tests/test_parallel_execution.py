@@ -244,6 +244,23 @@ class TestParallelRuntime:
         par = _planner(engine="vectorized", parallelism=parallelism)
         assert _multiset(_rows(par, sql)) == _multiset(_rows(ROW, sql))
 
+    def test_correlated_subquery_on_partition_local_workers(self):
+        """Worker threads share one ExecutionContext; each must see only
+        the outer rows of its own subquery evaluations."""
+        import sys
+        sql = ("SELECT sa.productId, COUNT(*) FROM s.sales sa WHERE EXISTS "
+               "(SELECT 1 FROM s.products p WHERE p.productId = sa.productId "
+               "AND p.category = 'A') GROUP BY sa.productId")
+        expected = _multiset(_rows(ROW, sql))
+        par = _planner(engine="vectorized", parallelism=4, workers="thread")
+        assert "PartitionedScan" in par.optimize(par.rel(sql)).explain()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            assert _multiset(_rows(par, sql)) == expected
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_avg_of_all_null_group_is_null(self):
         catalog = Catalog()
         s = Schema("s")
