@@ -16,6 +16,7 @@ import pathlib
 import pytest
 
 from repro import Catalog, MemoryTable, Schema
+from repro.adapters.jdbc import JdbcSchema, MiniDb
 from repro.core.types import DEFAULT_TYPE_FACTORY as F
 from repro.framework import FrameworkConfig, Planner
 
@@ -23,8 +24,9 @@ GOLDEN_DIR = pathlib.Path(__file__).parent / "golden_plans"
 
 
 def build_catalog() -> Catalog:
-    """A deterministic two-schema catalog (no random data: plan choice
-    depends only on statistics, which are fixed here)."""
+    """A deterministic catalog — two in-process schemas and one jdbc
+    schema (no random data: plan choice depends only on statistics,
+    which are fixed here)."""
     catalog = Catalog()
     hr = Schema("hr")
     catalog.add_schema(hr)
@@ -49,6 +51,13 @@ def build_catalog() -> Catalog:
         "sales", ["saleId", "productId", "discount", "units"],
         [F.integer(False), F.integer(False), F.integer(), F.integer(False)],
         [(i, i % 30, None if i % 3 else 5, 1 + i % 7) for i in range(600)]))
+    ev = JdbcSchema("ev", MiniDb("ev"))
+    catalog.add_schema(ev)
+    ev.add_jdbc_table(
+        "ratings", ["empid", "deptno", "rater", "score"],
+        [F.integer(False), F.integer(False), F.integer(False), F.integer()],
+        [(100 + i % 20, 10 * (1 + i % 3), i % 4, 1 + i % 5)
+         for i in range(80)])
     return catalog
 
 
@@ -121,6 +130,33 @@ GOLDEN_QUERIES = [
     # per worker instead of gathering below the union.
     ("union_distinct_exchange_parallel", "vectorized-p4",
      "SELECT deptno * 2 FROM hr.emps UNION SELECT deptno FROM hr.depts"),
+    # The shapes the committed benchmark plans cold (``adhoc_cold``,
+    # bench/data.py) over this catalog: a change to how the search is
+    # driven must leave them byte-identical.
+    ("bench_filter_scan_vectorized", "vectorized",
+     "SELECT empid, sal FROM hr.emps WHERE sal > 6000 AND deptno = 10"),
+    ("bench_filter_agg_vectorized", "vectorized",
+     "SELECT deptno, COUNT(*) AS n, AVG(sal) AS a FROM hr.emps "
+     "WHERE sal > 5500 GROUP BY deptno"),
+    ("bench_join_agg_vectorized", "vectorized",
+     "SELECT p.category, COUNT(*) AS n, SUM(sa.units) AS s FROM s.sales sa "
+     "JOIN s.products p ON sa.productId = p.productId "
+     "WHERE sa.units > 2 GROUP BY p.category"),
+    ("bench_federated_join_agg_vectorized", "vectorized",
+     "SELECT d.dname, COUNT(*) AS n, AVG(r.score) AS a FROM ev.ratings r "
+     "JOIN hr.depts d ON r.deptno = d.deptno "
+     "WHERE r.empid > 105 GROUP BY d.dname"),
+    ("bench_jdbc_window_vectorized", "vectorized",
+     "SELECT r.empid, r.rater, SUM(r.score) OVER "
+     "(PARTITION BY r.deptno ORDER BY r.empid, r.rater) AS rs "
+     "FROM ev.ratings r WHERE r.rater = 3 AND r.empid > 101"),
+    ("bench_union_vectorized", "vectorized",
+     "SELECT productId FROM s.products WHERE category = 'A' "
+     "UNION SELECT productId FROM s.sales WHERE units > 5"),
+    ("bench_join_order_limit_vectorized", "vectorized",
+     "SELECT sa.saleId, p.name, sa.units FROM s.sales sa "
+     "JOIN s.products p ON sa.productId = p.productId "
+     "ORDER BY sa.units DESC, sa.saleId LIMIT 7 OFFSET 2"),
 ]
 
 
