@@ -56,11 +56,16 @@ def _star_join(n_dims: int, fact_rows: int = 400):
     return catalog, b.build()
 
 
+#: far above what these searches need (809 matches for three joins): an
+#: exhaustive run that reaches it was cut short, not finished
+MAX_MATCHES = 4000
+
+
 def _volcano(rel, exhaustive, delta=0.0, patience=40):
     planner = VolcanoPlanner(
         rules=standard_logical_rules() + join_reorder_rules() + enumerable_rules(),
         exhaustive=exhaustive, delta=delta, patience=patience,
-        max_matches=4000)
+        max_matches=MAX_MATCHES)
     t0 = time.perf_counter()
     best = planner.optimize(rel)
     elapsed = time.perf_counter() - t0
@@ -98,6 +103,7 @@ def test_delta_threshold_reduces_search():
     shape("P2: δ early stop",
           f"exhaustive: fired={fired_full}, cost={cost_full:.1f}\n"
           f"δ=0.05:     fired={fired_eager}, cost={cost_eager:.1f}")
+    assert fired_full < MAX_MATCHES  # a fix point, not the cap
     assert fired_eager <= fired_full
 
 def test_multistage_program_combines_engines():
@@ -110,7 +116,8 @@ def test_multistage_program_combines_engines():
     shape("P2: multi-stage (hep → volcano)",
           f"volcano alone:  fired={fired_direct}\n"
           f"hep then volcano: fired={fired_staged}")
-    assert fired_staged <= fired_direct * 1.5  # usually strictly fewer
+    assert fired_direct < MAX_MATCHES  # both searches ran to a fix point
+    assert fired_staged <= fired_direct
 
 
 def test_plans_agree_on_results():

@@ -89,13 +89,18 @@ python -m pytest -q -m "chaos" \
     benchmarks/bench_resilience.py
 
 # Benchmark gates: the served end-to-end benchmark must pass its own
-# self-check, and a short `serve_cached` run (prepared key lookups on
-# the default row engine) must exit zero with every operation verified
-# by the sqlite referee — the last output line is the result object.
+# self-check, and two short runs must exit zero with every operation
+# verified by the sqlite referee (the last output line is the result
+# object): `serve_cached`, prepared key lookups on the default row
+# engine, and `adhoc_cold`, where every statement is planned from
+# scratch on the vectorized engine.
 python3 -m bench.run --selfcheck
-python3 -m bench.run --workload serve_cached --seconds 5 | tail -n 1 \
-    | python3 -c '
-import json, sys
+for workload in serve_cached adhoc_cold; do
+    python3 -m bench.run --workload "$workload" --seconds 5 | tail -n 1 \
+        | WORKLOAD="$workload" python3 -c '
+import json, os, sys
 result = json.load(sys.stdin)
-print("bench serve_cached:", {k: result[k] for k in ("correct", "attempted", "failed")})
+print("bench", os.environ["WORKLOAD"] + ":",
+      {k: result[k] for k in ("correct", "attempted", "failed")})
 sys.exit(0 if result["correct"] and result["attempted"] and result["failed"] == 0 else 1)'
+done

@@ -755,30 +755,33 @@ class InputRefRemapper(RexShuttle):
         return node
 
 
+class _InputRefCollector(RexVisitor):
+    def __init__(self) -> None:
+        self.found: set = set()
+
+    def visit_input_ref(self, node: RexInputRef) -> None:
+        self.found.add(node.index)
+
+
 def input_refs_used(node: RexNode) -> set:
     """The set of input field indexes referenced anywhere under ``node``."""
-    found: set = set()
+    collector = _InputRefCollector()
+    node.accept(collector)
+    return collector.found
 
-    class Collector(RexVisitor):
-        def visit_input_ref(self, n: RexInputRef) -> None:
-            found.add(n.index)
 
-    node.accept(Collector())
-    return found
+class _OverFinder(RexVisitor):
+    seen = False
+
+    def visit_over(self, node: RexOver) -> None:
+        self.seen = True
 
 
 def contains_over(node: RexNode) -> bool:
     """True if a RexOver appears anywhere in the expression."""
-    seen = False
-
-    class Finder(RexVisitor):
-        def visit_over(self, n: RexOver) -> None:
-            nonlocal seen
-            seen = True
-            super().visit_over(n)
-
-    node.accept(Finder())
-    return seen
+    finder = _OverFinder()
+    node.accept(finder)
+    return finder.seen
 
 
 def decompose_conjunction(node: Optional[RexNode]) -> List[RexNode]:

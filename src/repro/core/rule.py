@@ -8,6 +8,11 @@ and patterns for its children.
 Rules are shared between both planner engines (the cost-based Volcano
 engine and the exhaustive Hep engine); the engines deliver matches
 through a :class:`RelOptRuleCall`.
+
+An operand may also require a calling convention.  That is where the
+convention contract of the search lives: transformation rules bind
+operators of the logical convention only (:func:`logical`), and
+converter rules are the one way across conventions.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from typing import Any, Callable, List, Optional, Sequence, Type
 
 from .metadata import RelMetadataQuery
 from .rel import RelNode
+from .traits import Convention
 
 
 class RuleOperand:
@@ -23,18 +29,25 @@ class RuleOperand:
 
     def __init__(self, rel_class: Type[RelNode],
                  children: Optional[Sequence["RuleOperand"]] = None,
-                 predicate: Optional[Callable[[RelNode], bool]] = None) -> None:
+                 predicate: Optional[Callable[[RelNode], bool]] = None,
+                 convention: Optional[Convention] = None) -> None:
         self.rel_class = rel_class
         #: None = match any children ("any"); [] = must be a leaf ("none")
         self.children = list(children) if children is not None else None
         self.predicate = predicate
+        #: the calling convention a matched operator must carry; None = any
+        self.convention = convention
+
+    def accepts(self, rel_class: Type[RelNode], convention: Convention) -> bool:
+        """Whether operators of ``rel_class`` in ``convention`` can match
+        at all — everything :meth:`matches_class` checks that does not
+        depend on the individual operator (planners index rules by it)."""
+        return (issubclass(rel_class, self.rel_class)
+                and (self.convention is None or convention is self.convention))
 
     def matches_class(self, rel: RelNode) -> bool:
-        if not isinstance(rel, self.rel_class):
-            return False
-        if self.predicate is not None and not self.predicate(rel):
-            return False
-        return True
+        return (self.accepts(type(rel), rel.traits.convention)
+                and (self.predicate is None or self.predicate(rel)))
 
     def flatten(self) -> List["RuleOperand"]:
         """Pre-order list of operands; index 0 is the root."""
@@ -55,6 +68,18 @@ def any_operand(rel_class: Type[RelNode] = RelNode,
                 predicate: Optional[Callable[[RelNode], bool]] = None) -> RuleOperand:
     """Operand matching ``rel_class`` with arbitrary children."""
     return RuleOperand(rel_class, None, predicate)
+
+
+def logical(rel_class: Type[RelNode], *children: RuleOperand,
+            predicate: Optional[Callable[[RelNode], bool]] = None) -> RuleOperand:
+    """:func:`operand` that binds the logical convention only."""
+    return RuleOperand(rel_class, list(children), predicate, Convention.NONE)
+
+
+def any_logical(rel_class: Type[RelNode] = RelNode,
+                predicate: Optional[Callable[[RelNode], bool]] = None) -> RuleOperand:
+    """:func:`any_operand` that binds the logical convention only."""
+    return RuleOperand(rel_class, None, predicate, Convention.NONE)
 
 
 def none_operand(rel_class: Type[RelNode]) -> RuleOperand:
@@ -128,7 +153,7 @@ class ConverterRule(RelOptRule):
     def __init__(self, rel_class: Type[RelNode], in_convention: Any, out_convention: Any,
                  description: Optional[str] = None) -> None:
         super().__init__(
-            any_operand(rel_class, predicate=lambda r: r.convention is in_convention),
+            RuleOperand(rel_class, convention=in_convention),
             description,
         )
         self.rel_class = rel_class

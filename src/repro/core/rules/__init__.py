@@ -6,6 +6,16 @@ filter pushing (Figure 4), join reordering (dynamic programming),
 projection trimming/merging, trait-based sort elimination, empty-branch
 pruning, and expression reduction — plus the adapter conversion rules
 registered by each backend.
+
+Rule convention contract: every rule in this package is a
+*transformation* rule and declares each operand it binds with
+``logical``/``any_logical`` (``core/rule.py``), so it matches — and
+therefore produces — expressions of ``Convention.NONE`` only.  Moving
+an expression into another convention is the job of ``ConverterRule``s
+and of the adapters' push rules, which name the convention or the
+adapter class they take.  A transformation rule that bound the
+``Enumerable*``/``Vectorized*`` members of a set would re-derive what
+its logical twin already derived, once per convention.
 """
 
 from .aggregate_rules import (

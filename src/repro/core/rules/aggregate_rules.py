@@ -15,7 +15,7 @@ from ..rel import (
     Union,
 )
 from ..rex import RexInputRef, RexNode
-from ..rule import RelOptRule, RelOptRuleCall, any_operand, operand
+from ..rule import RelOptRule, RelOptRuleCall, any_logical, logical
 
 
 class AggregateProjectMergeRule(RelOptRule):
@@ -23,7 +23,7 @@ class AggregateProjectMergeRule(RelOptRule):
     aggregate's key/argument indexes."""
 
     def __init__(self) -> None:
-        super().__init__(operand(Aggregate, any_operand(Project)),
+        super().__init__(logical(Aggregate, any_logical(Project)),
                          "AggregateProjectMergeRule")
 
     def matches(self, call: RelOptRuleCall) -> bool:
@@ -55,7 +55,7 @@ class AggregateRemoveRule(RelOptRule):
     """Drop a distinct-only aggregate whose keys are already unique."""
 
     def __init__(self) -> None:
-        super().__init__(any_operand(Aggregate), "AggregateRemoveRule")
+        super().__init__(any_logical(Aggregate), "AggregateRemoveRule")
 
     def matches(self, call: RelOptRuleCall) -> bool:
         agg = call.rel(0)
@@ -76,7 +76,7 @@ class AggregateUnionAggregateRule(RelOptRule):
     aggregates: the outer distinct makes the inner ones redundant."""
 
     def __init__(self) -> None:
-        super().__init__(operand(Aggregate, any_operand(Union)),
+        super().__init__(logical(Aggregate, any_logical(Union)),
                          "AggregateUnionAggregateRule")
 
     def matches(self, call: RelOptRuleCall) -> bool:
@@ -127,7 +127,7 @@ class AggregateJoinTransposeRule(RelOptRule):
     Calcite's rule that is sufficient for rollup-style plans)."""
 
     def __init__(self) -> None:
-        super().__init__(operand(Aggregate, any_operand(Join)),
+        super().__init__(logical(Aggregate, any_logical(Join)),
                          "AggregateJoinTransposeRule")
 
     def matches(self, call: RelOptRuleCall) -> bool:

@@ -15,7 +15,6 @@ from ..rel import (
     Project,
     SetOp,
     Sort,
-    Union,
 )
 from ..rex import (
     InputRefRemapper,
@@ -26,7 +25,7 @@ from ..rex import (
     input_refs_used,
 )
 from ..rex_simplify import simplify
-from ..rule import RelOptRule, RelOptRuleCall, any_operand, operand
+from ..rule import RelOptRule, RelOptRuleCall, any_logical, logical
 
 
 class FilterIntoJoinRule(RelOptRule):
@@ -41,7 +40,7 @@ class FilterIntoJoinRule(RelOptRule):
     """
 
     def __init__(self) -> None:
-        super().__init__(operand(Filter, any_operand(Join)), "FilterIntoJoinRule")
+        super().__init__(logical(Filter, any_logical(Join)), "FilterIntoJoinRule")
 
     def on_match(self, call: RelOptRuleCall) -> None:
         filter_ = call.rel(0)
@@ -84,9 +83,6 @@ class FilterIntoJoinRule(RelOptRule):
         if right_conds:
             new_right = LogicalFilter(
                 join.right, compose_conjunction(right_conds), none)
-        # Canonical logical nodes, not ``.copy`` of the matched ones —
-        # Volcano also binds physical members here, and cloning them over
-        # freshly built logical filters would mix conventions.
         new_join = LogicalJoin(
             new_left, new_right, join.condition, join.join_type, none)
         rest = compose_conjunction(remaining)
@@ -102,7 +98,7 @@ class JoinConditionPushRule(RelOptRule):
     arrives inside the ON clause)."""
 
     def __init__(self) -> None:
-        super().__init__(any_operand(Join), "JoinConditionPushRule")
+        super().__init__(any_logical(Join), "JoinConditionPushRule")
 
     def matches(self, call: RelOptRuleCall) -> bool:
         return call.rel(0).join_type is JoinRelType.INNER
@@ -135,7 +131,6 @@ class JoinConditionPushRule(RelOptRule):
             new_right = LogicalFilter(
                 join.right, compose_conjunction(right_conds), none)
         condition = compose_conjunction(keep) or rexmod.literal(True)
-        # Canonical logical join, not ``join.copy`` (convention mixing).
         call.transform_to(LogicalJoin(
             new_left, new_right, condition, join.join_type, none))
 
@@ -144,7 +139,7 @@ class FilterProjectTransposeRule(RelOptRule):
     """Push a filter below a project by inlining projected expressions."""
 
     def __init__(self) -> None:
-        super().__init__(operand(Filter, any_operand(Project)),
+        super().__init__(logical(Filter, any_logical(Project)),
                          "FilterProjectTransposeRule")
 
     def matches(self, call: RelOptRuleCall) -> bool:
@@ -160,9 +155,6 @@ class FilterProjectTransposeRule(RelOptRule):
         mapping = {i: p for i, p in enumerate(project.projects)}
         new_condition = InputRefRemapper(mapping).apply(filter_.condition)
         new_filter = LogicalFilter(project.input, new_condition, none)
-        # Canonical logical project, not ``project.copy`` — the matched
-        # node may be one of Volcano's physical members, and cloning it
-        # over a logical filter would mix conventions.
         call.transform_to(LogicalProject(
             new_filter, project.projects, project.field_names, none))
 
@@ -171,7 +163,7 @@ class FilterMergeRule(RelOptRule):
     """Merge two adjacent filters into one conjunction."""
 
     def __init__(self) -> None:
-        super().__init__(operand(Filter, any_operand(Filter)), "FilterMergeRule")
+        super().__init__(logical(Filter, any_logical(Filter)), "FilterMergeRule")
 
     def on_match(self, call: RelOptRuleCall) -> None:
         top, bottom = call.rel(0), call.rel(1)
@@ -182,9 +174,6 @@ class FilterMergeRule(RelOptRule):
             call.transform_to(bottom.input)
             return
         from ..traits import Convention, RelTraitSet
-        # ``type(bottom)`` would resurrect a physical filter class when
-        # the match bound one of Volcano's physical members; always
-        # register the canonical logical form instead.
         call.transform_to(LogicalFilter(
             bottom.input, condition, RelTraitSet(Convention.NONE)))
 
@@ -193,7 +182,7 @@ class FilterAggregateTransposeRule(RelOptRule):
     """Push a filter on grouping keys below the aggregate."""
 
     def __init__(self) -> None:
-        super().__init__(operand(Filter, any_operand(Aggregate)),
+        super().__init__(logical(Filter, any_logical(Aggregate)),
                          "FilterAggregateTransposeRule")
 
     def on_match(self, call: RelOptRuleCall) -> None:
@@ -215,7 +204,6 @@ class FilterAggregateTransposeRule(RelOptRule):
         none = RelTraitSet(Convention.NONE)
         new_input = LogicalFilter(
             agg.input, compose_conjunction(pushable), none)
-        # Canonical logical aggregate, not ``agg.copy`` (convention mixing).
         new_agg = LogicalAggregate(
             new_input, agg.group_set, agg.agg_calls, none)
         rest = compose_conjunction(keep)
@@ -229,32 +217,23 @@ class FilterSetOpTransposeRule(RelOptRule):
     """Push a filter below a union/intersect/minus into every branch."""
 
     def __init__(self) -> None:
-        super().__init__(operand(Filter, any_operand(SetOp)),
+        super().__init__(logical(Filter, any_logical(SetOp)),
                          "FilterSetOpTransposeRule")
 
     def on_match(self, call: RelOptRuleCall) -> None:
-        from ..rel import Intersect, LogicalIntersect, LogicalMinus, LogicalUnion
         from ..traits import Convention, RelTraitSet
         filter_, setop = call.rel(0), call.rel(1)
         none = RelTraitSet(Convention.NONE)
         new_inputs = [LogicalFilter(i, filter_.condition, none)
                       for i in setop.inputs]
-        # Canonical logical set-op, not ``setop.copy`` (see
-        # ProjectSetOpTransposeRule for the convention-mixing rationale).
-        if isinstance(setop, Union):
-            logical_cls = LogicalUnion
-        elif isinstance(setop, Intersect):
-            logical_cls = LogicalIntersect
-        else:
-            logical_cls = LogicalMinus
-        call.transform_to(logical_cls(new_inputs, setop.all, none))
+        call.transform_to(setop.copy(inputs=new_inputs, traits=none))
 
 
 class FilterSortTransposeRule(RelOptRule):
     """Swap Filter over Sort (valid when the sort has no limit)."""
 
     def __init__(self) -> None:
-        super().__init__(operand(Filter, any_operand(Sort)),
+        super().__init__(logical(Filter, any_logical(Sort)),
                          "FilterSortTransposeRule")
 
     def matches(self, call: RelOptRuleCall) -> bool:
@@ -267,8 +246,6 @@ class FilterSortTransposeRule(RelOptRule):
         filter_, sort = call.rel(0), call.rel(1)
         none = RelTraitSet(Convention.NONE)
         new_filter = LogicalFilter(sort.input, filter_.condition, none)
-        # Canonical logical sort, not ``sort.copy`` — cloning a physical
-        # member over a logical filter would mix conventions.
         call.transform_to(LogicalSort(
             new_filter, sort.collation, sort.offset, sort.fetch,
             RelTraitSet(Convention.NONE, sort.collation)))
@@ -278,7 +255,7 @@ class FilterSimplifyRule(RelOptRule):
     """Simplify a filter's predicate (part of ReduceExpressionsRule)."""
 
     def __init__(self) -> None:
-        super().__init__(any_operand(Filter), "FilterSimplifyRule")
+        super().__init__(any_logical(Filter), "FilterSimplifyRule")
 
     def on_match(self, call: RelOptRuleCall) -> None:
         filter_ = call.rel(0)

@@ -21,14 +21,14 @@ from ..rex import (
     input_refs_used,
     literal,
 )
-from ..rule import RelOptRule, RelOptRuleCall, any_operand, operand
+from ..rule import RelOptRule, RelOptRuleCall, any_logical, logical
 
 
 class JoinCommuteRule(RelOptRule):
     """Swap the inputs of an inner join, projecting fields back in order."""
 
     def __init__(self, swap_outer: bool = False) -> None:
-        super().__init__(any_operand(Join), "JoinCommuteRule")
+        super().__init__(any_logical(Join), "JoinCommuteRule")
         self.swap_outer = swap_outer
 
     def matches(self, call: RelOptRuleCall) -> bool:
@@ -73,7 +73,7 @@ class JoinAssociateRule(RelOptRule):
     """Re-associate ``(A ⋈ B) ⋈ C`` into ``A ⋈ (B ⋈ C)``."""
 
     def __init__(self) -> None:
-        super().__init__(operand(Join, any_operand(Join), any_operand(RelNode)),
+        super().__init__(logical(Join, any_logical(Join), any_logical(RelNode)),
                          "JoinAssociateRule")
 
     def matches(self, call: RelOptRuleCall) -> bool:
@@ -122,7 +122,7 @@ class JoinExtractFilterRule(RelOptRule):
     """
 
     def __init__(self) -> None:
-        super().__init__(any_operand(Join), "JoinExtractFilterRule")
+        super().__init__(any_logical(Join), "JoinExtractFilterRule")
 
     def matches(self, call: RelOptRuleCall) -> bool:
         join = call.rel(0)
@@ -140,7 +140,7 @@ class JoinToCorrelateRule(RelOptRule):
     """Rewrite an equi/theta join as a Correlate (nested-loop form)."""
 
     def __init__(self) -> None:
-        super().__init__(any_operand(Join), "JoinToCorrelateRule")
+        super().__init__(any_logical(Join), "JoinToCorrelateRule")
 
     def matches(self, call: RelOptRuleCall) -> bool:
         return call.rel(0).join_type in (JoinRelType.INNER, JoinRelType.LEFT)

@@ -22,7 +22,7 @@ from ..rex import (
     input_refs_used,
 )
 from ..rex_simplify import simplify
-from ..rule import RelOptRule, RelOptRuleCall, any_operand, operand
+from ..rule import RelOptRule, RelOptRuleCall, any_logical, logical
 
 
 class _Inliner(RexShuttle):
@@ -39,7 +39,7 @@ class ProjectMergeRule(RelOptRule):
     """Merge two adjacent projects by inlining the lower expressions."""
 
     def __init__(self) -> None:
-        super().__init__(operand(Project, any_operand(Project)), "ProjectMergeRule")
+        super().__init__(logical(Project, any_logical(Project)), "ProjectMergeRule")
 
     def matches(self, call: RelOptRuleCall) -> bool:
         bottom = call.rel(1)
@@ -58,7 +58,7 @@ class ProjectRemoveRule(RelOptRule):
     """Remove a projection that merely forwards its input."""
 
     def __init__(self) -> None:
-        super().__init__(any_operand(Project), "ProjectRemoveRule")
+        super().__init__(any_logical(Project), "ProjectRemoveRule")
 
     def matches(self, call: RelOptRuleCall) -> bool:
         return call.rel(0).is_identity()
@@ -71,7 +71,7 @@ class ProjectFilterTransposeRule(RelOptRule):
     """Push a project below a filter (keeping fields the filter needs)."""
 
     def __init__(self) -> None:
-        super().__init__(operand(Project, any_operand(Filter)),
+        super().__init__(logical(Project, any_logical(Filter)),
                          "ProjectFilterTransposeRule")
 
     def on_match(self, call: RelOptRuleCall) -> None:
@@ -107,7 +107,7 @@ class ProjectJoinTransposeRule(RelOptRule):
     """
 
     def __init__(self) -> None:
-        super().__init__(operand(Project, any_operand(Join)),
+        super().__init__(logical(Project, any_logical(Join)),
                          "ProjectJoinTransposeRule")
 
     def matches(self, call: RelOptRuleCall) -> bool:
@@ -157,15 +157,13 @@ class ProjectSetOpTransposeRule(RelOptRule):
     """Push a pure-reference project below a set operation."""
 
     def __init__(self) -> None:
-        super().__init__(operand(Project, any_operand(SetOp)),
+        super().__init__(logical(Project, any_logical(SetOp)),
                          "ProjectSetOpTransposeRule")
 
     def matches(self, call: RelOptRuleCall) -> bool:
         return call.rel(0).permutation() is not None
 
     def on_match(self, call: RelOptRuleCall) -> None:
-        from ..rel import (Intersect, LogicalIntersect, LogicalMinus,
-                           LogicalUnion, Union)
         from ..traits import Convention, RelTraitSet
         none = RelTraitSet(Convention.NONE)
         project, setop = call.rel(0), call.rel(1)
@@ -176,23 +174,14 @@ class ProjectSetOpTransposeRule(RelOptRule):
                      for p in project.projects]  # type: ignore[union-attr]
             new_inputs.append(
                 LogicalProject(branch, exprs, project.field_names, none))
-        # Canonical logical set-op, not ``setop.copy`` — the matched node
-        # may be one of Volcano's physical members, and cloning it over
-        # logical projects would mix conventions.
-        if isinstance(setop, Union):
-            logical_cls = LogicalUnion
-        elif isinstance(setop, Intersect):
-            logical_cls = LogicalIntersect
-        else:
-            logical_cls = LogicalMinus
-        call.transform_to(logical_cls(new_inputs, setop.all, none))
+        call.transform_to(setop.copy(inputs=new_inputs, traits=none))
 
 
 class ProjectSortTransposeRule(RelOptRule):
     """Push a pure-reference project below a sort, remapping sort keys."""
 
     def __init__(self) -> None:
-        super().__init__(operand(Project, any_operand(Sort)),
+        super().__init__(logical(Project, any_logical(Sort)),
                          "ProjectSortTransposeRule")
 
     def matches(self, call: RelOptRuleCall) -> bool:
@@ -212,12 +201,6 @@ class ProjectSortTransposeRule(RelOptRule):
         perm = project.permutation()
         assert perm is not None
         inverse = {old: new for new, old in perm.items()}
-        # Register the canonical *logical* forms and let converter rules
-        # derive physical variants (cf. SortProjectTransposeRule):
-        # rebuilding with ``type(sort)`` also fired on Volcano's physical
-        # members and emitted convention-mixed trees — e.g. a
-        # VectorizedSort over a LogicalProject — that executed through
-        # the row fallback, bypassing the physical implementations.
         new_project = LogicalProject(
             sort.input, project.projects, project.field_names,
             RelTraitSet(Convention.NONE))
@@ -233,7 +216,7 @@ class ProjectSimplifyRule(RelOptRule):
     """Simplify projected expressions (ReduceExpressionsRule for Project)."""
 
     def __init__(self) -> None:
-        super().__init__(any_operand(Project), "ProjectSimplifyRule")
+        super().__init__(any_logical(Project), "ProjectSimplifyRule")
 
     def on_match(self, call: RelOptRuleCall) -> None:
         project = call.rel(0)

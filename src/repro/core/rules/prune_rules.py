@@ -13,7 +13,7 @@ from ..rel import (
     Union,
     Values,
 )
-from ..rule import RelOptRule, RelOptRuleCall, any_operand, none_operand, operand
+from ..rule import RelOptRule, RelOptRuleCall, any_logical, logical, none_operand
 
 
 def _is_empty(rel) -> bool:
@@ -24,7 +24,7 @@ class FilterFalseRule(RelOptRule):
     """Filter(FALSE) produces no rows → replace with empty Values."""
 
     def __init__(self) -> None:
-        super().__init__(any_operand(Filter), "FilterFalseRule")
+        super().__init__(any_logical(Filter), "FilterFalseRule")
 
     def matches(self, call: RelOptRuleCall) -> bool:
         condition = call.rel(0).condition
@@ -38,7 +38,7 @@ class ProjectEmptyRule(RelOptRule):
     """Project over empty input is empty."""
 
     def __init__(self) -> None:
-        super().__init__(operand(Project, any_operand(Values, predicate=_is_empty)),
+        super().__init__(logical(Project, any_logical(Values, predicate=_is_empty)),
                          "ProjectEmptyRule")
 
     def on_match(self, call: RelOptRuleCall) -> None:
@@ -49,7 +49,7 @@ class FilterEmptyRule(RelOptRule):
     """Filter over empty input is empty."""
 
     def __init__(self) -> None:
-        super().__init__(operand(Filter, any_operand(Values, predicate=_is_empty)),
+        super().__init__(logical(Filter, any_logical(Values, predicate=_is_empty)),
                          "FilterEmptyRule")
 
     def on_match(self, call: RelOptRuleCall) -> None:
@@ -61,7 +61,7 @@ class JoinLeftEmptyRule(RelOptRule):
 
     def __init__(self) -> None:
         super().__init__(
-            operand(Join, any_operand(Values, predicate=_is_empty), any_operand()),
+            logical(Join, any_logical(Values, predicate=_is_empty), any_logical()),
             "JoinLeftEmptyRule")
 
     def matches(self, call: RelOptRuleCall) -> bool:
@@ -76,7 +76,7 @@ class JoinRightEmptyRule(RelOptRule):
 
     def __init__(self) -> None:
         super().__init__(
-            operand(Join, any_operand(), any_operand(Values, predicate=_is_empty)),
+            logical(Join, any_logical(), any_logical(Values, predicate=_is_empty)),
             "JoinRightEmptyRule")
 
     def matches(self, call: RelOptRuleCall) -> bool:
@@ -91,7 +91,7 @@ class SortEmptyRule(RelOptRule):
     """Sort over empty input is empty."""
 
     def __init__(self) -> None:
-        super().__init__(operand(Sort, any_operand(Values, predicate=_is_empty)),
+        super().__init__(logical(Sort, any_logical(Values, predicate=_is_empty)),
                          "SortEmptyRule")
 
     def on_match(self, call: RelOptRuleCall) -> None:
@@ -104,7 +104,7 @@ class AggregateEmptyRule(RelOptRule):
     are deliberately not matched)."""
 
     def __init__(self) -> None:
-        super().__init__(operand(Aggregate, any_operand(Values, predicate=_is_empty)),
+        super().__init__(logical(Aggregate, any_logical(Values, predicate=_is_empty)),
                          "AggregateEmptyRule")
 
     def matches(self, call: RelOptRuleCall) -> bool:
@@ -118,7 +118,7 @@ class UnionPruneEmptyRule(RelOptRule):
     """Drop empty branches from a Union."""
 
     def __init__(self) -> None:
-        super().__init__(any_operand(Union), "UnionPruneEmptyRule")
+        super().__init__(any_logical(Union), "UnionPruneEmptyRule")
 
     def matches(self, call: RelOptRuleCall) -> bool:
         return any(_is_empty(i) for i in call.rel(0).inputs)

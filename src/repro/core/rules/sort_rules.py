@@ -7,7 +7,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..rel import Filter, Project, RelNode, Sort, TableScan
-from ..rule import RelOptRule, RelOptRuleCall, any_operand, operand
+from ..rule import RelOptRule, RelOptRuleCall, any_logical, logical
 from ..traits import RelCollation
 
 
@@ -43,7 +43,7 @@ class SortRemoveRule(RelOptRule):
     """Remove a Sort whose input already satisfies its collation."""
 
     def __init__(self) -> None:
-        super().__init__(any_operand(Sort), "SortRemoveRule")
+        super().__init__(any_logical(Sort), "SortRemoveRule")
 
     def matches(self, call: RelOptRuleCall) -> bool:
         sort = call.rel(0)
@@ -62,16 +62,12 @@ class SortMergeRule(RelOptRule):
     """Collapse Sort over Sort (the outer one wins; limits compose)."""
 
     def __init__(self) -> None:
-        super().__init__(operand(Sort, any_operand(Sort)), "SortMergeRule")
+        super().__init__(logical(Sort, any_logical(Sort)), "SortMergeRule")
 
     def on_match(self, call: RelOptRuleCall) -> None:
         from ..rel import LogicalSort
         from ..traits import Convention, RelTraitSet
         top, bottom = call.rel(0), call.rel(1)
-        # Emit canonical *logical* sorts and let converter rules derive
-        # physical variants: ``top.copy``/``type(bottom)(...)`` also
-        # fired on Volcano's physical members and rebuilt them over
-        # inputs of another convention (the transpose-audit bug class).
         if top.collation.field_collations:
             # outer re-sorts; inner order is irrelevant unless it limits
             if bottom.offset is None and bottom.fetch is None:
@@ -90,7 +86,7 @@ class SortProjectTransposeRule(RelOptRule):
     """Push a Sort below a pure-reference Project."""
 
     def __init__(self) -> None:
-        super().__init__(operand(Sort, any_operand(Project)),
+        super().__init__(logical(Sort, any_logical(Project)),
                          "SortProjectTransposeRule")
 
     def matches(self, call: RelOptRuleCall) -> bool:
@@ -109,12 +105,6 @@ class SortProjectTransposeRule(RelOptRule):
         new_collation = RelCollation([
             RelFieldCollation(perm[fc.field_index], fc.descending, fc.nulls_first)
             for fc in sort.collation.field_collations])
-        # Register the canonical *logical* form and let converter rules
-        # derive physical variants.  Rebuilding with the matched nodes'
-        # own classes (Volcano also binds physical members here) used to
-        # produce convention-mixed trees — e.g. a VectorizedProject over
-        # a LogicalSort — that executed through the row fallback and
-        # bypassed the physical sort implementations entirely.
         new_sort = LogicalSort(
             project.input, new_collation, sort.offset, sort.fetch,
             RelTraitSet(Convention.NONE, new_collation))

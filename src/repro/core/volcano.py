@@ -16,13 +16,20 @@ Implements the dynamic-programming search the paper describes:
 * the cost function is supplied through metadata providers, and traits
   (including the *calling convention*) partition each set into subsets,
   with converter rules moving expressions between conventions.
+
+Rules are looked up by the registered operator's class and convention
+(an index built lazily, in rule order), so an expression only meets
+the rules whose root operand could bind it.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+import time
+from collections import defaultdict, deque
+from dataclasses import dataclass
+from typing import (Callable, DefaultDict, Dict, List, Optional, Sequence,
+                    Set, Tuple, Type)
 
 from .cost import RelOptCost
 from .metadata import MetadataProvider, RelMetadataQuery
@@ -155,6 +162,24 @@ class CannotPlanError(Exception):
     """No implementation satisfying the required traits was found."""
 
 
+@dataclass
+class RuleStats:
+    """What one rule did during a search (``VolcanoPlanner.rule_stats``)."""
+
+    #: bindings of the rule's operand pattern put on the queue
+    queued: int = 0
+    #: dequeued bindings that ``matches`` refused
+    vetoed: int = 0
+    #: ``on_match`` calls
+    fired: int = 0
+    #: expressions handed to ``transform_to``
+    results: int = 0
+    #: results that added at least one expression to the search
+    new_results: int = 0
+    #: time inside ``matches`` and ``on_match``, registration included
+    seconds: float = 0.0
+
+
 class VolcanoPlanner:
     """Cost-based dynamic-programming planner.
 
@@ -208,6 +233,12 @@ class VolcanoPlanner:
         self._fired: Set[Tuple[int, Tuple[int, ...]]] = set()
         self.matches_fired = 0
         self.registrations = 0
+        #: per-rule search counters, keyed by rule description
+        self.rule_stats: DefaultDict[str, RuleStats] = defaultdict(RuleStats)
+        #: (operator class, convention) -> the rules whose root operand
+        #: accepts it, in ``self.rules`` order
+        self._rule_index: Dict[Tuple[Type[RelNode], Convention],
+                               List[RelOptRule]] = {}
         self._root_subset: Optional[RelSubset] = None
         self._current_call_root_set: Optional[RelSet] = None
 
@@ -216,6 +247,7 @@ class VolcanoPlanner:
     # ------------------------------------------------------------------
     def add_rule(self, rule: RelOptRule) -> None:
         self.rules.append(rule)
+        self._rule_index.clear()
 
     def set_of(self, rel: RelNode) -> Optional[RelSet]:
         s = self._rel_to_set.get(rel.id)
@@ -312,14 +344,11 @@ class VolcanoPlanner:
         # subset digests now canonicalise to the winner, which can
         # reveal further duplicates (cascading merges).
         for parent in list(loser.parents):
-            old_digest = None
-            for d, r in list(self._digest_to_rel.items()):
-                if r is parent:
-                    old_digest = d
-                    break
+            old_digest = parent.digest  # cached when it was registered
             parent.invalidate_digest()
             new_digest = parent.digest
-            if old_digest is not None and old_digest != new_digest:
+            if (old_digest != new_digest
+                    and self._digest_to_rel.get(old_digest) is parent):
                 del self._digest_to_rel[old_digest]
                 other = self._digest_to_rel.get(new_digest)
                 if other is not None and other is not parent:
@@ -342,10 +371,16 @@ class VolcanoPlanner:
                 out.append([i])
         return out
 
+    def _rules_for(self, rel: RelNode) -> List[RelOptRule]:
+        key = (type(rel), rel.traits.convention)
+        rules = self._rule_index.get(key)
+        if rules is None:
+            rules = self._rule_index[key] = [
+                rule for rule in self.rules if rule.operand.accepts(*key)]
+        return rules
+
     def _queue_matches_for(self, rel: RelNode) -> None:
-        for rule in self.rules:
-            if not rule.operand.matches_class(rel):
-                continue
+        for rule in self._rules_for(rel):
             bindings = match_operand(rule.operand, rel, self._resolve_children)
             for binding in bindings:
                 key = (id(rule), tuple(r.id for r in binding))
@@ -353,13 +388,19 @@ class VolcanoPlanner:
                     continue
                 self._fired.add(key)
                 self._queue.append((rule, binding))
+                self.rule_stats[rule.description].queued += 1
 
     # ------------------------------------------------------------------
     # Transform callback (from RelOptRuleCall)
     # ------------------------------------------------------------------
     def on_transform(self, call: RelOptRuleCall, new_rel: RelNode) -> None:
         root_set = self.set_of(call.rel(0))
+        stats = self.rule_stats[call.rule.description]
+        stats.results += 1
+        before = self.registrations
         self.register(new_rel, root_set)
+        if self.registrations > before:
+            stats.new_results += 1
         # Cost propagation is deferred: the optimize loop relaxes costs
         # periodically (heuristic mode) or once after the fix point.
 
@@ -449,12 +490,16 @@ class VolcanoPlanner:
             # Stale bindings (rels moved by merges) are still usable: the
             # rel objects themselves remain valid members of their sets.
             call = RelOptRuleCall(self, rule, binding, self.mq)
-            try:
-                if not rule.matches(call):
-                    continue
-            except Exception:
+            stats = self.rule_stats[rule.description]
+            started = time.perf_counter()
+            matched = rule.matches(call)
+            if matched:
+                rule.on_match(call)
+            stats.seconds += time.perf_counter() - started
+            if not matched:
+                stats.vetoed += 1
                 continue
-            rule.on_match(call)
+            stats.fired += 1
             self.matches_fired += 1
             if not self.exhaustive and self.matches_fired % check_interval == 0:
                 self._propagate_costs()

@@ -17,6 +17,7 @@ import pytest
 
 from repro import Catalog, MemoryTable, Schema
 from repro.adapters.jdbc import JdbcSchema, MiniDb
+from repro.core.traits import Convention
 from repro.core.types import DEFAULT_TYPE_FACTORY as F
 from repro.framework import FrameworkConfig, Planner
 
@@ -208,42 +209,51 @@ def test_copartitioned_window_shuffles_nothing():
 # -- every node of an extracted plan carries the required convention ----------
 
 
-def _off_convention(plan):
-    """Nodes of a row-engine plan that are not enumerable operators: a
-    foreign convention trait, or a ``Logical*`` class a rule rebuilt
-    with the matched physical node's traits."""
-    from repro.core.traits import Convention
+def _off_convention(plan, convention, prefix, allowed=()):
+    """Nodes of an extracted plan that are not operators of the engine's
+    convention: a foreign convention trait, or a class of another family
+    (a ``Logical*`` node carrying physical traits).  Subtrees under an
+    ``allowed`` node — a bridge into the engine — are another
+    convention's business."""
+    out = []
 
-    def walk(rel):
-        yield rel
+    def check(rel):
+        if isinstance(rel, allowed):
+            return
+        if (rel.traits.convention is not convention
+                or not rel.rel_name.startswith(prefix)):
+            out.append(f"{rel.rel_name}:{rel.traits.convention}")
         for i in rel.inputs:
-            yield from walk(i)
+            check(i)
 
-    return [f"{n.rel_name}:{n.traits.convention}" for n in walk(plan)
-            if n.traits.convention is not Convention.ENUMERABLE
-            or not n.rel_name.startswith("Enumerable")]
-
-
-_MIXED = pytest.mark.xfail(strict=True, reason=(
-    "convention-mixed plan: JoinCommuteRule (core/rules/join_rules.py:69), "
-    "ProjectMergeRule (project_rules.py:54) and ProjectJoinTransposeRule "
-    "(project_rules.py:134/153) build Logical* nodes that inherit the "
-    "matched physical node's traits, so the final plan is LogicalProject "
-    "over EnumerableJoin; fixing the rules moves the three_way_join "
-    "golden and is a planner change of its own (ROADMAP open item 7)"))
+    check(plan)
+    return out
 
 
 @pytest.mark.parametrize(
     "name,sql",
-    [pytest.param(name, sql, id=name,
-                  marks=[_MIXED] if name == "three_way_join" else [])
+    [pytest.param(name, sql, id=name)
      for name, engine, sql in GOLDEN_QUERIES if engine == "row"])
 def test_row_plan_is_enumerable_throughout(name, sql):
     planner = _planner("row")
-    assert _off_convention(planner.optimize(planner.rel(sql))) == []
+    plan = planner.optimize(planner.rel(sql))
+    assert _off_convention(plan, Convention.ENUMERABLE, "Enumerable") == []
 
 
-@_MIXED
+@pytest.mark.parametrize(
+    "name,sql",
+    [pytest.param(name, sql, id=name)
+     for name, engine, sql in GOLDEN_QUERIES if engine == "vectorized"])
+def test_vectorized_plan_is_vectorized_throughout(name, sql):
+    """Down to the ``RowToBatch`` bridges: what runs under one is an
+    adapter leaf and its converter, in their own conventions."""
+    from repro.runtime.vectorized.nodes import RowToBatch
+    planner = _planner("vectorized")
+    plan = planner.optimize(planner.rel(sql))
+    assert _off_convention(plan, Convention.VECTORIZED, "Vectorized",
+                           allowed=(RowToBatch,)) == []
+
+
 def test_commuted_join_under_project_is_enumerable_throughout():
     """The shape of the bench's ``project_manager`` lookup: a filtered
     dimension joined to a larger table, so the join is commuted."""
@@ -251,4 +261,37 @@ def test_commuted_join_under_project_is_enumerable_throughout():
     plan = planner.optimize(planner.rel(
         "SELECT d.dname, e.name FROM hr.depts d JOIN hr.emps e "
         "ON d.deptno = e.deptno WHERE d.deptno = ?"))
-    assert _off_convention(plan) == []
+    assert _off_convention(plan, Convention.ENUMERABLE, "Enumerable") == []
+
+
+# -- search effort -----------------------------------------------------------
+
+
+def test_join_order_limit_search_stays_small(monkeypatch):
+    """A two-table join with ORDER BY ... LIMIT on the vectorized engine
+    took 8 934 rule matches while transformation rules also bound the
+    Enumerable*/Vectorized* members of every set; bound to logical
+    operators it takes about 300."""
+    from repro.core import volcano
+    calls = []
+
+    class RecordedCall(volcano.RelOptRuleCall):
+        def __init__(self, *args):
+            super().__init__(*args)
+            calls.append(self)
+
+    monkeypatch.setattr(volcano, "RelOptRuleCall", RecordedCall)
+    planner = _planner("vectorized")
+    sql = next(sql for name, _, sql in GOLDEN_QUERIES
+               if name == "bench_join_order_limit_vectorized")
+    planner.optimize(planner.rel(sql))
+    search = planner.last_volcano
+    assert 0 < search.matches_fired <= 1000
+    assert len(calls) == sum(s.queued for s in search.rule_stats.values())
+    transformations = [
+        call for call in calls
+        if type(call.rule).__module__.startswith("repro.core.rules.")]
+    assert transformations
+    assert [call for call in transformations
+            if any(r.traits.convention is not Convention.NONE
+                   for r in call.rels)] == []

@@ -135,9 +135,116 @@ class TestCostSelection:
         planner = VolcanoPlanner(
             rules=standard_logical_rules() + join_reorder_rules()
             + enumerable_rules(),
-            max_matches=25)
+            max_matches=15)
         planner.optimize(rel)
-        assert planner.matches_fired <= 25
+        # exactly the cap: left alone, this search fires 30 matches
+        assert planner.matches_fired == 15
+
+
+class TestRuleIndex:
+    """Rules are looked up by (operator class, convention); the lookup
+    must hand back what a scan of the rule list would, in rule order."""
+
+    def _rules(self):
+        from repro.core.rules import standard_logical_rules
+        return standard_logical_rules() + enumerable_rules()
+
+    def test_index_is_the_ordered_scan(self, hr_catalog):
+        from repro.runtime.nodes import EnumerableFilter
+        rules = self._rules()
+        planner = VolcanoPlanner(rules=rules)
+        logical = LogicalFilter(scan(hr_catalog), cond(3, 1))
+        physical = EnumerableFilter(
+            logical.input, logical.condition,
+            RelTraitSet(Convention.ENUMERABLE))
+        for rel in (logical, physical):
+            expected = [r for r in rules if r.operand.matches_class(rel)]
+            assert planner._rules_for(rel) == expected
+        # the logical filter meets the rewrites and its converter; the
+        # physical one meets no rule of this set at all
+        assert len(planner._rules_for(logical)) > 5
+        assert planner._rules_for(physical) == []
+
+    def test_added_rule_is_indexed(self, hr_catalog):
+        planner = VolcanoPlanner(rules=[])
+        rel = LogicalFilter(scan(hr_catalog), cond(3, 1))
+        assert planner._rules_for(rel) == []
+        rule = FilterSimplifyRule()
+        planner.add_rule(rule)
+        assert planner._rules_for(rel) == [rule]
+
+    def test_transformation_rules_bind_logical_operators_only(self, hr_catalog):
+        """Stacked filters: FilterMergeRule sees the logical pair once,
+        never the Enumerable members the converters add to both sets."""
+        planner = VolcanoPlanner(
+            rules=[FilterMergeRule()] + enumerable_rules())
+        stacked = LogicalFilter(
+            LogicalFilter(scan(hr_catalog), cond(3, 1)), cond(3, 2))
+        planner.optimize(stacked)
+        assert planner.rule_stats["FilterMergeRule"].queued == 1
+
+
+class TestRuleStats:
+    def test_counters_add_up(self, hr_catalog):
+        planner = VolcanoPlanner(
+            rules=[FilterMergeRule(), FilterSimplifyRule()]
+            + enumerable_rules())
+        stacked = LogicalFilter(
+            LogicalFilter(scan(hr_catalog), cond(3, 1)), cond(3, 2))
+        planner.optimize(stacked)
+        stats = planner.rule_stats
+        assert sum(s.fired for s in stats.values()) == planner.matches_fired
+        for s in stats.values():
+            assert s.queued == s.fired + s.vetoed  # the queue drained
+            assert s.new_results <= s.results
+            assert s.seconds >= 0.0
+        merge = stats["FilterMergeRule"]
+        assert (merge.queued, merge.fired, merge.results,
+                merge.new_results) == (1, 1, 1, 1)
+        # nothing to simplify: the rule fires on every logical filter
+        # and hands nothing back
+        simplify = stats["FilterSimplifyRule"]
+        assert simplify.fired == 3 and simplify.results == 0
+        # one converter result per filter, each a new expression
+        convert = stats["EnumerableFilterRule"]
+        assert convert.results == convert.new_results == 3
+
+    def test_veto_and_rederivation_are_counted(self, hr_catalog):
+        class Never(RelOptRule):
+            def __init__(self):
+                super().__init__(any_operand(Filter), "Never")
+
+            def matches(self, call):
+                return False
+
+        class Same(RelOptRule):
+            """Hands back the expression it matched."""
+
+            def __init__(self):
+                super().__init__(any_operand(Filter), "Same")
+
+            def on_match(self, call):
+                call.transform_to(call.rel(0))
+
+        planner = VolcanoPlanner(rules=[Never(), Same()])
+        planner.optimize(LogicalFilter(scan(hr_catalog), cond(3, 1)),
+                         RelTraitSet(Convention.NONE))
+        never, same = planner.rule_stats["Never"], planner.rule_stats["Same"]
+        assert (never.queued, never.vetoed, never.fired) == (1, 1, 0)
+        assert (same.fired, same.results, same.new_results) == (1, 1, 0)
+        assert planner.matches_fired == 1
+
+    def test_rule_error_is_not_swallowed(self, hr_catalog):
+        class Broken(RelOptRule):
+            def __init__(self):
+                super().__init__(any_operand(Filter), "Broken")
+
+            def matches(self, call):
+                raise KeyError("boom")
+
+        planner = VolcanoPlanner(rules=[Broken()])
+        with pytest.raises(KeyError):
+            planner.optimize(LogicalFilter(scan(hr_catalog), cond(3, 1)))
 
 
 class TestDistributionEnforcement:
