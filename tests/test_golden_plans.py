@@ -91,6 +91,14 @@ GOLDEN_QUERIES = [
      "FROM hr.emps WHERE sal > 5500"),
     ("in_values_filter", "row",
      "SELECT name FROM s.products WHERE category IN ('A', 'B')"),
+    # The shapes the committed benchmark serves prepared (``serve_cached``,
+    # bench/data.py): a point lookup on a key, and a key lookup joined to
+    # a small dimension (``project_manager``).
+    ("point_lookup_param", "row",
+     "SELECT empid, name, sal FROM hr.emps WHERE empid = ?"),
+    ("lookup_join_param", "row",
+     "SELECT e.name, d.dname FROM hr.emps e "
+     "JOIN hr.depts d ON e.deptno = d.deptno WHERE e.empid = ?"),
     # The same plans under the vectorized engine: the snapshot documents
     # the convention change and the absence of row/batch bridges on
     # single-backend memory plans.
