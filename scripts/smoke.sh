@@ -104,3 +104,14 @@ print("bench", os.environ["WORKLOAD"] + ":",
       {k: result[k] for k in ("correct", "attempted", "failed")})
 sys.exit(0 if result["correct"] and result["attempted"] and result["failed"] == 0 else 1)'
 done
+
+# Access-path gate: the traced `serve_cached` run (its fixed 40 prepared
+# statements at the default seed) must read rows through key lookups.
+# The count is exact: 820 with lookups, 28 850 when every lookup is a
+# full scan.
+python3 -m bench.run --workload serve_cached --trace 1 | tail -n 1 \
+    | python3 -c '
+import json, sys
+scanned = json.load(sys.stdin)["metrics"]["runtime.execute.rows_scanned"]["value"]
+print("bench serve_cached traced: rows_scanned", scanned)
+sys.exit(0 if scanned <= 1000 else 1)'

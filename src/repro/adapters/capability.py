@@ -13,6 +13,11 @@ adapter:
   the rows with ``MOD(HASH(keys), n_partitions) = partition_id``
   (scheme ``"hash-mod"``), or an arbitrary disjoint slice when no keys
   are requested (scheme ``"stride"`` covers that degenerate case too).
+* ``supports_key_lookup`` — whether the backend serves
+  ``lookup(column, value)``: only the rows whose column equals the
+  value, without a full scan.  The row engine's planner turns a
+  ``Filter($k = literal|?)`` over such a table into a keyed scan
+  (:class:`~repro.runtime.nodes.EnumerableKeyLookupRule`).
 
 The exchange-elision planner pass
 (:mod:`repro.runtime.vectorized.parallel_rules`) consults the
@@ -95,19 +100,24 @@ class ScanCapabilities:
     ``MOD(HASH(keys), n) = i`` server-side (or equivalent), or
     ``"stride"`` when it can only deal out disjoint slices (valid for
     keyless spreads, not for co-partitioned joins).
+    ``supports_key_lookup`` means the table implements
+    ``lookup(column, value)`` with the semantics of SQL ``=``: a NULL
+    or NaN value matches no row.
     """
 
     supports_predicate_pushdown: bool = False
     supports_partitioned_scan: bool = False
     partition_scheme: Optional[str] = None
     pushable_ops: frozenset = field(default_factory=frozenset)
+    supports_key_lookup: bool = False
 
     def fingerprint(self) -> Tuple:
         """A hashable summary for plan-cache planning fingerprints."""
         return (self.supports_predicate_pushdown,
                 self.supports_partitioned_scan,
                 self.partition_scheme,
-                tuple(sorted(self.pushable_ops)))
+                tuple(sorted(self.pushable_ops)),
+                self.supports_key_lookup)
 
 
 #: capability of a backend that only knows how to scan.

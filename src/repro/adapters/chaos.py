@@ -20,8 +20,10 @@ suite and ``benchmarks/bench_resilience.py`` replay exactly:
 
 Capabilities, row type and statistics delegate to the wrapped table,
 so a chaos-wrapped table plans identically to the healthy one —
-including partition pushdown, which is the point: the fault surfaces
-*inside* the resilient execution paths, not at planning time.
+including partition pushdown and key lookups, which is the point: the
+fault surfaces *inside* the resilient execution paths, not at planning
+time.  Every access path the capabilities declare (``scan``,
+``scan_partition``, ``lookup``) is proxied explicitly and injectable.
 """
 
 from __future__ import annotations
@@ -107,6 +109,13 @@ class ChaosTable(Table):
         return self._inject(
             self.inner.scan_partition(partition_id, n_partitions, keys),
             partition_id)
+
+    def lookup(self, column: int, value: Any) -> Iterable[tuple]:
+        # A key lookup is a scan of the backend like any other: it must
+        # not slip past the faults through ``__getattr__``.
+        with self._lock:
+            self.scans_started += 1
+        return self._inject(self.inner.lookup(column, value), None)
 
     def _inject(self, rows: Iterable[tuple],
                 partition_id: Optional[int]) -> Iterator[tuple]:

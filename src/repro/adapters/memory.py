@@ -3,28 +3,38 @@
 The base :class:`repro.schema.core.MemoryTable` implements only the
 minimal adapter contract — ``scan()``.  The :class:`MemoryTable` here
 is the reference implementation of the unified capability interface
-(:mod:`repro.adapters.capability`): it declares
-``supports_partitioned_scan`` with the canonical ``"hash-mod"``
-scheme, so the exchange-elision pass can hand each worker of a
-parallel plan its own shard directly from the adapter instead of
-re-sharding a gathered stream.
+(:mod:`repro.adapters.capability`) and declares two access paths
+besides the full scan:
 
-Because the rows live in this process, a keyed ``scan_partition``
-buckets the table once per ``(n_partitions, keys)`` request shape and
-caches the buckets (invalidated on insert): serving all N partitions
-costs one pass over the data, like a real partitioned store, rather
-than N filtered rescans.  The per-partition call counters make the
-adapter usable as the test probe for "did the planner actually push
-the partitioning down?".
+* ``supports_partitioned_scan`` with the canonical ``"hash-mod"``
+  scheme, so the exchange-elision pass can hand each worker of a
+  parallel plan its own shard directly from the adapter instead of
+  re-sharding a gathered stream.  A keyed ``scan_partition`` buckets
+  the table once per ``(n_partitions, keys)`` request shape and caches
+  the buckets: serving all N partitions costs one pass over the data,
+  like a real partitioned store, rather than N filtered rescans.  The
+  per-partition call counters make the adapter the test probe for "did
+  the planner actually push the partitioning down?".
+* ``supports_key_lookup``: ``lookup(column, value)`` answers
+  ``column = value`` from a hash index, so a point query reads the
+  rows it returns instead of the whole table.  In-process rows make a
+  scan cheap per row, not free: a row engine filtering 2 000 rows for
+  one key spends its time in the per-row scan loop.  The index is a
+  ``dict`` from key to the list of matching rows, built on the first
+  lookup of a column and holding references to the table's own row
+  tuples (the cost is the dict and one list per distinct key).
 
-No predicate pushdown is declared: in-process scans have nothing to
-win by it, and keeping the reference adapter minimal keeps the two
-capability axes independently testable.
+Both caches are dropped, never patched, on ``insert``: a reader that
+already holds a bucket or an index list keeps iterating a list nobody
+mutates, and the next request rebuilds from the grown table.
+
+No predicate pushdown is declared: a key lookup is the one filter worth
+serving natively, and the row engine keeps evaluating everything else.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 from ..schema.core import MemoryTable as BaseMemoryTable
 from ..schema.core import Statistic
@@ -34,16 +44,26 @@ _CAPABILITIES = ScanCapabilities(
     supports_predicate_pushdown=False,
     supports_partitioned_scan=True,
     partition_scheme="hash-mod",
+    supports_key_lookup=True,
 )
 
 
+def _equals_nothing(value: Any) -> bool:
+    """True for the values SQL ``=`` never matches: NULL, and NaN (which
+    Python's ``==`` finds unequal even to itself)."""
+    return value is None or value != value
+
+
 class MemoryTable(BaseMemoryTable):
-    """An in-memory table that serves hash-partitioned scans natively."""
+    """An in-memory table that serves hash-partitioned scans and key
+    lookups natively."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         #: cached hash buckets per (n_partitions, keys) request shape
         self._buckets: Dict[Tuple[int, Tuple[int, ...]], List[List[tuple]]] = {}
+        #: cached hash index per column: key -> rows with that key
+        self._indexes: Dict[int, Dict[Any, List[tuple]]] = {}
         #: instrumentation: (partition_id, n_partitions, keys) per call
         self.partition_scans: List[Tuple[int, int, Tuple[int, ...]]] = []
 
@@ -52,7 +72,10 @@ class MemoryTable(BaseMemoryTable):
 
     def insert(self, row: Sequence) -> None:
         super().insert(row)
-        self._buckets.clear()
+        # Replace rather than clear: a cache built concurrently from the
+        # old rows lands in the discarded dict.
+        self._buckets = {}
+        self._indexes = {}
 
     def scan_partition(self, partition_id: int, n_partitions: int,
                        keys: Sequence[int] = ()) -> Iterable[tuple]:
@@ -62,13 +85,34 @@ class MemoryTable(BaseMemoryTable):
             # Stride slices are disjoint and free: no bucketing needed.
             return iter(self.rows[partition_id::n_partitions])
         shape = (n_partitions, keys)
-        buckets = self._buckets.get(shape)
+        cache = self._buckets
+        buckets = cache.get(shape)
         if buckets is None:
             buckets = [[] for _ in range(n_partitions)]
             for row in self.rows:
                 buckets[partition_of([row[k] for k in keys], n_partitions)].append(row)
-            self._buckets[shape] = buckets
+            cache[shape] = buckets
         return iter(buckets[partition_id])
+
+    def lookup(self, column: int, value: Any) -> Iterable[tuple]:
+        """The rows whose ``column`` equals ``value`` under SQL ``=``, in
+        table order.  Python's ``==`` and ``hash`` agree across numeric
+        types, so an int column answers a float probe like ``=`` does."""
+        if _equals_nothing(value):
+            return iter(())
+        indexes = self._indexes
+        index = indexes.get(column)
+        if index is None:
+            index = {}
+            for row in self.rows:
+                key = row[column]
+                if not _equals_nothing(key):
+                    index.setdefault(key, []).append(row)
+            indexes[column] = index
+        try:
+            return iter(index.get(value, ()))
+        except TypeError:  # an unhashable probe equals no scalar key
+            return iter(())
 
 
 __all__ = ["MemoryTable", "Statistic", "ScanCapabilities"]

@@ -89,7 +89,13 @@ class DefaultMetadataProvider(MetadataProvider):
         if delegate is not None:
             return mq.row_count(delegate)
         if isinstance(rel, TableScan):
-            return float(rel.table.row_count)
+            rows = float(rel.table.row_count)
+            lookup = getattr(rel, "lookup", None)  # a keyed scan's equality
+            if lookup is None:
+                return rows
+            if mq.columns_unique(rel, (lookup.column,)):
+                return 1.0
+            return rows * mq.selectivity(rel, lookup.condition)
         if isinstance(rel, Values):
             return float(len(rel.tuples))
         if isinstance(rel, Filter):

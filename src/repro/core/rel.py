@@ -40,6 +40,12 @@ class RelOptTable:
     :class:`repro.schema.core.Table`) so physical operators can reach
     the data, and through ``scan_factory`` so the planner can create the
     right physical scan node for the adapter's convention.
+
+    When the source keeps a ``statistic`` (every
+    :class:`repro.schema.core.Table` does), ``row_count`` reads it on
+    each access, so estimates follow inserts into the table.  A plan
+    already in a plan cache is not re-planned when the count moves:
+    inserts do not change the catalog version.
     """
 
     def __init__(self, qualified_name: Sequence[str], row_type: RelDataType,
@@ -50,10 +56,15 @@ class RelOptTable:
         self.qualified_name = tuple(qualified_name)
         self.row_type = row_type
         self.source = source
-        self.row_count = row_count
+        self._row_count = row_count
         self.unique_keys = tuple(unique_keys)
         self.collation = collation
         self.scan_factory = scan_factory
+
+    @property
+    def row_count(self) -> float:
+        statistic = getattr(self.source, "statistic", None)
+        return self._row_count if statistic is None else statistic.row_count
 
     @property
     def name(self) -> str:

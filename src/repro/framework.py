@@ -57,7 +57,7 @@ from .adapters.resilience import BreakerRegistry, ResilienceContext, RetryPolicy
 from .core.traits import Convention, RelCollation, RelDistribution, RelTraitSet
 from .core.volcano import CannotPlanError, VolcanoPlanner
 from .errors import Deadline
-from .runtime.nodes import enumerable_rules
+from .runtime.nodes import EnumerableKeyLookupRule, enumerable_rules
 from .runtime.operators import ExecutionContext, execute
 from .runtime.vectorized import vectorized_rules
 from .runtime.vectorized.batch import DEFAULT_BATCH_SIZE
@@ -337,6 +337,8 @@ class Planner:
         rules += enumerable_rules()
         if self.config.engine == "vectorized":
             rules += vectorized_rules()
+        else:
+            rules.append(EnumerableKeyLookupRule())
         rules += self.catalog.all_rules()
         rules += self.config.rules
         return rules

@@ -324,7 +324,13 @@ def _scan(rel: TableScan, ctx: ExecutionContext) -> Iterator[tuple]:
     if source is None:
         raise ValueError(f"table {rel.table.name} has no backing source")
     from ..adapters.resilience import resilient_rows
-    return resilient_rows(ctx, source, source.scan)
+    lookup = getattr(rel, "lookup", None)
+    if lookup is None:
+        return resilient_rows(ctx, source, source.scan)
+    # A keyed scan: the literal, or this execution's binding of ``?``.
+    column = lookup.column
+    value = compile_rex(lookup.value)((), ctx.eval_context())
+    return resilient_rows(ctx, source, lambda: source.lookup(column, value))
 
 
 def _filter(rel: Filter, ctx: ExecutionContext) -> Iterator[tuple]:

@@ -43,7 +43,10 @@ class Table:
     :meth:`capabilities` (see
     :class:`repro.adapters.capability.ScanCapabilities`), and tables
     whose capability declares ``supports_partitioned_scan`` serve one
-    shard of a partitioned scan through :meth:`scan_partition`.
+    shard of a partitioned scan through :meth:`scan_partition`.  Those
+    declaring ``supports_key_lookup`` implement
+    ``lookup(column, value)``: the rows whose column equals the value
+    under SQL ``=`` (see :class:`repro.adapters.memory.MemoryTable`).
     """
 
     def __init__(self, name: str, row_type: RelDataType,
@@ -279,7 +282,13 @@ class Catalog:
         return None
 
     def resolve_table(self, names: Sequence[str]) -> Optional[RelOptTable]:
-        """Resolve to a (cached) :class:`RelOptTable` for the planner."""
+        """Resolve to a (cached) :class:`RelOptTable` for the planner.
+
+        The handle is cached per table, but its ``row_count`` reads the
+        table's live :class:`Statistic`, so the planner's estimates
+        follow inserts.  Plans already cached are not invalidated by an
+        insert.
+        """
         found = self.find_table(names)
         if found is None:
             return None
@@ -289,7 +298,7 @@ class Catalog:
             stat = table.statistic
             self._opt_tables[key] = RelOptTable(
                 qualified, table.row_type, source=table,
-                row_count=stat.row_count, unique_keys=stat.unique_keys,
+                unique_keys=stat.unique_keys,
                 collation=stat.collation, scan_factory=table.scan_factory)
         return self._opt_tables[key]
 

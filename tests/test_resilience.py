@@ -216,6 +216,43 @@ class TestRetries:
         assert len(ids) == len(set(ids))
 
 
+@pytest.mark.chaos
+class TestKeyLookups:
+    """A key lookup reads the backend like a scan does: a chaos-wrapped
+    table must inject its faults into lookups too, and the lookup must
+    get the scan's retry, replay-skip and breaker treatment."""
+
+    SQL = "SELECT id, k, v FROM s.t WHERE k = ?"
+
+    def test_lookup_fault_is_injected_and_retried(self):
+        catalog, chaos = make_catalog(fail_after_rows=10, fail_times=1)
+        planner = planner_for(catalog)
+        prepared = planner.prepare(self.SQL)
+        assert "lookup=[$1 = ?0]" in prepared.plan.explain()
+        result = planner.execute_plan(prepared, [3])
+        expected = [row for row in table_rows() if row[1] == 3]
+        # Replay-skip: the ten rows emitted before the fault are neither
+        # duplicated nor dropped, and table order is kept.
+        assert result.rows == expected
+        assert chaos.faults_injected == 1
+        assert chaos.scans_started == 2  # original + one re-run
+        assert result.context.retries == 1
+        assert result.context.rows_scanned == len(expected)
+
+    def test_open_breaker_fails_lookup_fast(self):
+        catalog, chaos = make_catalog(fail_after_rows=0, fail_times=-1)
+        planner = planner_for(catalog, scan_retry_attempts=1,
+                              breaker_failure_threshold=1)
+        prepared = planner.prepare(self.SQL)
+        with pytest.raises(TransientBackendError):
+            planner.execute_plan(prepared, [3])
+        assert chaos.faults_injected == 1
+        scans_before = chaos.scans_started
+        with pytest.raises(CircuitOpenError):
+            planner.execute_plan(prepared, [4])
+        assert chaos.scans_started == scans_before
+
+
 # ---------------------------------------------------------------------------
 # Deadlines
 # ---------------------------------------------------------------------------

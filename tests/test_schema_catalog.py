@@ -77,6 +77,27 @@ class TestStatistics:
         assert t.statistic.row_count == 3
         assert list(t.scan()) == [(1,), (2,), (3,)]
 
+    def test_planner_estimate_follows_inserts(self):
+        """The optimizer's handle is cached per table, but its row count
+        is read from the live statistic: a plan built after an insert
+        is costed for the grown table."""
+        from repro.core.metadata import RelMetadataQuery
+        from repro.core.types import DEFAULT_TYPE_FACTORY as F
+        from repro.framework import planner_for
+        c = Catalog()
+        s = Schema("s")
+        c.add_schema(s)
+        t = s.add_table(MemoryTable("t", ["k"], [F.integer()], [(1,), (2,)]))
+        planner = planner_for(c)
+        opt = c.resolve_table(["s", "t"])
+        assert opt.row_count == 2.0
+        t.insert_many((i,) for i in range(1000))
+        assert t.statistic.row_count == 1002.0
+        assert c.resolve_table(["s", "t"]) is opt
+        assert opt.row_count == 1002.0
+        plan = planner.optimize(planner.rel("SELECT k FROM s.t"))
+        assert RelMetadataQuery().row_count(plan) == 1002.0
+
 
 class TestRuleAggregation:
     def test_rules_collected_recursively(self, catalog):
