@@ -92,10 +92,11 @@ python -m pytest -q -m "chaos" \
 # self-check, and two short runs must exit zero with every operation
 # verified by the sqlite referee (the last output line is the result
 # object): `serve_cached`, prepared key lookups on the default row
-# engine, and `adhoc_cold`, where every statement is planned from
-# scratch on the vectorized engine.
+# engine, `adhoc_cold`, where every statement is planned from scratch
+# on the vectorized engine, and `analytic_scan`, cached vectorized
+# plans over column chunks of 100 k-row memory tables.
 python3 -m bench.run --selfcheck
-for workload in serve_cached adhoc_cold; do
+for workload in serve_cached adhoc_cold analytic_scan; do
     python3 -m bench.run --workload "$workload" --seconds 5 | tail -n 1 \
         | WORKLOAD="$workload" python3 -c '
 import json, os, sys
@@ -115,3 +116,17 @@ import json, sys
 scanned = json.load(sys.stdin)["metrics"]["runtime.execute.rows_scanned"]["value"]
 print("bench serve_cached traced: rows_scanned", scanned)
 sys.exit(0 if scanned <= 1000 else 1)'
+
+# Columnar-scan gate: the traced `analytic_scan` run (its fixed 21
+# statements at the default seed) must scan and emit exactly as many
+# rows as the row-at-a-time path did, so a chunk path that counts a
+# chunk twice or drops one fails here.
+python3 -m bench.run --workload analytic_scan --trace 1 | tail -n 1 \
+    | python3 -c '
+import json, sys
+metrics = json.load(sys.stdin)["metrics"]
+scanned = metrics["runtime.execute.rows_scanned"]["value"]
+emitted = metrics["runtime.execute.rows_emitted"]["value"]
+print("bench analytic_scan traced: rows_scanned", scanned,
+      "rows_emitted", emitted)
+sys.exit(0 if (scanned, emitted) == (2400000, 574521) else 1)'

@@ -22,15 +22,19 @@ Capabilities, row type and statistics delegate to the wrapped table,
 so a chaos-wrapped table plans identically to the healthy one —
 including partition pushdown and key lookups, which is the point: the
 fault surfaces *inside* the resilient execution paths, not at planning
-time.  Every access path the capabilities declare (``scan``,
-``scan_partition``, ``lookup``) is proxied explicitly and injectable.
+time.  Every access path (``scan``, ``scan_partition``, ``lookup``,
+``scan_columns``) is proxied explicitly and injectable; a columnar
+scan is injected at the exact row, cutting the chunk it falls in, and
+a table with ``latency_per_row`` serves no columnar path, so the
+engine reads it by rows and checks its deadline per row.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
+from typing import (Any, Callable, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from ..errors import TransientBackendError
 from ..schema.core import Table
@@ -117,6 +121,16 @@ class ChaosTable(Table):
             self.scans_started += 1
         return self._inject(self.inner.lookup(column, value), None)
 
+    def scan_columns(self, batch_size: int
+                     ) -> Optional[Iterator[Tuple[List[list], int]]]:
+        # Latency is injected per row, and chunk-granular checks would
+        # let a slow backend overrun its deadline by a whole chunk: a
+        # slow table, like one with no columnar path, is read by rows.
+        if self.latency_per_row:
+            return None
+        chunks = self.inner.scan_columns(batch_size)
+        return None if chunks is None else self._inject_chunks(chunks)
+
     def _inject(self, rows: Iterable[tuple],
                 partition_id: Optional[int]) -> Iterator[tuple]:
         fail_now = self._claim_fault(partition_id)
@@ -136,6 +150,33 @@ class ChaosTable(Table):
             with self._lock:
                 self.faults_injected += 1
             raise self.error_factory(self, partition_id, emitted)
+
+    def _inject_chunks(self, chunks: Iterable[Tuple[List[list], int]]
+                       ) -> Iterator[Tuple[List[list], int]]:
+        """:meth:`_inject` for column chunks: the fault fires after
+        exactly ``fail_after_rows`` rows, cutting the chunk it falls in.
+        The scan counts as started when it is first read, as a row scan
+        does when the engine opens it: a breaker that fails fast reads
+        neither."""
+        with self._lock:
+            self.scans_started += 1
+        fail_now = self._claim_fault(None)
+        emitted = 0
+        for columns, n in chunks:
+            if fail_now and emitted + n > self.fail_after_rows:
+                head = self.fail_after_rows - emitted
+                if head > 0:
+                    yield [col[:head] for col in columns], head
+                    emitted += head
+                with self._lock:
+                    self.faults_injected += 1
+                raise self.error_factory(self, None, emitted)
+            emitted += n
+            yield columns, n
+        if fail_now:
+            with self._lock:
+                self.faults_injected += 1
+            raise self.error_factory(self, None, emitted)
 
     def __getattr__(self, name: str) -> Any:
         # Adapter-specific extras (insert, bucket probes, ...) proxy

@@ -3,8 +3,8 @@
 The base :class:`repro.schema.core.MemoryTable` implements only the
 minimal adapter contract — ``scan()``.  The :class:`MemoryTable` here
 is the reference implementation of the unified capability interface
-(:mod:`repro.adapters.capability`) and declares two access paths
-besides the full scan:
+(:mod:`repro.adapters.capability`) and serves three access paths
+besides the row-at-a-time scan:
 
 * ``supports_partitioned_scan`` with the canonical ``"hash-mod"``
   scheme, so the exchange-elision pass can hand each worker of a
@@ -23,10 +23,20 @@ besides the full scan:
   ``dict`` from key to the list of matching rows, built on the first
   lookup of a column and holding references to the table's own row
   tuples (the cost is the dict and one list per distinct key).
+* ``scan_columns(batch_size)``: the full scan as column chunks, for the
+  vectorized engine.  The table keeps a columnar copy — one plain list
+  per column, built on the first columnar scan — and hands out slices
+  of it, so a batch scan copies each value reference once per chunk
+  instead of pivoting row tuples into columns.  The copy holds
+  references to the rows' own values: one pointer per cell, 8 bytes on
+  64-bit CPython (4 MB for 100 000 rows of five columns).  No capability
+  flag declares it; the vectorized scan asks every table, and the row
+  engine never does.
 
-Both caches are dropped, never patched, on ``insert``: a reader that
-already holds a bucket or an index list keeps iterating a list nobody
-mutates, and the next request rebuilds from the grown table.
+All three caches are dropped, never patched, on ``insert``: a reader
+that already holds a bucket, an index list or the columnar copy keeps
+reading lists nobody mutates — a scan sees the table as of its first
+chunk — and the next request rebuilds from the grown table.
 
 No predicate pushdown is declared: a key lookup is the one filter worth
 serving natively, and the row engine keeps evaluating everything else.
@@ -34,7 +44,7 @@ serving natively, and the row engine keeps evaluating everything else.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from ..schema.core import MemoryTable as BaseMemoryTable
 from ..schema.core import Statistic
@@ -55,8 +65,8 @@ def _equals_nothing(value: Any) -> bool:
 
 
 class MemoryTable(BaseMemoryTable):
-    """An in-memory table that serves hash-partitioned scans and key
-    lookups natively."""
+    """An in-memory table that serves hash-partitioned scans, key
+    lookups and column chunks natively."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -64,6 +74,8 @@ class MemoryTable(BaseMemoryTable):
         self._buckets: Dict[Tuple[int, Tuple[int, ...]], List[List[tuple]]] = {}
         #: cached hash index per column: key -> rows with that key
         self._indexes: Dict[int, Dict[Any, List[tuple]]] = {}
+        #: the columnar copy as ``[(columns, n)]``, empty until first use
+        self._columnar: List[Tuple[List[list], int]] = []
         #: instrumentation: (partition_id, n_partitions, keys) per call
         self.partition_scans: List[Tuple[int, int, Tuple[int, ...]]] = []
 
@@ -73,9 +85,25 @@ class MemoryTable(BaseMemoryTable):
     def insert(self, row: Sequence) -> None:
         super().insert(row)
         # Replace rather than clear: a cache built concurrently from the
-        # old rows lands in the discarded dict.
+        # old rows lands in the discarded container.
         self._buckets = {}
         self._indexes = {}
+        self._columnar = []
+
+    def scan_columns(self, batch_size: int
+                     ) -> Iterator[Tuple[List[list], int]]:
+        holder = self._columnar
+        if not holder:
+            rows = list(self.rows)  # one snapshot: columns stay aligned
+            if rows:
+                columns = [list(col) for col in zip(*rows)]
+            else:
+                columns = [[] for _ in range(self.row_type.field_count)]
+            holder.append((columns, len(rows)))
+        columns, n = holder[0]
+        for lo in range(0, n, batch_size):
+            hi = min(lo + batch_size, n)
+            yield [col[lo:hi] for col in columns], hi - lo
 
     def scan_partition(self, partition_id: int, n_partitions: int,
                        keys: Sequence[int] = ()) -> Iterable[tuple]:

@@ -24,7 +24,9 @@ The adapter side of the resilience layer (the taxonomy itself lives in
   re-runs the scan factory on transient failure (skipping rows already
   emitted, so consumers never see duplicates), charges the breaker,
   honours the statement deadline during backoff sleeps, and checks for
-  cancellation on every row.
+  cancellation on every row.  :func:`resilient_chunks` is its sibling
+  for columnar scans (``Table.scan_columns``): the same treatment with
+  every check, count and replay-skip done once per chunk.
 
 Everything here is configuration-driven through
 :class:`ResilienceContext`, which :meth:`Planner.bind` attaches to the
@@ -39,7 +41,8 @@ import random
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, Iterator, Optional, Tuple
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
+                    Tuple)
 
 from ..errors import (
     CONTROL_ERRORS,
@@ -312,5 +315,49 @@ def resilient_rows(ctx, backend: Any,
             if isinstance(exc, GeneratorExit):
                 raise
             delay = handle_scan_failure(ctx, exc, breaker, attempt, token)
+            backoff_sleep(ctx, delay)
+            attempt += 1
+
+
+def resilient_chunks(ctx, backend: Any,
+                     factory: Callable[[], Iterable[Tuple[List[list], int]]]
+                     ) -> Iterator[Tuple[List[list], int]]:
+    """Iterate ``factory()``'s ``(columns, n)`` chunks with the
+    treatment :func:`resilient_rows` gives rows, at chunk granularity.
+
+    Cancellation and the deadline are checked before every chunk and
+    ``rows_scanned`` grows by the chunk's row count.  A transient
+    failure re-runs the factory and skips the rows already emitted,
+    slicing the chunk the failure interrupted.  Only backends that
+    produce a chunk cheaply should be read this way: a slow chunk delays
+    the next check by the whole chunk.
+    """
+    res = getattr(ctx, "resilience", None)
+    breaker = res.breaker_for(backend) if res is not None else None
+    check_breaker(ctx, breaker, backend)
+    attempt = 1
+    emitted = 0
+    while True:
+        try:
+            skip = emitted
+            for columns, n in factory():
+                ctx.checkpoint()
+                if skip:
+                    if n <= skip:
+                        skip -= n
+                        continue
+                    columns = [col[skip:] for col in columns]
+                    n -= skip
+                    skip = 0
+                ctx.rows_scanned += n
+                emitted += n
+                yield columns, n
+            if breaker is not None:
+                breaker.record_success()
+            return
+        except BaseException as exc:
+            if isinstance(exc, GeneratorExit):
+                raise
+            delay = handle_scan_failure(ctx, exc, breaker, attempt, 0)
             backoff_sleep(ctx, delay)
             attempt += 1

@@ -37,9 +37,12 @@ measures.
 **Paged results.**  Cursors stream: rows are pulled from the executor
 on demand (the vectorized engine yields them batch by batch), so
 ``fetchone``/``fetchmany`` page through a large result without
-materialising it.  Reading ``Cursor.rowcount`` before the stream is
-exhausted drains the remainder into the cursor's buffer to produce an
-exact count (DB-API compatibility); until then it costs nothing.
+materialising it.  A page is taken from the stream in one
+``itertools.islice``, not one Python call per row, and its rows are
+counted as emitted once per page.  Reading ``Cursor.rowcount`` before
+the stream is exhausted drains the remainder into the cursor's buffer
+to produce an exact count (DB-API compatibility); until then it costs
+nothing.
 
 **Admission control.**  Each executing statement occupies one server
 slot from bind until its stream is drained or its cursor closed.  With
@@ -51,6 +54,7 @@ to ``admission_timeout`` seconds, then fail with
 
 from __future__ import annotations
 
+import itertools
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
 import weakref
 
@@ -182,32 +186,6 @@ class Cursor:
 
     # -- fetching -------------------------------------------------------------
 
-    def _pull(self) -> Optional[tuple]:
-        """Next row from the buffer or the live stream; None at the end."""
-        if self._pending_pos < len(self._pending):
-            row = self._pending[self._pending_pos]
-            self._pending_pos += 1
-            self._dispensed += 1
-            return row
-        if self._stream is None:
-            return None
-        try:
-            row = next(self._stream)
-        except StopIteration:
-            self._end_of_stream()
-            return None
-        except Error:
-            self._finish()
-            raise
-        except _OPERATIONAL_SHAPES as exc:
-            self._finish()
-            raise OperationalError(str(exc)) from exc
-        except Exception as exc:
-            self._finish()
-            raise ProgrammingError(str(exc)) from exc
-        self._dispensed += 1
-        return row
-
     def _end_of_stream(self) -> None:
         self._rowcount = self._dispensed + (len(self._pending)
                                             - self._pending_pos)
@@ -222,21 +200,28 @@ class Cursor:
         fetchable).  -1 when no statement has produced a result set.
         """
         if self._rowcount < 0 and self._stream is not None:
-            ctx, buffered = self._context, len(self._pending)
-            try:
-                self._pending.extend(self._stream)
-                self._note_emitted(ctx, len(self._pending) - buffered)
-                self._end_of_stream()
-            except Error:
-                self._finish()
-                raise
-            except _OPERATIONAL_SHAPES as exc:
-                self._finish()
-                raise OperationalError(str(exc)) from exc
-            except Exception as exc:
-                self._finish()
-                raise ProgrammingError(str(exc)) from exc
+            ctx = self._context
+            rows = self._take(None)
+            self._pending.extend(rows)
+            self._note_emitted(ctx, len(rows))
+            self._end_of_stream()
         return self._rowcount
+
+    def _take(self, want: Optional[int]) -> List[tuple]:
+        """Up to ``want`` rows (all if None) from the live stream, in
+        one ``islice`` rather than one call per row; executor errors
+        map to the DB-API hierarchy."""
+        try:
+            return list(itertools.islice(self._stream, want))
+        except Error:
+            self._finish()
+            raise
+        except _OPERATIONAL_SHAPES as exc:
+            self._finish()
+            raise OperationalError(str(exc)) from exc
+        except Exception as exc:
+            self._finish()
+            raise ProgrammingError(str(exc)) from exc
 
     def _note_emitted(self, ctx, n: int) -> None:
         """``n`` rows left the statement's root: counted per page, on
@@ -246,18 +231,25 @@ class Cursor:
             self.connection._server._note_rows_emitted(n)
 
     def _page(self, limit: Optional[int]) -> List[tuple]:
-        """Up to ``limit`` rows (all of them if None)."""
-        ctx = self._context
-        buffered = len(self._pending) - self._pending_pos
-        out: List[tuple] = []
-        while limit is None or len(out) < limit:
-            row = self._pull()
-            if row is None:
-                break
-            out.append(row)
-        # rows served from the ``rowcount`` buffer were counted when
-        # they were drained into it
-        self._note_emitted(ctx, len(out) - buffered)
+        """Up to ``limit`` rows (all of them if None): first from the
+        ``rowcount`` buffer, whose rows were counted as emitted when
+        they were drained into it, then from the live stream."""
+        if limit is not None:
+            limit = max(limit, 0)
+        start = self._pending_pos
+        end = None if limit is None else start + limit
+        out = self._pending[start:end]
+        self._pending_pos += len(out)
+        self._dispensed += len(out)
+        want = None if limit is None else limit - len(out)
+        if self._stream is not None and want != 0:
+            ctx = self._context
+            rows = self._take(want)
+            self._dispensed += len(rows)
+            self._note_emitted(ctx, len(rows))
+            if want is None or len(rows) < want:
+                self._end_of_stream()
+            out += rows
         return out
 
     def fetchone(self) -> Optional[tuple]:

@@ -710,21 +710,31 @@ def _window(rel: Window, ctx: ExecutionContext) -> Iterator[tuple]:
         yield row + tuple(col[i] for col in extra_columns)
 
 
-def window_order_key(order_vals: Sequence[Any],
-                     order_keys: Sequence[Tuple[Any, bool]]) -> tuple:
-    """Sort key for one row's window ORDER BY values.
+def window_order(order_cols: Sequence[Sequence[Any]],
+                 order_keys: Sequence[Tuple[Any, bool]]
+                 ) -> Callable[[List[int]], List[int]]:
+    """The window ORDER BY of both engines, over row positions.
 
-    NULLs sort as the largest value of either direction (the SQL
-    default: NULLS LAST ascending, NULLS FIRST descending) — shared by
-    both engines so their partition orderings agree exactly.
+    ``order_cols[k][i]`` is ORDER BY key ``k`` of row ``i``.  Returns a
+    function putting a run of row positions (one partition) in window
+    order: one stable ``sorted`` pass per key, last key first, keyed by
+    the column itself.  NULLs sort as the largest value of either
+    direction (the SQL default: NULLS LAST ascending, NULLS FIRST
+    descending) — a column holding a NULL is keyed by ``(v is None, v)``
+    instead — and peers keep their run order.
     """
-    out: List[Any] = []
-    for v, (_expr, desc) in zip(order_vals, order_keys):
-        k: Any = _NullsKey(v, True)
-        if desc:
-            k = _DescKey(k)
-        out.append(k)
-    return tuple(out)
+    passes = []
+    for col, (_expr, desc) in zip(order_cols, order_keys):
+        if None in col:
+            col = [(v is None, v) for v in col]
+        passes.append((col.__getitem__, desc))
+    passes.reverse()
+
+    def order(run: List[int]) -> List[int]:
+        for key, desc in passes:
+            run = sorted(run, key=key, reverse=desc)
+        return run
+    return order
 
 
 def _evaluate_over(over: RexOver, rows: List[tuple],
@@ -737,16 +747,11 @@ def _evaluate_over(over: RexOver, rows: List[tuple],
     partitions: "OrderedDict[tuple, List[int]]" = OrderedDict()
     for idx, row in enumerate(rows):
         partitions.setdefault(partition_key(row), []).append(idx)
+    order_vals = [order_key(row) for row in rows]
+    order = window_order(list(zip(*order_vals)), over.order_keys)
     kind = over.op.kind
     for indices in partitions.values():
-        # Order within the partition (stable, so peers keep input order).
-        if over.order_keys:
-            order_vals = {i: order_key(rows[i]) for i in indices}
-            ordered = sorted(indices, key=lambda i: window_order_key(
-                order_vals[i], over.order_keys))
-        else:
-            order_vals = {i: () for i in indices}
-            ordered = list(indices)
+        ordered = order(indices)
         if kind in RANKING_KINDS:
             _apply_ranking(kind, ordered, order_vals, results)
             continue
@@ -761,7 +766,7 @@ def _evaluate_over(over: RexOver, rows: List[tuple],
 
 
 def _apply_ranking(kind: SqlKind, ordered: List[int],
-                   order_vals: Dict[int, tuple],
+                   order_vals: List[tuple],
                    results: List[Any]) -> None:
     """ROW_NUMBER/RANK/DENSE_RANK over one ordered partition.
 

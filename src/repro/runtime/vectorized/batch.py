@@ -7,9 +7,14 @@ dead by shrinking the selection vector instead of copying any column
 data; the first downstream operator that needs contiguous columns calls
 :meth:`ColumnBatch.compact`.
 
-Rows are only materialised (as tuples, matching the row engine's
-representation exactly) at the engine boundary or for operators that
-are inherently row-oriented (sorting, generic accumulators).
+A table with a columnar path (``Table.scan_columns``, served by memory
+tables) enters the engine as column chunks, and the hash join and
+window operators work on whole columns too.  Rows are materialised (as
+tuples, matching the row engine's representation exactly) only at the
+engine boundary — the plan root, the ``RowToBatch`` bridge and
+row-only sources, which :func:`batches_from_rows` pivots — or for
+operators that are inherently row-oriented (sorting, distinct set
+operations, generic accumulators).
 """
 
 from __future__ import annotations

@@ -131,9 +131,18 @@ def _scan(rel: VectorizedTableScan, ctx: ExecutionContext,
     source = rel.table.source
     if source is None:
         raise ValueError(f"table {rel.table.name} has no backing source")
-    from ...adapters.resilience import resilient_rows
-    return batches_from_rows(resilient_rows(ctx, source, source.scan),
-                             rel.row_type.field_count, batch_size)
+    from ...adapters.resilience import resilient_chunks, resilient_rows
+    chunks = source.scan_columns(batch_size)
+    if chunks is None:
+        return batches_from_rows(resilient_rows(ctx, source, source.scan),
+                                 rel.row_type.field_count, batch_size)
+    # The first attempt reads the chunks just opened; a retry reopens.
+    opened = [chunks]
+
+    def open_chunks():
+        return opened.pop() if opened else source.scan_columns(batch_size)
+    return (ColumnBatch(columns, n)
+            for columns, n in resilient_chunks(ctx, source, open_chunks))
 
 
 def _filter(rel: VectorizedFilter, ctx: ExecutionContext,
@@ -173,76 +182,83 @@ def _hash_join(rel: VectorizedHashJoin, ctx: ExecutionContext,
     info = rel.analyze_condition()
     left_keys, right_keys = info.left_keys, info.right_keys
     join_type = rel.join_type
-    projects_right = join_type.projects_right
 
     # Build side: materialise the right input as columns + key index.
     right = _gather_input(rel.right, ctx, batch_size)
     right_cols = right.columns
-    n_right_rows = right.num_rows
-    n_right_fields = right.field_count
-    index: Dict[tuple, List[int]] = {}
-    right_key_cols = [right_cols[k] for k in right_keys]
-    for i in range(n_right_rows):
-        key = tuple(col[i] for col in right_key_cols)
-        if any(v is None for v in key):
+    multi_key = len(right_keys) > 1
+    index: Dict[Any, List[int]] = {}
+    for j, key in enumerate(_join_keys(right_cols, right_keys)):
+        if key is None or (multi_key and None in key):
             continue  # NULL keys never match
-        index.setdefault(key, []).append(i)
+        bucket = index.get(key)
+        if bucket is None:
+            index[key] = [j]
+        else:
+            bucket.append(j)
+    probe = index.get
 
-    right_matched: Optional[List[bool]] = None
-    if join_type in (JoinRelType.RIGHT, JoinRelType.FULL):
-        right_matched = [False] * n_right_rows
-
-    n_left_fields = rel.left.row_type.field_count
+    # Right positions some probe row matched (RIGHT/FULL only).
+    right_matched: Optional[set] = None
+    if join_type.generates_nulls_on_left:
+        right_matched = set()
+    keep_unmatched = join_type.generates_nulls_on_right
 
     for batch in execute_batches(rel.left, ctx, batch_size):
         left = batch.compact()
-        n = left.num_rows
-        if n == 0:
+        if left.num_rows == 0:
             continue
-        left_key_cols = [left.columns[k] for k in left_keys]
-        # Index pairs for the output of this probe batch: emitted rows
-        # reference (left position, right position or None).
-        left_out: List[int] = []
-        right_out: List[Optional[int]] = []
-        for i in range(n):
-            key = tuple(col[i] for col in left_key_cols)
-            matches = () if any(v is None for v in key) else index.get(key, ())
-            if join_type is JoinRelType.SEMI:
-                if matches:
-                    left_out.append(i)
-                    right_out.append(None)
-                continue
-            if join_type is JoinRelType.ANTI:
-                if not matches:
-                    left_out.append(i)
-                    right_out.append(None)
-                continue
-            if matches:
-                for j in matches:
-                    if right_matched is not None:
-                        right_matched[j] = True
-                    left_out.append(i)
-                    right_out.append(j)
-            elif join_type in (JoinRelType.LEFT, JoinRelType.FULL):
-                left_out.append(i)
-                right_out.append(None)
-        if not left_out:
+        # A NULL key (or a tuple holding one) is never in the index.
+        matches = list(map(probe, _join_keys(left.columns, left_keys)))
+        if not join_type.projects_right:  # SEMI / ANTI: left columns only
+            want = join_type is JoinRelType.SEMI
+            selection = [i for i, m in enumerate(matches)
+                         if (m is not None) is want]
+            if selection:
+                yield left.with_selection(selection)
             continue
-        out_cols: List[list] = [
-            [col[i] for i in left_out] for col in left.columns]
-        if projects_right:
-            for col in right_cols:
-                out_cols.append(
-                    [None if j is None else col[j] for j in right_out])
-        yield ColumnBatch(out_cols, len(left_out))
+        padded = keep_unmatched and None in matches
+        if padded:
+            matches = [_UNMATCHED if m is None else m for m in matches]
+        left_idx = [i for i, m in enumerate(matches) if m is not None
+                    for _ in m]
+        if not left_idx:
+            continue
+        right_idx = [j for m in matches if m is not None for j in m]
+        if right_matched is not None:
+            right_matched.update(right_idx)
+        out_cols = [_gather(col, left_idx) for col in left.columns]
+        if padded:
+            out_cols.extend([None if j is None else col[j] for j in right_idx]
+                            for col in right_cols)
+        else:
+            out_cols.extend(_gather(col, right_idx) for col in right_cols)
+        yield ColumnBatch(out_cols, len(left_idx))
 
     if right_matched is not None:
-        unmatched = [j for j in range(n_right_rows) if not right_matched[j]]
+        unmatched = [j for j in range(right.num_rows)
+                     if j not in right_matched]
         if unmatched:
+            n_left_fields = rel.left.row_type.field_count
             out_cols = [[None] * len(unmatched) for _ in range(n_left_fields)]
-            for col in right_cols:
-                out_cols.append([col[j] for j in unmatched])
+            out_cols.extend(_gather(col, unmatched) for col in right_cols)
             yield ColumnBatch(out_cols, len(unmatched))
+
+
+#: A probe row an outer join keeps without a match: one NULL-padded row.
+_UNMATCHED = (None,)
+
+
+def _join_keys(columns: List[list], keys: List[int]):
+    """Per-row join keys: the key column itself for one key, tuples
+    for several."""
+    if len(keys) == 1:
+        return columns[keys[0]]
+    return zip(*[columns[k] for k in keys])
+
+
+def _gather(column: list, positions: List[int]) -> list:
+    return list(map(column.__getitem__, positions))
 
 
 # -- aggregation --------------------------------------------------------------

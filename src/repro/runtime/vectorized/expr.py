@@ -194,7 +194,7 @@ def _compile_call(call: RexCall) -> CompiledExpr:
         return _map_nary(operands, lambda vals: {
             vals[i]: vals[i + 1] for i in range(0, len(vals), 2)})
     if kind is SqlKind.ITEM:
-        return _map_binary(operands[0], operands[1], _item, strict=False)
+        return _map_binary(operands[0], operands[1], _item)
     if kind is SqlKind.IN:
         return _compile_in(operands, negate=False)
     if kind is SqlKind.NOT_IN:
@@ -209,8 +209,7 @@ def _compile_call(call: RexCall) -> CompiledExpr:
             # avoids a second per-element None check.
             return _map_unary(operands[0], _strict_scalar(fn, name))
         if len(operands) == 2:
-            return _map_binary(operands[0], operands[1],
-                               _wrap_errors(fn, name), strict=True)
+            return _strict_binary(operands[0], operands[1], fn, name)
         return _map_nary(operands, _strict_nary(fn, name))
     registered = FUNCTION_REGISTRY.get(call.op.name.upper())
     if registered is not None:
@@ -322,28 +321,63 @@ def _map_unary(operand: CompiledExpr, fn: Callable,
     return run
 
 
-def _map_binary(left: CompiledExpr, right: CompiledExpr, fn: Callable,
-                strict: bool = False) -> CompiledExpr:
-    """Elementwise binary kernel specialised on scalar/column shapes."""
-    if strict:
-        inner = fn
-        fn = lambda a, b: None if (a is None or b is None) else inner(a, b)
+def _map_binary(left: CompiledExpr, right: CompiledExpr,
+                fn: Callable) -> CompiledExpr:
+    """Elementwise binary kernel; ``fn`` owns its NULL handling."""
+    def run(frame: Frame) -> Vector:
+        return _apply_binary(fn, left(frame), right(frame), frame.num_rows)
+    return run
+
+
+def _apply_binary(fn: Callable, a: Vector, b: Vector, n: int) -> Vector:
+    """``fn`` over two evaluated operands, specialised on their
+    scalar/column shapes."""
+    a_scalar = isinstance(a, Scalar)
+    b_scalar = isinstance(b, Scalar)
+    if a_scalar and b_scalar:
+        if n == 0:
+            return []  # the row engine never evaluates over no rows
+        return Scalar(fn(a.value, b.value))
+    if a_scalar:
+        av = a.value
+        return [fn(av, bv) for bv in b]
+    if b_scalar:
+        bv = b.value
+        return [fn(av, bv) for av in a]
+    return [fn(av, bv) for av, bv in zip(a, b)]
+
+
+def _strict_binary(left: CompiledExpr, right: CompiledExpr, fn: Callable,
+                   name: str) -> CompiledExpr:
+    """A binary ``_STRICT_IMPLS`` call.
+
+    A column against a non-NULL scalar — nearly every filter predicate —
+    or against another column calls ``fn`` straight from one
+    comprehension, with the NULL test inline.  Scalar pairs, NULL
+    scalars and any arithmetic or value error go through the checked
+    kernel, which raises the same :class:`RexExecutionError` as the row
+    engine.
+    """
+    checked = _wrap_errors(fn, name)
+    strict = lambda a, b: None if (a is None or b is None) else checked(a, b)
     def run(frame: Frame) -> Vector:
         a = left(frame)
         b = right(frame)
-        a_scalar = isinstance(a, Scalar)
-        b_scalar = isinstance(b, Scalar)
-        if a_scalar and b_scalar:
-            if frame.num_rows == 0:
-                return []  # the row engine never evaluates over no rows
-            return Scalar(fn(a.value, b.value))
-        if a_scalar:
-            av = a.value
-            return [fn(av, bv) for bv in b]
-        if b_scalar:
-            bv = b.value
-            return [fn(av, bv) for av in a]
-        return [fn(av, bv) for av, bv in zip(a, b)]
+        try:
+            if isinstance(b, Scalar):
+                s = b.value
+                if s is not None and not isinstance(a, Scalar):
+                    return [None if v is None else fn(v, s) for v in a]
+            elif isinstance(a, Scalar):
+                s = a.value
+                if s is not None:
+                    return [None if v is None else fn(s, v) for v in b]
+            else:
+                return [None if (x is None or y is None) else fn(x, y)
+                        for x, y in zip(a, b)]
+        except (ArithmeticError, ValueError):
+            pass  # re-run checked, for the error the row engine raises
+        return _apply_binary(strict, a, b, frame.num_rows)
     return run
 
 

@@ -26,14 +26,13 @@ this to run windows shard-local on co-partitioned inputs.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Any, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 from ...core.cost import RelOptCost
 from ...core.rel import LogicalWindow, RelNode, Window
 from ...core.rex import RANKING_KINDS, RexOver, SqlKind
 from ...core.rex_eval import EvalContext, compile as compile_row_rex
-from ..operators import ExecutionContext, window_order_key
+from ..operators import ExecutionContext, window_order
 from .batch import ColumnBatch
 from .expr import Frame, as_column, compile_rex
 from .nodes import _VEC_TRAITS, VECTORIZED, VectorizedRel
@@ -111,8 +110,9 @@ def eval_over_column(over: RexOver, frame: Frame,
     results: List[Any] = [None] * n
     if over.partition_keys:
         key_cols = [_column(k, frame) for k in over.partition_keys]
-        partitions: "OrderedDict[tuple, List[int]]" = OrderedDict()
-        for i, key in enumerate(zip(*key_cols)):
+        keys = key_cols[0] if len(key_cols) == 1 else zip(*key_cols)
+        partitions: Dict[Any, List[int]] = {}
+        for i, key in enumerate(keys):
             partitions.setdefault(key, []).append(i)
         runs: Sequence[List[int]] = list(partitions.values())
     else:
@@ -129,20 +129,26 @@ def eval_over_column(over: RexOver, frame: Frame,
             _column(over.upper.offset, frame)
             if over.upper.offset is not None else None)
     kind = over.op.kind
+    # One kernel per expression, chosen once, not once per partition.
+    if kind in RANKING_KINDS:
+        kernel = lambda ordered: _ranking_kernel(kind, ordered, order_cols,
+                                                 results)
+    elif kind in (SqlKind.LAG, SqlKind.LEAD):
+        kernel = lambda ordered: _lag_lead_kernel(kind, ordered, arg_cols,
+                                                  results)
+    elif (over.rows
+            and over.lower.bound_kind == "UNBOUNDED_PRECEDING"
+            and over.upper.bound_kind == "CURRENT_ROW"):
+        arg_col = arg_cols[0] if arg_cols else None  # None: COUNT(*)
+        kernel = lambda ordered: _running_kernel(kind, ordered, arg_col,
+                                                 results)
+    else:
+        kernel = lambda ordered: _agg_kernel(over, ordered, arg_cols,
+                                             order_cols, range_offsets,
+                                             results, eval_ctx)
+    order = window_order(order_cols, over.order_keys)
     for indices in runs:
-        if over.order_keys:
-            # Stable sort: peers keep input order, like the row engine.
-            ordered = sorted(indices, key=lambda i: window_order_key(
-                tuple(c[i] for c in order_cols), over.order_keys))
-        else:
-            ordered = indices
-        if kind in RANKING_KINDS:
-            _ranking_kernel(kind, ordered, order_cols, results)
-        elif kind in (SqlKind.LAG, SqlKind.LEAD):
-            _lag_lead_kernel(kind, ordered, arg_cols, results)
-        else:
-            _agg_kernel(over, ordered, arg_cols, order_cols, range_offsets,
-                        results, eval_ctx)
+        kernel(order(indices))
     return results
 
 
@@ -187,11 +193,6 @@ def _agg_kernel(over: RexOver, ordered: List[int], arg_cols: List[list],
                 eval_ctx: EvalContext) -> None:
     kind = over.op.kind
     arg_col = arg_cols[0] if arg_cols else None  # None: COUNT(*)
-    if (over.rows
-            and over.lower.bound_kind == "UNBOUNDED_PRECEDING"
-            and over.upper.bound_kind == "CURRENT_ROW"):
-        _running_kernel(kind, ordered, arg_col, results)
-        return
     n = len(ordered)
     for pos, row_idx in enumerate(ordered):
         if over.rows:

@@ -12,7 +12,8 @@ This module holds the engine-independent pieces; adapters subclass
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from ..core.rel import RelOptTable
 from ..core.traits import RelCollation
@@ -47,6 +48,9 @@ class Table:
     declaring ``supports_key_lookup`` implement
     ``lookup(column, value)``: the rows whose column equals the value
     under SQL ``=`` (see :class:`repro.adapters.memory.MemoryTable`).
+    Tables that hold their data column-wise may also serve
+    :meth:`scan_columns`, which the vectorized engine prefers over
+    :meth:`scan`.
     """
 
     def __init__(self, name: str, row_type: RelDataType,
@@ -57,6 +61,20 @@ class Table:
 
     def scan(self) -> Iterable[tuple]:
         raise NotImplementedError
+
+    def scan_columns(self, batch_size: int
+                     ) -> Optional[Iterator[Tuple[List[list], int]]]:
+        """The table as ``(columns, n)`` chunks of at most ``batch_size``
+        rows, in :meth:`scan` order, or None when the table has no
+        columnar path (the default).
+
+        Each chunk is checked once for cancellation and deadline, so
+        only tables that produce a chunk cheaply should serve one: a
+        backend that takes real time per row keeps :meth:`scan`, whose
+        rows are checked one at a time.  The lists handed out belong to
+        the caller.
+        """
+        return None
 
     def capabilities(self) -> Any:
         """This table's :class:`~repro.adapters.capability.ScanCapabilities`.

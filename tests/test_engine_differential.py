@@ -12,9 +12,13 @@ rather than ``Planner.execute`` and have no engine switch, so they are
 out of scope here; ``test_paper_examples.py`` still covers them.)
 """
 
+import sys
+import threading
+
 import pytest
 
 from repro import Catalog, MemoryTable, Schema
+from repro.avatica import QueryServer
 from repro.adapters.jdbc import JdbcSchema, MiniDb
 from repro.adapters.mongo import MongoSchema, MongoStore
 from repro.adapters.splunk import SplunkSchema, SplunkStore
@@ -448,6 +452,89 @@ def test_partitioned_scan_elision_is_optional():
     text = plan.explain()
     assert "HashExchange" in text
     assert "PartitionedScan" not in text
+
+
+# -- columnar scans of memory tables ------------------------------------------
+
+#: joins, a multi-key window and a filter over one memory table, so the
+#: column chunks reach every columnar kernel
+COLUMNAR_SQL = (
+    "SELECT s.saleId, p.name, "
+    "RANK() OVER (PARTITION BY s.productId "
+    "ORDER BY s.units DESC, s.discount) AS r "
+    "FROM s.sales s JOIN s.products p ON s.productId = p.productId "
+    "WHERE s.units > 3")
+
+
+def test_insert_after_columnar_copy_is_seen():
+    catalog = build_sales_catalog()
+    row = Planner(FrameworkConfig(catalog))
+    vec = Planner(FrameworkConfig(catalog, engine="vectorized"))
+    sales = catalog.find_table(["s", "sales"])[0]
+    before = vec.execute(COLUMNAR_SQL).rows
+    assert sales._columnar  # the first vectorized scan built the copy
+    sales.insert((1000, 3, None, 19))
+    sales.insert((1001, 3, 5, 19))
+    after = vec.execute(COLUMNAR_SQL).rows
+    assert len(after) == len(before) + 2
+    assert sorted(after, key=repr) == \
+        sorted(row.execute(COLUMNAR_SQL).rows, key=repr)
+
+
+def test_columnar_scan_is_a_snapshot_of_its_first_chunk():
+    """An insert during a columnar scan replaces the copy; the scan keeps
+    reading the one it started on."""
+    sales = build_sales_catalog().find_table(["s", "sales"])[0]
+    chunks = sales.scan_columns(300)
+    first = next(chunks)
+    sales.insert((1000, 3, None, 19))
+    total = first[1] + sum(n for _, n in chunks)
+    assert total == 1000
+    rows = [row for columns, n in sales.scan_columns(300)
+            for row in zip(*columns)]
+    assert rows == sales.rows  # the rebuilt copy has the new row
+
+
+def test_threads_share_one_cached_plan_while_the_copy_is_built():
+    """Four threads execute one cached vectorized plan at once, racing
+    to build the tables' columnar copies: every result must equal the
+    row engine's."""
+    catalog = build_sales_catalog()
+    expected = sorted(Planner(FrameworkConfig(catalog))
+                      .execute(COLUMNAR_SQL).rows, key=repr)
+    server = QueryServer(engine="vectorized")
+    server.register_catalog("default", catalog)
+    server.connect().prepare(COLUMNAR_SQL)  # plans; scans nothing
+    sales = catalog.find_table(["s", "sales"])[0]
+    assert not sales._columnar
+    barrier = threading.Barrier(4, timeout=30)
+    results, errors = [], []
+
+    def client():
+        conn = server.connect()
+        try:
+            barrier.wait()
+            for _ in range(3):
+                cur = conn.execute(COLUMNAR_SQL)
+                results.append((cur.cache_hit,
+                                sorted(cur.fetchall(), key=repr)))
+        except Exception as exc:  # surfaced below, not lost in a thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=client) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside the build
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert len(results) == 12
+    assert all(hit and rows == expected for hit, rows in results)
 
 
 def test_vectorized_plans_actually_vectorize():

@@ -253,6 +253,84 @@ class TestKeyLookups:
         assert chaos.scans_started == scans_before
 
 
+def rows_forbidden(chaos):
+    """Make the wrapped table's row scan fail, so a passing test proves
+    the engine read it through the columnar path."""
+    def no_rows():
+        raise AssertionError("scanned by rows, not by column chunks")
+    chaos.inner.scan = no_rows
+
+
+@pytest.mark.chaos
+class TestColumnarScans:
+    """Vectorized plans read a chaos-wrapped memory table as column
+    chunks; faults, retries, breakers and cancellation act per chunk."""
+
+    N = 3000  # three chunks of the default 1 024 rows
+
+    def test_chaos_injects_at_the_exact_row_of_a_chunk(self):
+        _, chaos = make_catalog(n=10, fail_after_rows=6, fail_times=1)
+        chunks = chaos.scan_columns(4)
+        assert next(chunks)[1] == 4
+        columns, n = next(chunks)  # the chunk the fault falls in, cut
+        assert n == 2 and columns[0] == [4, 5]
+        with pytest.raises(TransientBackendError):
+            next(chunks)
+        assert chaos.faults_injected == 1
+
+    def test_slow_or_row_only_tables_fall_back_to_rows(self):
+        from repro.schema.core import MemoryTable as RowOnlyTable
+        _, slow = make_catalog(latency_per_row=0.001)
+        assert slow.scan_columns(1024) is None
+        row_only = ChaosTable(RowOnlyTable(
+            "t", ["id"], [F.integer(False)], [(1,), (2,)]))
+        assert row_only.scan_columns(1024) is None
+        assert slow.scans_started == row_only.scans_started == 0
+
+    def test_mid_chunk_failure_retries_with_replay_skip(self):
+        catalog, chaos = make_catalog(n=self.N, fail_after_rows=1500,
+                                      fail_times=1)
+        rows_forbidden(chaos)
+        planner = planner_for(catalog, engine="vectorized")
+        result = planner.execute("SELECT id, k, v FROM s.t")
+        # Table order, each row once: the 1 500 rows emitted before the
+        # fault (half of the second chunk) are skipped on the re-run.
+        assert result.rows == table_rows(self.N)
+        assert result.context.rows_scanned == len(result.rows)
+        assert result.context.retries == 1
+        assert chaos.faults_injected == 1
+        assert chaos.scans_started == 2
+
+    def test_open_breaker_fails_before_the_first_chunk(self):
+        catalog, chaos = make_catalog(n=self.N, fail_after_rows=0,
+                                      fail_times=-1)
+        rows_forbidden(chaos)
+        planner = planner_for(catalog, engine="vectorized",
+                              scan_retry_attempts=1,
+                              breaker_failure_threshold=1)
+        with pytest.raises(TransientBackendError):
+            planner.execute(GROUP_SQL)
+        scans_before = chaos.scans_started
+        running = planner.bind(planner.prepare(GROUP_SQL))
+        with pytest.raises(CircuitOpenError):
+            list(running.rows)
+        assert chaos.scans_started == scans_before
+        assert running.context.rows_scanned == 0
+
+    def test_cancel_between_chunks(self):
+        catalog, chaos = make_catalog(n=self.N, fail_after_rows=None)
+        rows_forbidden(chaos)
+        server = QueryServer(engine="vectorized", **FAST_RETRY)
+        server.register_catalog("default", catalog)
+        cur = server.connect().execute("SELECT id FROM s.t")
+        assert cur.fetchone() == (0,)  # the first chunk is out
+        cur.cancel()
+        with pytest.raises(OperationalError) as info:
+            cur.fetchall()
+        assert isinstance(info.value.__cause__, StatementCancelled)
+        assert server.stats()["statements"]["active"] == 0
+
+
 # ---------------------------------------------------------------------------
 # Deadlines
 # ---------------------------------------------------------------------------

@@ -8,15 +8,19 @@ generates random rex trees and random columns (with NULLs mixed in) and
 cross-checks whole-column evaluation against row-at-a-time evaluation.
 """
 
+import functools
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core import rex as rexmod
+from repro.core.builder import RelBuilder
+from repro.core.rel import JoinRelType
 from repro.core.rex import RexCall, RexInputRef, literal
 from repro.core.rex_eval import RexExecutionError, evaluate
 from repro.core.types import DEFAULT_TYPE_FACTORY as F
+from repro.framework import FrameworkConfig, Planner
 from repro.runtime.vectorized import ColumnBatch, eval_rex_column
 
 # ---------------------------------------------------------------------------
@@ -365,6 +369,112 @@ class TestWindowAgainstNaiveOracle:
         oracle = {i: expected[i] for i in range(len(rows))}
         assert got_vec == got_row
         assert got_vec == oracle, sql
+
+
+class TestWindowOrderAgainstOracle:
+    """Two ORDER BY keys, each ASC or DESC, both with NULLs and ties:
+    the ranking functions of both engines must equal an oracle that
+    sorts with an explicit comparator (NULL largest in either
+    direction, peers in input order)."""
+
+    window_rows = st.lists(
+        st.tuples(st.integers(0, 2),                                  # k
+                  st.one_of(st.none(), st.integers(0, 2)),            # o1
+                  st.one_of(st.none(), st.sampled_from(["x", "y"]))),  # o2
+        min_size=0, max_size=30)
+
+    @staticmethod
+    def _compare(a, b, descs):
+        for x, y, desc in zip(a, b, descs):
+            if x == y:
+                continue
+            c = 1 if x is None else -1 if y is None else -1 if x < y else 1
+            return -c if desc else c
+        return 0
+
+    def _oracle(self, rows, func, partition, descs):
+        out = {}
+        groups = {}
+        for i, (k, _o1, _o2) in enumerate(rows):
+            groups.setdefault(k if partition else 0, []).append(i)
+        for idx in groups.values():
+            ordered = sorted(idx, key=functools.cmp_to_key(
+                lambda i, j: self._compare(rows[i][1:], rows[j][1:], descs)))
+            keys = [rows[i][1:] for i in ordered]
+            for pos, i in enumerate(ordered):
+                if func == "ROW_NUMBER()":
+                    out[i] = pos + 1
+                elif func == "RANK()":
+                    out[i] = keys.index(keys[pos]) + 1
+                else:  # DENSE_RANK()
+                    out[i] = len(set(keys[:pos + 1]))
+        return out
+
+    @given(rows=window_rows,
+           func=st.sampled_from(["ROW_NUMBER()", "RANK()", "DENSE_RANK()"]),
+           partition=st.booleans(),
+           descs=st.tuples(st.booleans(), st.booleans()))
+    @settings(max_examples=60, deadline=None)
+    def test_multi_key_ranking_matches_oracle(self, rows, func, partition,
+                                              descs):
+        order = ", ".join(f"{col} {'DESC' if desc else 'ASC'}"
+                          for col, desc in zip(("o1", "o2"), descs))
+        spec = ("PARTITION BY k " if partition else "") + f"ORDER BY {order}"
+        sql = f"SELECT id, {func} OVER ({spec}) FROM d.t"
+        catalog = _catalog(t=(["id", "k", "o1", "o2"],
+                              [F.integer(False), F.integer(False),
+                               F.integer(), F.varchar()],
+                              [(i,) + r for i, r in enumerate(rows)]))
+        expected = self._oracle(rows, func, partition, descs)
+        for engine in ("row", "vectorized"):
+            planner = Planner(FrameworkConfig(catalog, engine=engine))
+            assert dict(planner.execute(sql).rows) == expected, (engine, sql)
+
+
+class TestHashJoinAgainstRowEngine:
+    """The columnar hash join against the row engine's join (the
+    oracle), on every join type with one- and two-column keys: NULL
+    keys on both sides, duplicate build keys, int and float keys that
+    compare equal (``1`` and ``1.0``), and empty sides."""
+
+    side_rows = st.lists(
+        st.tuples(st.one_of(st.none(), st.integers(0, 3)),            # a
+                  st.one_of(st.none(), st.sampled_from([0, 1, 1.0, 2.0])),
+                  st.integers(0, 99)),                                # v
+        min_size=0, max_size=12)
+
+    @given(left=side_rows, right=side_rows,
+           join_type=st.sampled_from(list(JoinRelType)),
+           keys=st.sampled_from([("a",), ("b",), ("a", "b")]))
+    @example(left=[], right=[(1, 1.0, 0)], join_type=JoinRelType.RIGHT,
+             keys=("a",))
+    @example(left=[(1, 1, 0), (None, 1.0, 1)], right=[],
+             join_type=JoinRelType.FULL, keys=("a", "b"))
+    @settings(max_examples=80, deadline=None)
+    def test_join_matches_row_engine(self, left, right, join_type, keys):
+        types = [F.integer(), F.double(), F.integer(False)]
+        catalog = _catalog(l=(["a", "b", "v"], types, left),
+                           r=(["a", "b", "v"], types, right))
+        b = RelBuilder(catalog)
+        b.scan("d", "l").scan("d", "r")
+        rel = b.join_using(join_type, *keys).build()
+        row = Planner(FrameworkConfig(catalog))
+        vec = Planner(FrameworkConfig(catalog, engine="vectorized"))
+        assert "VectorizedHashJoin" in vec.optimize(rel).explain()
+        assert sorted(vec.execute(rel).rows, key=repr) == \
+            sorted(row.execute(rel).rows, key=repr)
+
+
+def _catalog(**tables):
+    """A catalog with schema ``d`` holding the given
+    ``name=(field names, field types, rows)`` memory tables."""
+    from repro import Catalog, MemoryTable, Schema
+    catalog = Catalog()
+    d = Schema("d")
+    catalog.add_schema(d)
+    for name, (names, types, rows) in tables.items():
+        d.add_table(MemoryTable(name, names, types, rows))
+    return catalog
 
 
 class TestDistinctSetOpsAreSetSemantics:
