@@ -166,6 +166,27 @@ GOLDEN_QUERIES = [
      "SELECT sa.saleId, p.name, sa.units FROM s.sales sa "
      "JOIN s.products p ON sa.productId = p.productId "
      "ORDER BY sa.units DESC, sa.saleId LIMIT 7 OFFSET 2"),
+    # The shapes the benchmark serves cached (``analytic_scan``, and at
+    # two workers ``federated_parallel``): a fact table joined to a
+    # filtered dimension under a grouped aggregate
+    # (``chunks_join_document``), and a running sum partitioned by a
+    # foreign key (``chunk_running_sum``).
+    ("bench_chunks_join_document_vectorized", "vectorized",
+     "SELECT p.category, COUNT(*) AS n, SUM(sa.units) AS s FROM s.sales sa "
+     "JOIN s.products p ON sa.productId = p.productId "
+     "WHERE p.name <> 'prod3' GROUP BY p.category"),
+    ("bench_chunks_join_document_parallel", "vectorized-p2",
+     "SELECT p.category, COUNT(*) AS n, SUM(sa.units) AS s FROM s.sales sa "
+     "JOIN s.products p ON sa.productId = p.productId "
+     "WHERE p.name <> 'prod3' GROUP BY p.category"),
+    ("bench_chunk_running_sum_vectorized", "vectorized",
+     "SELECT saleId, productId, SUM(units) OVER "
+     "(PARTITION BY productId ORDER BY saleId) AS running "
+     "FROM s.sales WHERE units > 2"),
+    ("bench_chunk_running_sum_parallel", "vectorized-p2",
+     "SELECT saleId, productId, SUM(units) OVER "
+     "(PARTITION BY productId ORDER BY saleId) AS running "
+     "FROM s.sales WHERE units > 2"),
 ]
 
 
