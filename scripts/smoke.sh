@@ -89,14 +89,16 @@ python -m pytest -q -m "chaos" \
     benchmarks/bench_resilience.py
 
 # Benchmark gates: the served end-to-end benchmark must pass its own
-# self-check, and two short runs must exit zero with every operation
-# verified by the sqlite referee (the last output line is the result
-# object): `serve_cached`, prepared key lookups on the default row
-# engine, `adhoc_cold`, where every statement is planned from scratch
-# on the vectorized engine, and `analytic_scan`, cached vectorized
-# plans over column chunks of 100 k-row memory tables.
+# self-check, and a short run of each workload must exit zero with
+# every operation verified by the sqlite referee (the last output line
+# is the result object): `serve_cached`, prepared key lookups on the
+# default row engine, `adhoc_cold`, where every statement is planned
+# from scratch on the vectorized engine, `analytic_scan`, cached
+# vectorized plans over column chunks of 100 k-row memory tables, and
+# `federated_parallel`, jdbc-with-memory joins and partitioned windows
+# on two process workers.
 python3 -m bench.run --selfcheck
-for workload in serve_cached adhoc_cold analytic_scan; do
+for workload in serve_cached adhoc_cold analytic_scan federated_parallel; do
     python3 -m bench.run --workload "$workload" --seconds 5 | tail -n 1 \
         | WORKLOAD="$workload" python3 -c '
 import json, os, sys

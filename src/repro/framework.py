@@ -62,6 +62,7 @@ from .runtime.operators import ExecutionContext, execute
 from .runtime.vectorized import vectorized_rules
 from .runtime.vectorized.batch import DEFAULT_BATCH_SIZE
 from .runtime.vectorized.parallel_rules import DEFAULT_BROADCAST_THRESHOLD
+from .runtime.vectorized.trim import trim_fields
 from .schema.core import Catalog
 from .sql.parser import parse
 from .sql.to_rel import SqlToRelConverter
@@ -256,12 +257,18 @@ class Planner:
         reduction, empty-branch pruning, filter pushdown) — cheap,
         always-good rewrites.  Stage B runs the Volcano engine with the
         full rule set (including adapter conversion rules) to pick the
-        cheapest physical plan.
+        cheapest physical plan.  A vectorized plan then has its join
+        inputs narrowed to the fields read above them
+        (:mod:`repro.runtime.vectorized.trim`) and, with parallelism,
+        gets its exchanges.
         """
         rel = self.rewrite_with_hep(rel)
         rel = self.apply_materializations(rel)
         rel = self.optimize_with_volcano(rel, required)
-        if self.config.engine == "vectorized" and self.config.parallelism > 1:
+        if self.config.engine != "vectorized":
+            return rel
+        rel = trim_fields(rel)
+        if self.config.parallelism > 1:
             from .runtime.vectorized.parallel_rules import insert_exchanges
             rel = insert_exchanges(
                 rel, self.config.parallelism, mq=self._mq(),

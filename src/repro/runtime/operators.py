@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import threading as _threading
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.rel import (
@@ -710,48 +710,57 @@ def _window(rel: Window, ctx: ExecutionContext) -> Iterator[tuple]:
         yield row + tuple(col[i] for col in extra_columns)
 
 
-def window_order(order_cols: Sequence[Sequence[Any]],
-                 order_keys: Sequence[Tuple[Any, bool]]
-                 ) -> Callable[[List[int]], List[int]]:
-    """The window ORDER BY of both engines, over row positions.
+def window_runs(n: int, partition_keys: Optional[Sequence[Any]],
+                order_cols: Sequence[Sequence[Any]],
+                order_keys: Sequence[Tuple[Any, bool]]
+                ) -> Tuple[List[int], List[int]]:
+    """The PARTITION BY and ORDER BY of a window, in both engines: the
+    ``n`` row positions of its input in one global order, each
+    partition a contiguous run.
 
-    ``order_cols[k][i]`` is ORDER BY key ``k`` of row ``i``.  Returns a
-    function putting a run of row positions (one partition) in window
-    order: one stable ``sorted`` pass per key, last key first, keyed by
-    the column itself.  NULLs sort as the largest value of either
-    direction (the SQL default: NULLS LAST ascending, NULLS FIRST
-    descending) — a column holding a NULL is keyed by ``(v is None, v)``
-    instead — and peers keep their run order.
+    Returns ``(ordered, bounds)``: partition ``j`` is
+    ``ordered[bounds[j]:bounds[j + 1]]``.  ``partition_keys[i]`` is row
+    ``i``'s PARTITION BY key (a tuple when there are several keys), None
+    for no PARTITION BY; ``order_cols[k][i]`` is its ORDER BY key ``k``.
+
+    All positions are put in window order once — one stable sort per
+    ORDER BY key, last key first, keyed by the column itself.  NULLs
+    sort as the largest value of either direction (the SQL default:
+    NULLS LAST ascending, NULLS FIRST descending), so a column holding a
+    NULL is keyed by ``(v is None, v)`` instead, and peers keep their
+    input order.  Partitions are the groups of a dict over the keys (a
+    NULL key is a partition of its own), numbered in first-seen order;
+    a stable sort by partition number then gathers each one into a run
+    without disturbing its window order.
     """
-    passes = []
-    for col, (_expr, desc) in zip(order_cols, order_keys):
+    ordered = list(range(n))
+    for col, (_expr, desc) in reversed(list(zip(order_cols, order_keys))):
         if None in col:
             col = [(v is None, v) for v in col]
-        passes.append((col.__getitem__, desc))
-    passes.reverse()
-
-    def order(run: List[int]) -> List[int]:
-        for key, desc in passes:
-            run = sorted(run, key=key, reverse=desc)
-        return run
-    return order
+        ordered.sort(key=col.__getitem__, reverse=desc)
+    if partition_keys is None:
+        return ordered, [0, n]
+    sizes = Counter(partition_keys)
+    number = dict(zip(sizes, itertools.count()))
+    ordered.sort(key=list(map(number.__getitem__, partition_keys)).__getitem__)
+    return ordered, list(itertools.accumulate(sizes.values(), initial=0))
 
 
 def _evaluate_over(over: RexOver, rows: List[tuple],
                    eval_ctx: EvalContext) -> List[Any]:
     """Evaluate one windowed aggregate for every input row."""
     results: List[Any] = [None] * len(rows)
-    partition_key = bind_projection(over.partition_keys, eval_ctx)
     order_key = bind_projection([k for k, _desc in over.order_keys], eval_ctx)
-    # Partition.
-    partitions: "OrderedDict[tuple, List[int]]" = OrderedDict()
-    for idx, row in enumerate(rows):
-        partitions.setdefault(partition_key(row), []).append(idx)
     order_vals = [order_key(row) for row in rows]
-    order = window_order(list(zip(*order_vals)), over.order_keys)
+    partition_keys = None
+    if over.partition_keys:
+        partition_key = bind_projection(over.partition_keys, eval_ctx)
+        partition_keys = [partition_key(row) for row in rows]
+    in_order, bounds = window_runs(len(rows), partition_keys,
+                                   list(zip(*order_vals)), over.order_keys)
     kind = over.op.kind
-    for indices in partitions.values():
-        ordered = order(indices)
+    for start, end in zip(bounds, bounds[1:]):
+        ordered = in_order[start:end]
         if kind in RANKING_KINDS:
             _apply_ranking(kind, ordered, order_vals, results)
             continue

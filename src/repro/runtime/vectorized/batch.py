@@ -4,8 +4,11 @@ A :class:`ColumnBatch` holds a horizontal slice of a relation as typed
 columns (plain Python sequences, one per field) plus an optional
 *selection vector* — a list of live row positions.  Filters mark rows
 dead by shrinking the selection vector instead of copying any column
-data; the first downstream operator that needs contiguous columns calls
-:meth:`ColumnBatch.compact`.
+data, and a projection of plain column references passes the vector
+on with the columns it keeps; the first downstream operator that needs
+contiguous columns calls :meth:`ColumnBatch.compact`, which copies only
+the columns the plan still carries (vectorized join inputs are trimmed
+to the fields read above them, :mod:`.trim`).
 
 A table with a columnar path (``Table.scan_columns``, served by memory
 tables) enters the engine as column chunks, and the hash join and
@@ -14,7 +17,8 @@ tuples, matching the row engine's representation exactly) only at the
 engine boundary — the plan root, the ``RowToBatch`` bridge and
 row-only sources, which :func:`batches_from_rows` pivots — or for
 operators that are inherently row-oriented (sorting, distinct set
-operations, generic accumulators).
+operations, generic accumulators).  Materialising a selected batch
+gathers each column through the selection once and zips the results.
 """
 
 from __future__ import annotations
@@ -69,8 +73,8 @@ class ColumnBatch:
         if self.selection is None:
             return self
         sel = self.selection
-        return ColumnBatch([[col[i] for i in sel] for col in self.columns],
-                           len(sel))
+        return ColumnBatch([list(map(col.__getitem__, sel))
+                            for col in self.columns], len(sel))
 
     def with_selection(self, selection: List[int]) -> "ColumnBatch":
         assert self.selection is None, "selection vectors do not nest"
@@ -78,35 +82,22 @@ class ColumnBatch:
 
     # -- row boundary -----------------------------------------------------
     def to_rows(self) -> List[tuple]:
-        """Materialise the live rows as tuples in one pass.
+        """Materialise the live rows as tuples.
 
-        The selected path gathers each row directly through the
-        selection vector instead of compacting (one column copy) and
-        then zipping (a second walk).  Zero-field batches yield no
-        rows regardless of ``num_rows``, matching ``zip()`` on an
-        empty column list.
+        Zero-field batches yield no rows regardless of ``num_rows``,
+        matching ``zip()`` on an empty column list.
         """
-        cols = self.columns
-        if not cols:
-            return []
-        sel = self.selection
-        if sel is None:
-            return list(zip(*cols))
-        if len(cols) == 1:
-            col = cols[0]
-            return [(col[i],) for i in sel]
-        return [tuple(col[i] for col in cols) for i in sel]
+        return list(self.iter_rows())
 
     def iter_rows(self) -> Iterator[tuple]:
-        """Stream the live rows as tuples (same fusion as
-        :meth:`to_rows`, without materialising the list)."""
+        """Stream the live rows as tuples: one ``zip`` over the columns,
+        each gathered through the selection vector first when there is
+        one (a C-level pass per column, not a generator per row)."""
         cols = self.columns
-        if not cols:
-            return iter(())
         sel = self.selection
-        if sel is None:
-            return zip(*cols)
-        return (tuple(col[i] for col in cols) for i in sel)
+        if sel is not None:
+            cols = [list(map(col.__getitem__, sel)) for col in cols]
+        return zip(*cols)
 
     def __len__(self) -> int:
         return self.live_count

@@ -16,11 +16,13 @@ one batch first.
 from __future__ import annotations
 
 import heapq
-from collections import OrderedDict
+from collections import Counter
+from itertools import compress, count, repeat
+from operator import is_
 from typing import Any, Dict, Iterator, List, Optional
 
 from ...core.rel import AggregateCall, JoinRelType, RelNode
-from ...core.rex import SqlKind
+from ...core.rex import RexInputRef, SqlKind
 from ...core.rex_eval import EvalContext
 from ..operators import (
     ExecutionContext,
@@ -159,13 +161,23 @@ def _filter(rel: VectorizedFilter, ctx: ExecutionContext,
             if verdict.value is True:
                 yield compacted
             continue
-        selection = [i for i, v in enumerate(verdict) if v is True]
+        selection = list(compress(count(), map(is_, verdict, repeat(True))))
         if selection:
             yield compacted.with_selection(selection)
 
 
 def _project(rel: VectorizedProject, ctx: ExecutionContext,
              batch_size: int) -> Iterator[ColumnBatch]:
+    if all(isinstance(p, RexInputRef) for p in rel.projects):
+        # Pure column refs: pick the columns and keep the selection
+        # vector, so nothing is copied.
+        refs = [p.index for p in rel.projects]
+        for batch in execute_batches(rel.input, ctx, batch_size):
+            if batch.live_count:
+                columns = batch.columns
+                yield ColumnBatch([columns[i] for i in refs], batch.num_rows,
+                                  batch.selection)
+        return
     compiled = [compile_rex(p) for p in rel.projects]
     eval_ctx = ctx.eval_context()
     for batch in execute_batches(rel.input, ctx, batch_size):
@@ -281,11 +293,10 @@ def _accumulate_fast(call: AggregateCall, column: Optional[list],
     row engine, so float sums agree bit-for-bit.
     """
     kind = call.op.kind
-    if column is None:  # COUNT(*)
-        counts = [0] * n_groups
-        for g in group_ids:
-            counts[g] += 1
-        return counts
+    if column is None:
+        # COUNT(*): group ids are numbered in first-seen order, which is
+        # also the order Counter keeps them in.
+        return list(Counter(group_ids).values())
     counts = [0] * n_groups
     if kind is SqlKind.COUNT:
         for g, v in zip(group_ids, column):
@@ -334,37 +345,29 @@ def _aggregate(rel: VectorizedAggregate, ctx: ExecutionContext,
             yield ColumnBatch.empty(out_fields)
         return
 
-    # Group identification: first-seen order, matching the row engine's
-    # OrderedDict iteration.
-    group_ids: List[int] = [0] * n
-    if group_set:
-        key_cols = [batch.columns[g] for g in group_set]
-        groups: "OrderedDict[tuple, int]" = OrderedDict()
-        if len(key_cols) == 1:
-            col = key_cols[0]
-            for i in range(n):
-                key = (col[i],)
-                gid = groups.get(key)
-                if gid is None:
-                    gid = len(groups)
-                    groups[key] = gid
-                group_ids[i] = gid
-        else:
-            for i, key in enumerate(zip(*key_cols)):
-                gid = groups.get(key)
-                if gid is None:
-                    gid = len(groups)
-                    groups[key] = gid
-                group_ids[i] = gid
-        n_groups = len(groups)
-        key_tuples = list(groups.keys())
+    # Group identification: ids in first-seen order, matching the row
+    # engine's OrderedDict iteration.
+    key_cols = [batch.columns[g] for g in group_set]
+    if not key_cols:
+        group_ids: List[int] = [0] * n
+        result_cols: List[List[Any]] = []
+    elif len(key_cols) == 1:
+        col = key_cols[0]
+        # dict.fromkeys and the map run in C; a key equal to an earlier
+        # one (1 and 1.0) joins its group, as a dict lookup does.
+        gid = dict(zip(dict.fromkeys(col), count()))
+        group_ids = list(map(gid.__getitem__, col))
+        result_cols = [list(gid)]
     else:
-        n_groups = 1
-        key_tuples = [()]
-
-    result_cols: List[List[Any]] = [
-        [key_tuples[g][k] for g in range(n_groups)]
-        for k in range(len(group_set))]
+        group_ids = [0] * n
+        groups: Dict[tuple, int] = {}
+        for i, key in enumerate(zip(*key_cols)):
+            g = groups.get(key)
+            if g is None:
+                g = groups[key] = len(groups)
+            group_ids[i] = g
+        result_cols = [list(c) for c in zip(*groups)]
+    n_groups = len(result_cols[0]) if result_cols else 1
 
     rows: Optional[List[tuple]] = None  # lazily built for generic calls
     for call in rel.agg_calls:

@@ -2,17 +2,21 @@
 
 :class:`VectorizedWindow` is the batch twin of the row engine's window
 interpreter (:func:`repro.runtime.operators._window`): it gathers its
-input into one compact :class:`~.batch.ColumnBatch`, evaluates every
-partition/order/argument expression once over whole columns, then runs
-per-partition kernels over sorted index runs:
+input into one compact :class:`~.batch.ColumnBatch` and evaluates every
+partition/order/argument expression once over whole columns.  The rows
+are then put in one global order, each partition a contiguous run of
+it (:func:`repro.runtime.operators.window_runs`, shared with the row
+engine: window order once over all rows, then a stable sort by
+partition number), and one kernel per expression walks that ordering,
+resetting at run boundaries:
 
 * ROW_NUMBER / RANK / DENSE_RANK — positional, frame-free;
 * LAG / LEAD — ordered-offset addressing with an optional default;
 * COUNT / SUM / SUM0 / AVG / MIN / MAX — over ROWS frames, with a
   running-accumulation fast path for the common
-  ``UNBOUNDED PRECEDING .. CURRENT ROW`` frame (accumulation order is
-  partition order, so float results agree with the row engine
-  bit-for-bit), and RANGE frames over the first order key.
+  ``UNBOUNDED PRECEDING .. CURRENT ROW`` frame, and RANGE frames over
+  the first order key.  Accumulation order is partition order, so
+  float results agree with the row engine bit for bit.
 
 Semantics — NULL ordering, tie handling, frame clamping, NULL-skipping
 accumulation — deliberately mirror the row engine so the two engines
@@ -26,13 +30,13 @@ this to run windows shard-local on co-partitioned inputs.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Iterator, List, Optional, Tuple
 
 from ...core.cost import RelOptCost
 from ...core.rel import LogicalWindow, RelNode, Window
 from ...core.rex import RANKING_KINDS, RexOver, SqlKind
 from ...core.rex_eval import EvalContext, compile as compile_row_rex
-from ..operators import ExecutionContext, window_order
+from ..operators import ExecutionContext, window_runs
 from .batch import ColumnBatch
 from .expr import Frame, as_column, compile_rex
 from .nodes import _VEC_TRAITS, VECTORIZED, VectorizedRel
@@ -46,6 +50,10 @@ SUPPORTED_WINDOW_KINDS = RANKING_KINDS | {
     SqlKind.COUNT, SqlKind.SUM, SqlKind.SUM0, SqlKind.AVG,
     SqlKind.MIN, SqlKind.MAX,
 }
+
+
+#: A window's partitions as ``(start, end)`` slices of its row ordering.
+Runs = List[Tuple[int, int]]
 
 
 def supported_over(over: Any) -> bool:
@@ -107,16 +115,9 @@ def eval_over_column(over: RexOver, frame: Frame,
                      eval_ctx: EvalContext) -> List[Any]:
     """One window expression over a whole (compact) frame → one column."""
     n = frame.num_rows
-    results: List[Any] = [None] * n
-    if over.partition_keys:
-        key_cols = [_column(k, frame) for k in over.partition_keys]
-        keys = key_cols[0] if len(key_cols) == 1 else zip(*key_cols)
-        partitions: Dict[Any, List[int]] = {}
-        for i, key in enumerate(keys):
-            partitions.setdefault(key, []).append(i)
-        runs: Sequence[List[int]] = list(partitions.values())
-    else:
-        runs = [list(range(n))]
+    key_cols = [_column(k, frame) for k in over.partition_keys]
+    keys = (None if not key_cols else key_cols[0] if len(key_cols) == 1
+            else list(zip(*key_cols)))
     order_cols = [_column(k, frame) for k, _desc in over.order_keys]
     arg_cols = [_column(o, frame) for o in over.operands]
     range_offsets = None
@@ -128,117 +129,145 @@ def eval_over_column(over: RexOver, frame: Frame,
             if over.lower.offset is not None else None,
             _column(over.upper.offset, frame)
             if over.upper.offset is not None else None)
+    ordered, bounds = window_runs(n, keys, order_cols, over.order_keys)
+    runs = list(zip(bounds, bounds[1:]))
+    results: List[Any] = [None] * n
     kind = over.op.kind
-    # One kernel per expression, chosen once, not once per partition.
     if kind in RANKING_KINDS:
-        kernel = lambda ordered: _ranking_kernel(kind, ordered, order_cols,
-                                                 results)
+        _ranking_kernel(kind, ordered, runs, order_cols, results)
     elif kind in (SqlKind.LAG, SqlKind.LEAD):
-        kernel = lambda ordered: _lag_lead_kernel(kind, ordered, arg_cols,
-                                                  results)
+        _lag_lead_kernel(kind, ordered, runs, arg_cols, results)
     elif (over.rows
             and over.lower.bound_kind == "UNBOUNDED_PRECEDING"
             and over.upper.bound_kind == "CURRENT_ROW"):
         arg_col = arg_cols[0] if arg_cols else None  # None: COUNT(*)
-        kernel = lambda ordered: _running_kernel(kind, ordered, arg_col,
-                                                 results)
+        _running_kernel(kind, ordered, runs, arg_col, results)
     else:
-        kernel = lambda ordered: _agg_kernel(over, ordered, arg_cols,
-                                             order_cols, range_offsets,
-                                             results, eval_ctx)
-    order = window_order(order_cols, over.order_keys)
-    for indices in runs:
-        kernel(order(indices))
+        _agg_kernel(over, ordered, runs, arg_cols, order_cols, range_offsets,
+                    results, eval_ctx)
     return results
 
 
-def _ranking_kernel(kind: SqlKind, ordered: List[int],
+#: Compares unequal to every ORDER BY value: the first row of a run
+#: starts a new peer group.
+_NO_PEER = object()
+
+
+def _ranking_kernel(kind: SqlKind, ordered: List[int], runs: Runs,
                     order_cols: List[list], results: List[Any]) -> None:
-    rank = dense = 0
-    prev: Optional[tuple] = None
-    for pos, row_idx in enumerate(ordered):
-        vals = tuple(c[row_idx] for c in order_cols)
-        if prev is None or vals != prev:
-            rank = pos + 1
-            dense += 1
-            prev = vals
-        if kind is SqlKind.ROW_NUMBER:
-            results[row_idx] = pos + 1
-        elif kind is SqlKind.RANK:
-            results[row_idx] = rank
-        else:  # DENSE_RANK
-            results[row_idx] = dense
+    if kind is SqlKind.ROW_NUMBER:
+        for start, end in runs:
+            for number, row_idx in enumerate(ordered[start:end], 1):
+                results[row_idx] = number
+        return
+    # Peers compare as the row engine's ORDER BY tuples do: identical
+    # or equal values.
+    if len(order_cols) == 1:
+        peer_key = order_cols[0]
+    else:
+        peer_key = list(zip(*order_cols)) if order_cols else [()] * len(results)
+    dense_only = kind is SqlKind.DENSE_RANK
+    for start, end in runs:
+        rank = dense = 0
+        prev: Any = _NO_PEER
+        for pos in range(start, end):
+            row_idx = ordered[pos]
+            vals = peer_key[row_idx]
+            if vals is not prev and vals != prev:
+                rank = pos - start + 1
+                dense += 1
+                prev = vals
+            results[row_idx] = dense if dense_only else rank
 
 
-def _lag_lead_kernel(kind: SqlKind, ordered: List[int],
+def _lag_lead_kernel(kind: SqlKind, ordered: List[int], runs: Runs,
                      arg_cols: List[list], results: List[Any]) -> None:
-    n = len(ordered)
     step = -1 if kind is SqlKind.LAG else 1
     value_col = arg_cols[0]
-    for pos, row_idx in enumerate(ordered):
-        offset = 1
-        if len(arg_cols) > 1:
-            off = arg_cols[1][row_idx]
-            offset = 1 if off is None else int(off)
-        target = pos + step * offset
-        if 0 <= target < n:
-            results[row_idx] = value_col[ordered[target]]
-        elif len(arg_cols) > 2:
-            results[row_idx] = arg_cols[2][row_idx]
-        # else: stays None (no default outside the partition)
+    offsets = arg_cols[1] if len(arg_cols) > 1 else None
+    defaults = arg_cols[2] if len(arg_cols) > 2 else None
+    for start, end in runs:
+        for pos in range(start, end):
+            row_idx = ordered[pos]
+            offset = 1
+            if offsets is not None:
+                off = offsets[row_idx]
+                offset = 1 if off is None else int(off)
+            target = pos + step * offset
+            if start <= target < end:
+                results[row_idx] = value_col[ordered[target]]
+            elif defaults is not None:
+                results[row_idx] = defaults[row_idx]
+            # else: stays None (no default outside the partition)
 
 
-def _agg_kernel(over: RexOver, ordered: List[int], arg_cols: List[list],
-                order_cols: List[list], range_offsets, results: List[Any],
-                eval_ctx: EvalContext) -> None:
+def _agg_kernel(over: RexOver, ordered: List[int], runs: Runs,
+                arg_cols: List[list], order_cols: List[list], range_offsets,
+                results: List[Any], eval_ctx: EvalContext) -> None:
+    """Any other frame: each row's frame is a slice of its partition's
+    run (ROWS) or the run's rows within a key range (RANGE)."""
     kind = over.op.kind
     arg_col = arg_cols[0] if arg_cols else None  # None: COUNT(*)
-    n = len(ordered)
-    for pos, row_idx in enumerate(ordered):
-        if over.rows:
-            lo = max(_bound_pos(over.lower, pos, n, eval_ctx), 0)
-            hi = min(_bound_pos(over.upper, pos, n, eval_ctx), n - 1)
-            frame_idx = ordered[lo: hi + 1] if lo <= hi else []
-        else:
-            frame_idx = _range_frame(over, ordered, pos, order_cols,
-                                     range_offsets)
-        if arg_col is None:
-            values: List[Any] = [1] * len(frame_idx)
-        else:
-            values = [arg_col[i] for i in frame_idx
-                      if arg_col[i] is not None]
-        results[row_idx] = _finish_agg(kind, values)
+    for start, end in runs:
+        run = ordered[start:end]
+        m = end - start
+        for pos, row_idx in enumerate(run):
+            if over.rows:
+                lo = max(_bound_pos(over.lower, pos, m, eval_ctx), 0)
+                hi = min(_bound_pos(over.upper, pos, m, eval_ctx), m - 1)
+                frame_idx = run[lo: hi + 1] if lo <= hi else []
+            else:
+                frame_idx = _range_frame(over, run, pos, order_cols,
+                                         range_offsets)
+            if arg_col is None:
+                values: List[Any] = [1] * len(frame_idx)
+            else:
+                values = [arg_col[i] for i in frame_idx
+                          if arg_col[i] is not None]
+            results[row_idx] = _finish_agg(kind, values)
 
 
-def _running_kernel(kind: SqlKind, ordered: List[int],
+def _running_kernel(kind: SqlKind, ordered: List[int], runs: Runs,
                     arg_col: Optional[list], results: List[Any]) -> None:
     """``ROWS UNBOUNDED PRECEDING .. CURRENT ROW``: accumulate in
     partition order instead of recomputing each growing frame —
     identical accumulation order, so floats agree with the row engine."""
-    count = 0
-    total: Any = None
-    best: Any = None
-    for row_idx in ordered:
-        v = 1 if arg_col is None else arg_col[row_idx]
-        if v is not None:
-            count += 1
-            total = v if total is None else total + v
-            if best is None:
-                best = v
-            elif kind is SqlKind.MIN:
-                best = min(best, v)
-            elif kind is SqlKind.MAX:
-                best = max(best, v)
-        if kind is SqlKind.COUNT:
-            results[row_idx] = count
-        elif kind is SqlKind.SUM:
-            results[row_idx] = total
-        elif kind is SqlKind.SUM0:
-            results[row_idx] = total if total is not None else 0
-        elif kind is SqlKind.AVG:
-            results[row_idx] = None if count == 0 else total / count
-        else:  # MIN / MAX
-            results[row_idx] = best
+    if kind in (SqlKind.MIN, SqlKind.MAX):
+        pick = min if kind is SqlKind.MIN else max
+        for start, end in runs:
+            best: Any = None
+            for row_idx in ordered[start:end]:
+                v = arg_col[row_idx]
+                if v is not None:
+                    best = v if best is None else pick(best, v)
+                results[row_idx] = best
+        return
+    if arg_col is None:
+        for start, end in runs:
+            for number, row_idx in enumerate(ordered[start:end], 1):
+                results[row_idx] = number
+        return
+    if kind is SqlKind.COUNT:
+        for start, end in runs:
+            count = 0
+            for row_idx in ordered[start:end]:
+                if arg_col[row_idx] is not None:
+                    count += 1
+                results[row_idx] = count
+        return
+    average = kind is SqlKind.AVG
+    for start, end in runs:
+        count = 0
+        total: Any = None
+        for row_idx in ordered[start:end]:
+            v = arg_col[row_idx]
+            if v is not None:
+                count += 1
+                total = v if total is None else total + v
+            # AVG of no values is NULL, as is SUM's total.
+            results[row_idx] = total / count if average and count else total
+    if kind is SqlKind.SUM0:
+        results[:] = [0 if t is None else t for t in results]
 
 
 def _finish_agg(kind: SqlKind, values: List[Any]) -> Any:

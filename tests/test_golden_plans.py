@@ -283,6 +283,61 @@ def test_vectorized_plan_is_vectorized_throughout(name, sql):
                            allowed=(RowToBatch,)) == []
 
 
+def unread_join_fields(plan):
+    """``(join input, unread fields)`` for every vectorized hash join
+    input that carries a field nothing above it reads.
+
+    Reads are followed top-down from the root, which reads its whole
+    row: filters, sorts and windows read what their expressions name
+    plus what passes through them to a reader above; projects and
+    aggregates read only what their expressions name; a join reads its
+    condition plus what its readers take from either side; any other
+    node reads all of its input."""
+    from repro.core.rel import (
+        Aggregate, Filter, Join, Project, Sort, Window, fields_used)
+    from repro.core.rex import input_refs_used
+    from repro.runtime.vectorized.nodes import VectorizedHashJoin
+
+    found = []
+
+    def walk(rel, read):
+        if isinstance(rel, (Project, Aggregate)):
+            walk(rel.input, fields_used(rel))
+        elif isinstance(rel, (Filter, Sort)):
+            walk(rel.input, read | fields_used(rel))
+        elif isinstance(rel, Window):
+            width = rel.input.row_type.field_count
+            inner = {i for i in read if i < width}
+            for over in rel.window_exprs:
+                inner |= input_refs_used(over)
+            walk(rel.input, inner)
+        elif isinstance(rel, Join):
+            read = read | fields_used(rel)
+            width = rel.left.row_type.field_count
+            sides = [(rel.left, {i for i in read if i < width}),
+                     (rel.right, {i - width for i in read if i >= width})]
+            for side, side_read in sides:
+                unread = set(range(side.row_type.field_count)) - side_read
+                if unread and isinstance(rel, VectorizedHashJoin):
+                    found.append((side.rel_name, sorted(unread)))
+                walk(side, side_read)
+        else:
+            for i in rel.inputs:
+                walk(i, set(range(i.row_type.field_count)))
+
+    walk(plan, set(range(plan.row_type.field_count)))
+    return found
+
+
+@pytest.mark.parametrize(
+    "name,engine,sql",
+    [pytest.param(*case, id=case[0]) for case in GOLDEN_QUERIES
+     if case[1].startswith("vectorized")])
+def test_vectorized_join_inputs_carry_only_read_fields(name, engine, sql):
+    planner = _planner(engine)
+    assert unread_join_fields(planner.optimize(planner.rel(sql))) == []
+
+
 def test_commuted_join_under_project_is_enumerable_throughout():
     """The shape of the bench's ``project_manager`` lookup: a filtered
     dimension joined to a larger table, so the join is commuted."""

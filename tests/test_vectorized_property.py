@@ -370,6 +370,136 @@ class TestWindowAgainstNaiveOracle:
         assert got_vec == got_row
         assert got_vec == oracle, sql
 
+    # Thousands of 1-5-row partitions, interleaved in the input, as
+    # ``chunk_running_sum`` partitions chunks by document: every row's
+    # window is a short run of one global ordering.  ``k`` is NULL for
+    # every 50th group (the NULL groups are one partition), ``k2`` for
+    # every 7th; ``o`` has NULLs and ties, ``q`` neither (RANGE frames
+    # are defined over it).
+    SMALL_PARTITION_CASES = [
+        ("ROW_NUMBER()", "ORDER BY o", None),
+        ("RANK()", "ORDER BY o", None),
+        ("DENSE_RANK()", "ORDER BY o DESC", None),
+        ("RANK()", "ORDER BY o DESC, q", None),
+        ("LAG(v)", "ORDER BY o", None),
+        ("LEAD(v, 2, -1)", "ORDER BY o DESC", None),
+        ("SUM(v)", "ORDER BY o", None),
+        ("COUNT(v)", "ORDER BY o", None),
+        ("COUNT(*)", "ORDER BY o DESC", None),
+        ("MIN(v)", "ORDER BY o", None),
+        ("MAX(v)", "ORDER BY o DESC", None),
+        ("AVG(v)", "ORDER BY o", None),
+        ("SUM(v)", "ORDER BY o", "ROWS BETWEEN 2 PRECEDING AND CURRENT ROW"),
+        ("MIN(v)", "ORDER BY o", "ROWS BETWEEN 1 PRECEDING AND 3 FOLLOWING"),
+        ("COUNT(*)", "ORDER BY o",
+         "ROWS BETWEEN CURRENT ROW AND UNBOUNDED FOLLOWING"),
+        ("AVG(v)", "ORDER BY o",
+         "ROWS BETWEEN UNBOUNDED PRECEDING AND UNBOUNDED FOLLOWING"),
+        ("SUM(v)", "ORDER BY q", "RANGE BETWEEN 2 PRECEDING AND CURRENT ROW"),
+        ("MAX(v)", "ORDER BY q", "RANGE BETWEEN CURRENT ROW AND 1 FOLLOWING"),
+        ("COUNT(v)", "ORDER BY q",
+         "RANGE BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW"),
+    ]
+
+    @staticmethod
+    def _small_partitions():
+        import random
+        rng = random.Random(25)
+        rows = []
+        for group in range(2500):
+            k = None if group % 50 == 0 else group // 2
+            k2 = None if group % 7 == 0 else group % 2
+            for _ in range(rng.randint(1, 5)):
+                rows.append((k, k2, rng.choice([None, 0, 1, 2, 3]),
+                             rng.randrange(6),
+                             None if rng.random() < 0.1
+                             else rng.randrange(-9, 10)))
+        rng.shuffle(rows)
+        return [(i,) + r for i, r in enumerate(rows)]
+
+    @staticmethod
+    def _small_oracle(rows, func, order, frame, key_of):
+        """Partition by ``key_of(row)`` (NULLs equal), order by the
+        ORDER BY columns with NULL largest and peers in input order,
+        then evaluate ``func`` from its SQL definition."""
+        cols = {"o": 3, "q": 4}
+        items = [(cols[c.split()[0]], c.endswith("DESC"))
+                 for c in order[len("ORDER BY "):].split(", ")]
+        groups = {}
+        for row in rows:
+            groups.setdefault(key_of(row), []).append(row)
+        out = {}
+        for part in groups.values():
+            for col, desc in reversed(items):
+                part = sorted(part, key=lambda r: (r[col] is None,
+                                                   r[col] or 0),
+                              reverse=desc)
+            peers = [tuple(r[c] for c, _ in items) for r in part]
+            m = len(part)
+            for pos, row in enumerate(part):
+                if func == "ROW_NUMBER()":
+                    out[row[0]] = pos + 1
+                elif func == "RANK()":
+                    out[row[0]] = peers.index(peers[pos]) + 1
+                elif func == "DENSE_RANK()":
+                    out[row[0]] = len(set(peers[:pos + 1]))
+                elif func == "LAG(v)":
+                    out[row[0]] = part[pos - 1][5] if pos else None
+                elif func == "LEAD(v, 2, -1)":
+                    out[row[0]] = part[pos + 2][5] if pos + 2 < m else -1
+                else:
+                    if frame is None or frame.startswith("ROWS"):
+                        lo, hi = (frame or "ROWS BETWEEN UNBOUNDED PRECEDING"
+                                  " AND CURRENT ROW")[13:].split(" AND ")
+                        bound = TestWindowAgainstNaiveOracle._bound
+                        window = part[max(bound(lo, pos, m), 0):
+                                      min(bound(hi, pos, m), m - 1) + 1]
+                    else:
+                        lo, hi = frame[len("RANGE BETWEEN "):].split(" AND ")
+                        q = row[4]
+                        low = (None if lo == "UNBOUNDED PRECEDING" else q
+                               if lo == "CURRENT ROW" else q - int(lo[0]))
+                        high = (q if hi == "CURRENT ROW"
+                                else q + int(hi[0]))
+                        window = [r for r in part
+                                  if (low is None or r[4] >= low)
+                                  and r[4] <= high]
+                    values = ([1] * len(window) if func == "COUNT(*)" else
+                              [r[5] for r in window if r[5] is not None])
+                    if func in ("COUNT(v)", "COUNT(*)"):
+                        out[row[0]] = len(values)
+                    elif not values:
+                        out[row[0]] = None
+                    elif func == "SUM(v)":
+                        out[row[0]] = sum(values)
+                    elif func == "MIN(v)":
+                        out[row[0]] = min(values)
+                    elif func == "MAX(v)":
+                        out[row[0]] = max(values)
+                    else:  # AVG(v)
+                        out[row[0]] = sum(values) / len(values)
+        return out
+
+    @pytest.mark.parametrize("partition", ["k", "k, k2"])
+    @pytest.mark.parametrize("func,order,frame", SMALL_PARTITION_CASES)
+    def test_many_small_partitions_match_oracle(self, func, order, frame,
+                                                partition):
+        rows = self._small_partitions()
+        catalog = _catalog(t=(["id", "k", "k2", "o", "q", "v"],
+                              [F.integer(False), F.integer(), F.integer(),
+                               F.integer(), F.integer(False), F.integer()],
+                              rows))
+        spec = f"PARTITION BY {partition} {order}"
+        if frame is not None:
+            spec += " " + frame
+        sql = f"SELECT id, {func} OVER ({spec}) FROM d.t"
+        key_of = ((lambda r: r[1]) if partition == "k"
+                  else (lambda r: (r[1], r[2])))
+        expected = self._small_oracle(rows, func, order, frame, key_of)
+        for engine in ("row", "vectorized"):
+            planner = Planner(FrameworkConfig(catalog, engine=engine))
+            assert dict(planner.execute(sql).rows) == expected, (engine, sql)
+
 
 class TestWindowOrderAgainstOracle:
     """Two ORDER BY keys, each ASC or DESC, both with NULLs and ties:
@@ -525,6 +655,9 @@ class TestSelectionVectorSemantics:
         selected = batch.with_selection([1, 3])
         assert selected.live_count == 2
         assert selected.to_rows() == [(2, "b"), (4, "d")]
+        assert list(selected.iter_rows()) == [(2, "b"), (4, "d")]
+        assert ColumnBatch([[5, 6]], 2).with_selection([1]).to_rows() == [(6,)]
+        assert ColumnBatch([], 3).with_selection([0, 2]).to_rows() == []
         compacted = selected.compact()
         assert compacted.is_compact()
         assert compacted.to_rows() == [(2, "b"), (4, "d")]
@@ -533,3 +666,51 @@ class TestSelectionVectorSemantics:
         batch = ColumnBatch([[1, 2, 3, 4]], 4).with_selection([0, 2])
         node = RexCall(rexmod.PLUS, [RexInputRef(0, F.integer()), literal(10)])
         assert eval_rex_column(node, batch) == [11, 13]
+
+    def test_filter_over_ref_project_over_filter(self):
+        """A projection of column refs passes the lower filter's
+        selection vector on without copying a column; the upper filter
+        compacts it before selecting again."""
+        from repro.core.traits import RelTraitSet
+        from repro.runtime.operators import ExecutionContext
+        from repro.runtime.vectorized.exchange import InjectedBatches
+        from repro.runtime.vectorized.executor import execute_batches
+        from repro.runtime.vectorized.nodes import (
+            VECTORIZED, VectorizedFilter, VectorizedProject)
+        rows = [(i, i % 3, None if i % 4 == 0 else i * 10, f"s{i}")
+                for i in range(50)]
+        catalog = _catalog(t=(["id", "m", "v", "s"],
+                              [F.integer(False), F.integer(False),
+                               F.integer(), F.varchar()], rows))
+        planner = Planner(FrameworkConfig(catalog, engine="vectorized"))
+        lower = planner.optimize(planner.rel(
+            "SELECT * FROM d.t WHERE m <> 0"))
+        while not isinstance(lower, VectorizedFilter):
+            lower = lower.input
+        traits = RelTraitSet(VECTORIZED)
+
+        def project(input_):
+            return VectorizedProject(
+                input_, [RexInputRef(3, F.varchar()),
+                         RexInputRef(2, F.integer()),
+                         RexInputRef(0, F.integer(False))],
+                ["s", "v", "id"], traits)
+
+        batch_size = 16
+        below = list(execute_batches(lower, ExecutionContext(), batch_size))
+        above = list(execute_batches(
+            project(InjectedBatches(iter(below), lower.row_type)),
+            ExecutionContext(), batch_size))
+        assert len(above) == len(below) > 1
+        for b, a in zip(below, above):
+            assert a.selection is b.selection is not None
+            assert [id(c) for c in a.columns] == \
+                [id(b.columns[i]) for i in (3, 2, 0)]
+        upper = VectorizedFilter(project(lower), RexCall(
+            rexmod.GREATER_THAN, [RexInputRef(1, F.integer()), literal(200)]),
+            traits)
+        got = [row for batch in execute_batches(upper, ExecutionContext(),
+                                                batch_size)
+               for row in batch.to_rows()]
+        assert got == [(s, v, i) for i, m, v, s in rows
+                       if m != 0 and v is not None and v > 200]
