@@ -22,12 +22,17 @@ Executed serially (``parallelism == 1`` or re-entry outside a parallel
 region), every exchange except the gather is a no-op pass-through:
 distribution is a physical placement property, and a single stream
 already *is* every placement at once.  The parallel scheduler
-(:mod:`.parallel`) gives them their real, multi-worker semantics.
+(:mod:`.parallel`) gives them their real, multi-worker semantics: one
+topology builder cuts the plan at its exchanges into per-partition
+subtrees whose :class:`InjectedStream` leaves stand in for incoming
+edges and adapter-served shards, and the statement's transport —
+threads over bounded queues, or forked processes over pipes carrying
+wire frames — carries batches across each edge.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence
+from typing import Any, Callable, Iterator, List, Optional, Sequence
 
 from ...core.cost import RelOptCost
 from ...core.rel import RelNode
@@ -148,17 +153,24 @@ class SingletonExchange(Exchange):
         return terms
 
 
-class InjectedBatches(RelNode):
-    """A leaf standing in for an already-running partition stream.
+class InjectedStream(RelNode):
+    """A leaf standing in for a partition stream the scheduler feeds.
 
     The parallel scheduler executes one copy of an operator per
     partition by substituting its inputs with this node; the executor
-    drains the wrapped iterator directly.  Single-use by construction.
+    yields ``open(ctx, batch_size)``: the receive end of an exchange
+    edge, one adapter-served shard, or any batch iterator.  For an edge,
+    ``receiver`` is the transport's receive end, so a forked worker
+    knows which pipe ends its subtree reads.  Single-use by
+    construction.
     """
 
-    def __init__(self, batches: Iterator[ColumnBatch], row_type) -> None:
+    def __init__(self, row_type,
+                 open_stream: Callable[[Any, int], Iterator[ColumnBatch]],
+                 receiver: Any = None) -> None:
         super().__init__([], RelTraitSet(VECTORIZED))
-        self.batches = batches
+        self.open = open_stream
+        self.receiver = receiver
         self._injected_row_type = row_type
 
     def derive_row_type(self):
@@ -168,7 +180,7 @@ class InjectedBatches(RelNode):
         return f"injected#{self.id}"
 
     def copy(self, inputs: Optional[Sequence[RelNode]] = None,
-             traits: Optional[RelTraitSet] = None) -> "InjectedBatches":
+             traits: Optional[RelTraitSet] = None) -> "InjectedStream":
         return self
 
 

@@ -37,7 +37,7 @@ from .batch import (
     batches_from_rows,
     concat_batches,
 )
-from .exchange import Exchange, InjectedBatches, SingletonExchange
+from .exchange import Exchange, InjectedStream, SingletonExchange
 from .partitioned import PartitionedScan
 from .expr import Frame, Scalar, as_column, compile_rex
 from .nodes import (
@@ -84,28 +84,18 @@ def execute_batches(rel: RelNode, ctx: Optional[ExecutionContext] = None,
         return _values(rel)
     if isinstance(rel, VectorizedWindow):
         return window_batches(rel, ctx, batch_size)
-    if isinstance(rel, InjectedBatches):
-        # A partition stream injected by the parallel scheduler.
-        return iter(rel.batches)
-    stream = getattr(rel, "stream_batches", None)
-    if stream is not None:
-        # Scheduler-injected leaves that produce their own batches
-        # (process-backend pipe readers and shard sources).
-        return stream(ctx, batch_size)
+    if isinstance(rel, InjectedStream):
+        # A partition stream the parallel scheduler feeds.
+        return rel.open(ctx, batch_size)
     if isinstance(rel, SingletonExchange):
         # Gather point of a parallel region: run the workers below.
         from .parallel import gather_batches
         return gather_batches(rel, ctx, batch_size)
-    if isinstance(rel, PartitionedScan):
-        # Reached serially: one stream already is every placement at
-        # once, so execute the unpartitioned template.
-        return execute_batches(rel.input, ctx, batch_size)
-    if isinstance(rel, Exchange):
-        # Any other exchange reached serially is a no-op: distribution
-        # is placement, and one stream is every placement at once.
-        return execute_batches(rel.input, ctx, batch_size)
-    if isinstance(rel, BatchToRow):
-        # Re-entered from batch context: the row detour is a no-op.
+    if isinstance(rel, (Exchange, PartitionedScan, BatchToRow)):
+        # Any other exchange (or a partitioned scan's unpartitioned
+        # template) reached serially is a no-op: distribution is
+        # placement, and one stream is every placement at once.
+        # Re-entered from batch context, the row detour is one too.
         return execute_batches(rel.input, ctx, batch_size)
     if isinstance(rel, RowToBatch):
         # Engine bridge: pull rows from the row runtime and re-batch.

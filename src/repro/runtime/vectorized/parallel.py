@@ -1,4 +1,4 @@
-"""The worker-pool batch scheduler: parallel partitioned execution.
+"""The exchange scheduler: parallel partitioned execution.
 
 Gives the exchange operators of :mod:`.exchange` their multi-worker
 semantics.  A plan is cut at exchange boundaries into *fragments*;
@@ -16,17 +16,31 @@ its own ``ColumnBatch`` stream:
   into one stream — concatenating as results arrive, or running an
   ordered k-way merge when a collation must be preserved.
 
-Partition streams cross worker boundaries through bounded queues
-(backpressure keeps at most a few batches in flight per edge), and
-each exchange edge is driven by worker threads from the region's pool.
-Batches are immutable once emitted, so a broadcast batch is shared,
-not copied.  Errors propagate through the queues and cancel the whole
-region; abandoning the gather iterator (e.g. a LIMIT upstream) cancels
-it too, and :meth:`Region.shutdown` joins its workers with a bounded
-timeout, so no worker outlives its consumer.
+Where exchanges sit is the planner's decision; how batches cross them
+is the *transport's*.  One topology builder, :func:`_build`, turns the
+region below a gather into per-partition subtrees whose leaves
+(:class:`~.exchange.InjectedStream`) stand in for incoming edges or
+adapter-served shards, and registers one producer per child partition
+of every edge; one router, :func:`_route`, drives a producer's batches
+into its edge and meters every shuffled row.  A transport supplies
+only an edge (``edge``), a receiver drain (``receive``), a worker start
+(``start`` runs each of ``workers``) and a bounded ``shutdown``:
 
-Resilience: every queue poll loop checks the statement's deadline and
-cancellation flag (:meth:`ExecutionContext.checkpoint`), so a stuck
+* :class:`Region` (here) — worker threads sharing the statement
+  context, bounded queues as edges (backpressure keeps at most a few
+  batches in flight per edge).  Batches are immutable once emitted, so
+  a broadcast batch is shared, not copied, and a hash bucket is a
+  selection vector over the producer's batch.
+* :class:`~.parallel_process.ProcessRegion` — forked worker processes
+  with fresh contexts, pipe matrices carrying wire frames.
+
+Errors propagate through the edges and cancel the whole region;
+abandoning the gather iterator (e.g. a LIMIT upstream) cancels it too,
+and ``shutdown`` reclaims its workers within a bounded budget, so no
+worker outlives its consumer.
+
+Resilience: every receiver poll loop checks the statement's deadline
+and cancellation flag (:meth:`ExecutionContext.checkpoint`), so a stuck
 producer turns into a typed :class:`~repro.errors.DeadlineExceeded` at
 the consumer within the deadline instead of a hang.  Adapter-served
 shards (:class:`~.partitioned.PartitionedScan`) retry transient
@@ -48,17 +62,18 @@ import heapq
 import queue
 import threading
 import time
-from typing import Callable, Iterator, List, Optional, Sequence
+from functools import partial
+from typing import Iterator, List, Optional, Sequence
 
 from ...adapters.resilience import backoff_sleep, handle_scan_failure
 from ...core.rel import RelNode
 from ..operators import ExecutionContext, row_sort_key
-from .batch import ColumnBatch
+from .batch import ColumnBatch, batches_from_rows
 from .exchange import (
     BroadcastExchange,
     Exchange,
     HashExchange,
-    InjectedBatches,
+    InjectedStream,
     RandomExchange,
     SingletonExchange,
 )
@@ -79,34 +94,75 @@ _POLL = 0.05
 #: as a leak, and abandoned rather than wedging the statement.
 SHUTDOWN_JOIN_TIMEOUT = 2.0
 
+#: Routing of a gather's producers: every batch to the one out, unmetered.
+_DRAIN = ("drain", None)
+
+
+# ---------------------------------------------------------------------------
+# The thread transport
+# ---------------------------------------------------------------------------
 
 class Region:
-    """One parallel region: the workers feeding a single gather."""
+    """One thread-backed parallel region: the worker threads feeding a
+    single gather and the bounded queues between them.  Workers share
+    the statement's context, so their counters need no folding."""
 
-    def __init__(self, ctx: Optional[ExecutionContext] = None) -> None:
+    def __init__(self, ctx: ExecutionContext) -> None:
         self.cancel = threading.Event()
         self.threads: List[threading.Thread] = []
         self.ctx = ctx
+        #: ``(tree, routing, outbox)`` per worker, started by :meth:`start`
+        self.workers: List[tuple] = []
 
-    def spawn(self, fn: Callable, *args) -> None:
-        t = threading.Thread(target=fn, args=args, daemon=True,
-                             name=f"repro-worker-{len(self.threads)}")
-        self.threads.append(t)
-        t.start()
+    def edge(self, n_producers: int, n_consumers: int):
+        """An exchange edge: one bounded queue per consumer, fed by
+        every producer.  Returns ``(outboxes, receivers)``, one outbox
+        per producer and one receiver per consumer."""
+        queues = [queue.Queue(QUEUE_CAP) for _ in range(n_consumers)]
+        outbox = _QueueOutbox(queues, self)
+        return [outbox] * n_producers, [(q, n_producers) for q in queues]
+
+    def receive(self, receiver, ctx: ExecutionContext,
+                batch_size: Optional[int] = None) -> Iterator[ColumnBatch]:
+        """Drain a queue fed by ``n_producers`` workers, re-raising errors.
+
+        While blocked, checks the statement's deadline and cancellation
+        flag: a producer that never delivers becomes a typed control
+        error here (at the consumer) within the deadline, never a silent
+        hang or ``queue.Empty`` starvation."""
+        q, n_producers = receiver
+        done = 0
+        while done < n_producers:
+            try:
+                tag, payload = q.get(timeout=_POLL)
+            except queue.Empty:
+                if self.cancel.is_set():
+                    return
+                ctx.checkpoint()
+                continue
+            if tag == _EOS:
+                done += 1
+            elif tag == _ERROR:
+                raise payload
+            else:
+                yield payload
+
+    def start(self, batch_size: int) -> None:
+        for tree, routing, outbox in self.workers:
+            t = threading.Thread(
+                target=run_worker,
+                args=(tree, routing, outbox, self.ctx, batch_size),
+                daemon=True, name=f"repro-worker-{len(self.threads)}")
+            self.threads.append(t)
+            t.start()
 
     def should_stop(self) -> bool:
         """Workers poll this: region cancelled, statement cancelled,
         or statement deadline expired."""
-        if self.cancel.is_set():
+        if self.cancel.is_set() or self.ctx.cancel_event.is_set():
             return True
-        ctx = self.ctx
-        if ctx is not None:
-            if ctx.cancel_event.is_set():
-                return True
-            d = ctx.deadline
-            if d is not None and d.expired():
-                return True
-        return False
+        d = self.ctx.deadline
+        return d is not None and d.expired()
 
     def shutdown(self, join_timeout: float = SHUTDOWN_JOIN_TIMEOUT) -> int:
         """Cancel and join every worker (bounded); returns the number
@@ -118,230 +174,213 @@ class Region:
             t.join(max(0.0, budget_end - time.monotonic()))
             if t.is_alive():
                 leaked += 1
-        if leaked and self.ctx is not None:
+        if leaked:
             self.ctx.note_worker_leak(leaked)
         return leaked
 
 
-def _put(q: "queue.Queue", item, region: Region) -> bool:
-    """Stop-aware blocking put; False if the region must stop."""
-    while not region.should_stop():
-        try:
-            q.put(item, timeout=_POLL)
-            return True
-        except queue.Full:
-            continue
-    return False
+class _QueueOutbox:
+    """A producer's send side of a queue edge; ``send`` is False once
+    the region must stop."""
+
+    def __init__(self, queues: Sequence["queue.Queue"], region: Region) -> None:
+        self.queues = queues
+        self.region = region
+
+    def __len__(self) -> int:
+        return len(self.queues)
+
+    def send(self, j: int, batch: ColumnBatch) -> bool:
+        return self._put(self.queues[j], (_BATCH, batch))
+
+    def send_all(self, batch: ColumnBatch) -> bool:
+        return all(self._put(q, (_BATCH, batch)) for q in self.queues)
+
+    def finish(self, error: Optional[BaseException],
+               ctx: ExecutionContext) -> None:
+        for q in self.queues:
+            if error is not None:
+                self._put(q, (_ERROR, error))
+            self._put(q, (_EOS, None))
+
+    def _put(self, q: "queue.Queue", item) -> bool:
+        """Stop-aware blocking put; False if the region must stop."""
+        while not self.region.should_stop():
+            try:
+                q.put(item, timeout=_POLL)
+                return True
+            except queue.Full:
+                continue
+        return False
 
 
-def _iter_queue(q: "queue.Queue", n_producers: int,
-                region: Region) -> Iterator[ColumnBatch]:
-    """Drain a queue fed by ``n_producers`` workers, re-raising errors.
-
-    While blocked, checks the statement's deadline and cancellation
-    flag: a producer that never delivers becomes a typed control error
-    here (at the consumer) within the deadline, never a silent hang or
-    ``queue.Empty`` starvation."""
-    done = 0
-    while done < n_producers:
-        try:
-            tag, payload = q.get(timeout=_POLL)
-        except queue.Empty:
-            if region.cancel.is_set():
-                return
-            if region.ctx is not None:
-                region.ctx.checkpoint()
-            continue
-        if tag == _EOS:
-            done += 1
-        elif tag == _ERROR:
-            raise payload
-        else:
-            yield payload
+def region_for(ctx: ExecutionContext):
+    """The transport a statement's parallel regions run on: forked
+    worker processes when it asked for them and ``fork`` exists (plan
+    shipping and hash-seed agreement rely on it), threads otherwise."""
+    if ctx.workers == "process":
+        from .parallel_process import ProcessRegion, process_backend_available
+        if process_backend_available():
+            return ProcessRegion(ctx)
+    return Region(ctx)
 
 
-def _finish(queues: Sequence["queue.Queue"], region: Region,
-            error: Optional[BaseException] = None) -> None:
-    for q in queues:
-        if error is not None:
-            _put(q, (_ERROR, error), region)
-        _put(q, (_EOS, None), region)
+# ---------------------------------------------------------------------------
+# Transport-independent scheduling
+# ---------------------------------------------------------------------------
 
-
-def _drain_into(stream: Iterator[ColumnBatch],
-                queues: Sequence["queue.Queue"], region: Region) -> None:
-    """Push every batch of ``stream`` to every queue (1 queue: a plain
-    drain; N queues: a broadcast)."""
+def run_worker(tree: RelNode, routing: tuple, outbox,
+               ctx: ExecutionContext, batch_size: int) -> None:
+    """One worker's body on either transport: route ``tree``'s batches
+    into its edge, then end every out's stream — after the error, if
+    one was raised, so each consumer re-raises it."""
+    from .executor import execute_batches
     error: Optional[BaseException] = None
     try:
-        for batch in stream:
-            for q in queues:
-                if not _put(q, (_BATCH, batch), region):
-                    return
+        _route(execute_batches(tree, ctx, batch_size), routing, outbox, ctx)
     except BaseException as e:  # propagated to consumers, not lost
         error = e
     finally:
-        _finish(queues, region, error)
+        outbox.finish(error, ctx)
 
 
-def _round_robin(stream: Iterator[ColumnBatch],
-                 queues: Sequence["queue.Queue"], offset: int,
-                 region: Region) -> None:
-    error: Optional[BaseException] = None
-    try:
-        i = offset  # stagger producers so partitions fill evenly
-        for batch in stream:
-            if not _put(queues[i % len(queues)], (_BATCH, batch), region):
-                return
-            i += 1
-    except BaseException as e:
-        error = e
-    finally:
-        _finish(queues, region, error)
+def _route(stream: Iterator[ColumnBatch], routing: tuple, outbox,
+           ctx: ExecutionContext) -> None:
+    """Drive one producer's batch stream into its edge's outbox.
 
-
-def _hash_split(stream: Iterator[ColumnBatch],
-                queues: Sequence["queue.Queue"], keys: Sequence[int],
-                region: Region) -> None:
-    """Re-bucket each batch row-wise by ``hash(key columns) % N``."""
-    n_out = len(queues)
-    error: Optional[BaseException] = None
-    try:
-        for batch in stream:
-            compacted = batch.compact()
-            n = compacted.num_rows
+    ``("drain", None)`` sends every batch to every out (a gather's
+    producers; unmetered); ``("broadcast", None)`` does the same,
+    metered once per out; ``("rr", offset)`` round-robins batches,
+    producers staggered by ``offset`` so partitions fill evenly; and
+    ``("hash", keys)`` re-buckets rows by ``hash(keys) % N`` — each
+    bucket a selection vector over the compacted batch, so the split
+    copies no column.  Every row entering an exchange is metered here,
+    once; elided-shuffle plans never route rows through here.
+    """
+    kind, arg = routing
+    n_out = len(outbox)
+    for batch in stream:
+        ctx.checkpoint()
+        if kind == "hash":
+            batch = batch.compact()
+            n = batch.num_rows
             if n == 0:
                 continue
-            key_cols = [compacted.columns[k] for k in keys]
+            ctx.add_shuffled(n)
+            key_cols = [batch.columns[k] for k in arg]
             buckets: List[List[int]] = [[] for _ in range(n_out)]
             for i in range(n):
                 h = hash(tuple(col[i] for col in key_cols))
                 buckets[h % n_out].append(i)
             for j, sel in enumerate(buckets):
-                if not sel:
-                    continue
-                sub = ColumnBatch(
-                    [[col[i] for i in sel] for col in compacted.columns],
-                    len(sel))
-                if not _put(queues[j], (_BATCH, sub), region):
+                if sel and not outbox.send(j, batch.with_selection(sel)):
                     return
-    except BaseException as e:
-        error = e
-    finally:
-        _finish(queues, region, error)
+        elif kind == "rr":
+            ctx.add_shuffled(batch.live_count)
+            if not outbox.send(arg % n_out, batch):
+                return
+            arg += 1
+        else:
+            if kind == "broadcast":
+                ctx.add_shuffled(batch.live_count * n_out)
+            if not outbox.send_all(batch):
+                return
 
 
-def _count_shuffled(stream: Iterator[ColumnBatch], ctx: ExecutionContext,
-                    factor: int = 1) -> Iterator[ColumnBatch]:
-    """Meter rows entering an exchange (``factor`` copies each for a
-    broadcast); elided-shuffle plans never route rows through here."""
-    for batch in stream:
-        ctx.add_shuffled(batch.live_count * factor)
-        yield batch
-
-
-def _contains_exchange(rel: RelNode) -> bool:
+def _fans_out(rel: RelNode) -> bool:
     """True when the subtree is parallel below this point — it contains
-    an exchange edge or an adapter-partitioned scan."""
+    an exchange edge or an adapter-partitioned scan.  A nested gather
+    does not: it runs its own region when drained."""
+    if isinstance(rel, SingletonExchange):
+        return False
     if isinstance(rel, (Exchange, PartitionedScan)):
         return True
-    return any(_contains_exchange(i) for i in rel.inputs)
+    return any(_fans_out(i) for i in rel.inputs)
 
 
-def partition_streams(rel: RelNode, ctx: ExecutionContext, batch_size: int,
-                      region: Region) -> List[Iterator[ColumnBatch]]:
-    """The per-partition batch streams produced by ``rel``.
+def _partition_breaker(scan: PartitionedScan, ctx: ExecutionContext):
+    res = ctx.resilience
+    if res is None:
+        return None
+    return res.breaker_for(scan.backend_key(), "partition")
 
-    Exchange nodes fan streams out across workers; any other operator
-    is partition-local and is executed once per input partition over
-    injected streams.  A subtree with no exchange below it is a serial
-    section and contributes a single stream.
+
+def _connect(region, producers: List[RelNode], routings: Sequence[tuple],
+             n_consumers: int) -> list:
+    """One edge from a routed worker per producer subtree to
+    ``n_consumers`` consumers; returns the consumers' receivers."""
+    outboxes, receivers = region.edge(len(producers), n_consumers)
+    region.workers += zip(producers, routings, outboxes)
+    return receivers
+
+
+def _build(rel: RelNode, ctx: ExecutionContext, region) -> List[RelNode]:
+    """The per-partition subtrees produced by ``rel``.
+
+    The one walk of the exchange topology: exchange edges become
+    ``region`` edges with one routed producer per child partition,
+    adapter-served shards become :class:`InjectedStream` leaves, and a
+    partition-local operator is copied once per partition over its
+    per-partition inputs.  A serial section (or nested gather, which
+    runs its own region inside whatever worker it lands in)
+    contributes itself as a single partition.
     """
-    from .executor import execute_batches
-
-    if isinstance(rel, SingletonExchange) or not _contains_exchange(rel):
-        # A gather (or fully serial subtree) produces one stream; a
-        # nested gather runs its own region when drained.
-        return [execute_batches(rel, ctx, batch_size)]
+    if not _fans_out(rel):
+        return [rel]
 
     if isinstance(rel, PartitionedScan):
         # Elided exchange: the backend serves each shard directly, so
-        # the partition streams exist without any inter-worker edge
-        # (and contribute nothing to ``rows_shuffled``).
-        res = getattr(ctx, "resilience", None)
-        breaker = (res.breaker_for(rel.backend_key(), "partition")
-                   if res is not None else None)
-        if breaker is not None and not breaker.allow():
-            # Partitioned serving is circuit-open for this backend:
-            # degrade to the gather-then-shard baseline (serial
-            # template scan, re-sharded in-engine) — plain scans may
-            # well be healthy when shard serving is not.
-            ctx.note_breaker_rejection()
-            ctx.note_shard_fallback()
-            queues = [queue.Queue(QUEUE_CAP) for _ in range(rel.n_partitions)]
-            stream = _count_shuffled(
-                execute_batches(rel.input, ctx, batch_size), ctx)
-            if rel.keys:
-                region.spawn(_hash_split, stream, queues, rel.keys, region)
-            else:
-                region.spawn(_round_robin, stream, queues, 0, region)
-            return [_iter_queue(q, 1, region) for q in queues]
-        return [_shard_stream(rel, p, ctx, batch_size, breaker)
-                for p in range(rel.n_partitions)]
-
-    if isinstance(rel, HashExchange):
-        child = partition_streams(rel.input, ctx, batch_size, region)
-        queues = [queue.Queue(QUEUE_CAP) for _ in range(rel.parallelism)]
-        for stream in child:
-            region.spawn(_hash_split, _count_shuffled(stream, ctx), queues,
-                         rel.keys, region)
-        return [_iter_queue(q, len(child), region) for q in queues]
-
-    if isinstance(rel, RandomExchange):
-        child = partition_streams(rel.input, ctx, batch_size, region)
-        queues = [queue.Queue(QUEUE_CAP) for _ in range(rel.parallelism)]
-        for offset, stream in enumerate(child):
-            region.spawn(_round_robin, _count_shuffled(stream, ctx), queues,
-                         offset, region)
-        return [_iter_queue(q, len(child), region) for q in queues]
-
-    if isinstance(rel, BroadcastExchange):
-        child = partition_streams(rel.input, ctx, batch_size, region)
-        queues = [queue.Queue(QUEUE_CAP) for _ in range(rel.parallelism)]
-        for stream in child:
-            region.spawn(_drain_into,
-                         _count_shuffled(stream, ctx, rel.parallelism),
-                         queues, region)
-        return [_iter_queue(q, len(child), region) for q in queues]
-
-    # Partition-local operator: run one copy per partition.
-    input_streams = [partition_streams(i, ctx, batch_size, region)
-                     for i in rel.inputs]
-    counts = {len(s) for s in input_streams}
-    if len(counts) != 1:
-        raise RuntimeError(
-            f"mis-partitioned plan: {rel.rel_name} inputs have "
-            f"{sorted(len(s) for s in input_streams)} partitions")
-    n = counts.pop()
-    out: List[Iterator[ColumnBatch]] = []
-    for p in range(n):
-        injected = [InjectedBatches(input_streams[k][p], rel.inputs[k].row_type)
-                    for k in range(len(rel.inputs))]
-        out.append(execute_batches(rel.copy(inputs=injected), ctx, batch_size))
-    return out
+        # the partitions exist without any inter-worker edge (and
+        # contribute nothing to ``rows_shuffled``).
+        breaker = _partition_breaker(rel, ctx)
+        if breaker is None or breaker.allow():
+            return [InjectedStream(rel.row_type, partial(_shard_stream, rel, p))
+                    for p in range(rel.n_partitions)]
+        # Partitioned serving is circuit-open for this backend: degrade
+        # to the gather-then-shard baseline — one producer runs the
+        # serial template and re-shards in-engine; plain scans may well
+        # be healthy when shard serving is not.
+        ctx.note_breaker_rejection()
+        ctx.note_shard_fallback()
+        producers = [rel.input]
+        routings = [("hash", rel.keys) if rel.keys else ("rr", 0)]
+        n_out = rel.n_partitions
+    elif isinstance(rel, (HashExchange, RandomExchange, BroadcastExchange)):
+        producers = _build(rel.input, ctx, region)
+        if isinstance(rel, HashExchange):
+            routings = [("hash", rel.keys)] * len(producers)
+        elif isinstance(rel, RandomExchange):
+            routings = [("rr", i) for i in range(len(producers))]
+        else:
+            routings = [("broadcast", None)] * len(producers)
+        n_out = rel.parallelism
+    else:
+        # Partition-local operator: one copy per partition, fused with
+        # its per-partition inputs.
+        input_parts = [_build(child, ctx, region) for child in rel.inputs]
+        counts = {len(parts) for parts in input_parts}
+        if len(counts) != 1:
+            raise RuntimeError(
+                f"mis-partitioned plan: {rel.rel_name} inputs have "
+                f"{sorted(len(parts) for parts in input_parts)} partitions")
+        return [rel.copy(inputs=[parts[p] for parts in input_parts])
+                for p in range(counts.pop())]
+    return [InjectedStream(rel.row_type, partial(region.receive, r), r)
+            for r in _connect(region, producers, routings, n_out)]
 
 
 def _shard_stream(scan: PartitionedScan, p: int, ctx: ExecutionContext,
-                  batch_size: int, breaker) -> Iterator[ColumnBatch]:
+                  batch_size: int) -> Iterator[ColumnBatch]:
     """One adapter-served shard, with per-shard transient retry.
 
     A transient failure re-runs only this shard's ``partition_rel(p)``
     subtree (never the sibling shards or the whole region), skipping
     the rows already emitted so downstream operators see each row
     exactly once.  Success and failure are charged to the backend's
-    ``"partition"``-scope circuit breaker."""
+    ``"partition"``-scope circuit breaker in ``ctx``'s registry."""
     from .executor import execute_batches
 
+    breaker = _partition_breaker(scan, ctx)
     attempt = 1
     emitted = 0
     while True:
@@ -381,53 +420,35 @@ def _rows_of(batches: Iterator[ColumnBatch]) -> Iterator[tuple]:
         yield from batch.iter_rows()
 
 
-def _rebatch(rows: Iterator[tuple], field_count: int,
-             batch_size: int) -> Iterator[ColumnBatch]:
-    chunk: List[tuple] = []
-    for row in rows:
-        chunk.append(row)
-        if len(chunk) >= batch_size:
-            yield ColumnBatch.from_rows(chunk, field_count)
-            chunk = []
-    if chunk:
-        yield ColumnBatch.from_rows(chunk, field_count)
-
-
 def gather_batches(exch: SingletonExchange, ctx: ExecutionContext,
                    batch_size: int) -> Iterator[ColumnBatch]:
-    """Execute a gather: run the parallel region below ``exch`` and
-    merge its partition streams into one.
-
-    With ``ctx.workers == "process"`` (and ``fork`` available) the
-    region runs on forked worker processes exchanging wire-encoded
-    batches instead of in-process threads — same topology, true
-    multicore on GIL-enabled builds (:mod:`.parallel_process`).
-    """
-    if getattr(ctx, "workers", "thread") == "process":
-        from .parallel_process import process_gather, use_process_backend
-        if use_process_backend(exch, ctx):
-            yield from process_gather(exch, ctx, batch_size)
-            return
-    region = Region(ctx)
+    """Execute a gather: build the parallel region below ``exch`` on
+    the statement's transport (:func:`region_for`), run one drain
+    worker per final partition, and merge their streams into one — an
+    ordered k-way merge when a collation must survive, otherwise
+    batches as they arrive on one fan-in edge."""
+    if not _fans_out(exch.input):
+        from .executor import execute_batches
+        yield from execute_batches(exch.input, ctx, batch_size)
+        return
+    region = region_for(ctx)
     try:
-        streams = partition_streams(exch.input, ctx, batch_size, region)
+        sources = _build(exch.input, ctx, region)
+        if exch.collation.field_collations and len(sources) > 1:
+            # Each partition stream is sorted by the collation; the
+            # k-way merge preserves it globally.
+            receivers = [_connect(region, [src], [_DRAIN], 1)[0]
+                         for src in sources]
+        else:
+            receivers = _connect(region, sources, [_DRAIN] * len(sources), 1)
+        region.start(batch_size)
+        streams = [region.receive(r, ctx) for r in receivers]
         if len(streams) == 1:
             yield from streams[0]
             return
-        if exch.collation.field_collations:
-            # Ordered gather: each partition stream is sorted by the
-            # collation; k-way merge preserves it globally.
-            queues = [queue.Queue(QUEUE_CAP) for _ in streams]
-            for stream, q in zip(streams, queues):
-                region.spawn(_drain_into, stream, [q], region)
-            row_iters = [_rows_of(_iter_queue(q, 1, region)) for q in queues]
-            merged = heapq.merge(*row_iters, key=row_sort_key(exch.collation))
-            yield from _rebatch(merged, exch.row_type.field_count, batch_size)
-        else:
-            # Unordered gather: concatenate batches as workers finish.
-            out_q: "queue.Queue" = queue.Queue(QUEUE_CAP)
-            for stream in streams:
-                region.spawn(_drain_into, stream, [out_q], region)
-            yield from _iter_queue(out_q, len(streams), region)
+        merged = heapq.merge(*map(_rows_of, streams),
+                             key=row_sort_key(exch.collation))
+        yield from batches_from_rows(merged, exch.row_type.field_count,
+                                     batch_size)
     finally:
         region.shutdown()

@@ -1,38 +1,38 @@
-"""The process-backed worker pool: true multicore exchange edges.
+"""The process transport: true multicore exchange edges.
 
-The thread scheduler in :mod:`.parallel` provides partitioned
-execution semantics, but on a GIL-enabled CPython its workers time-
-slice one core.  This module mirrors the same region/edge topology
-over **forked worker processes** connected by ``multiprocessing``
-pipes: each exchange edge becomes a producer×consumer matrix of
-one-way pipes carrying wire-encoded :class:`ColumnBatch` frames
-(:mod:`.wire` — no per-row pickling, selection vectors applied at
-encode time), and each partition-local operator chain is fused into a
-single worker process.
+The scheduler in :mod:`.parallel` builds one region topology for
+either transport; on a GIL-enabled CPython its thread workers
+time-slice one core.  :class:`ProcessRegion` runs the same topology on
+**forked worker processes** connected by ``multiprocessing`` pipes:
+each exchange edge becomes a producer×consumer matrix of one-way pipes
+carrying wire-encoded :class:`ColumnBatch` frames (:mod:`.wire` — no
+per-row pickling, selection vectors applied at encode time), and each
+partition-local operator chain is fused into a single worker process.
 
-Plan shipping is by **fork**: the parent builds the complete topology
-— every pipe and every worker's subtree, with pipe-crossing edges
-replaced by :class:`WireSource` leaves and adapter-served shards by
-:class:`ShardSource` leaves (re-planned from the
+Plan shipping is by **fork**: the scheduler builds the complete
+topology — every pipe and every worker's subtree, with pipe-crossing
+edges and adapter-served shards as
+:class:`~.exchange.InjectedStream` leaves (shards re-planned from the
 :meth:`~.partitioned.PartitionedScan.partition_rel` template inside
-the worker) — and only then forks.  Nothing is pickled: closures,
-compiled kernels and adapter handles all arrive in the child via
-copy-on-write memory.  Fork also guarantees every worker inherits the
-parent's string-hash seed, so the in-engine hash split, the backend's
-``partition_of`` buckets and every sibling worker agree on row
-placement.  On platforms without ``fork`` the scheduler silently
-stays on the thread backend.
+the worker) — and only then does :meth:`ProcessRegion.start` fork.
+Nothing is pickled: closures, compiled kernels and adapter handles all
+arrive in the child via copy-on-write memory.  Fork also guarantees
+every worker inherits the parent's string-hash seed, so the in-engine
+hash split, the backend's ``partition_of`` buckets and every sibling
+worker agree on row placement.  On platforms without ``fork`` the
+scheduler stays on the thread transport.
 
 Each forked child first closes every inherited pipe end it does not
 own — EOF detection depends on it — and runs with a **fresh**
 :class:`ExecutionContext`: the statement's remaining deadline, the
-same parameters and retry policy, ``workers="thread"`` (a nested
-parallel region inside a worker uses threads, never grandchild
-processes), and its own counters, which it ships home in a STATS
-frame before end-of-stream so ``rows_scanned`` / ``rows_shuffled`` /
-retry counts fold transitively into the statement context.
+same parameters and retry policy, its own (fresh) breaker registry,
+``workers="thread"`` (a nested parallel region inside a worker uses
+threads, never grandchild processes), and its own counters, which it
+ships home in a STATS frame before end-of-stream so ``rows_scanned`` /
+``rows_shuffled`` / retry counts fold transitively into the statement
+context.
 
-The PR 8 resilience contract holds across the process boundary:
+The resilience contract holds across the process boundary:
 
 * *Deadlines propagate* — children enforce the remaining budget
   themselves, and every parent-side pipe wait polls
@@ -49,35 +49,20 @@ The PR 8 resilience contract holds across the process boundary:
 
 from __future__ import annotations
 
-import heapq
 import multiprocessing
 import pickle
 import time
 from multiprocessing import connection as _mp_connection
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence
 
 from ...adapters.resilience import BreakerRegistry, ResilienceContext, RetryPolicy
 from ...core.rel import RelNode
-from ...core.traits import Convention, RelTraitSet
 from ...errors import Deadline, WorkerCrashed
-from ..operators import ExecutionContext, row_sort_key
+from ..operators import ExecutionContext
 from .batch import ColumnBatch
-from .exchange import (
-    BroadcastExchange,
-    HashExchange,
-    RandomExchange,
-    SingletonExchange,
-)
-from .parallel import (
-    SHUTDOWN_JOIN_TIMEOUT,
-    _contains_exchange,
-    _rebatch,
-    _shard_stream,
-)
-from .partitioned import PartitionedScan
+from .exchange import InjectedStream
+from .parallel import SHUTDOWN_JOIN_TIMEOUT, run_worker
 from .wire import decode_batch, encode_batch
-
-VECTORIZED = Convention.VECTORIZED
 
 #: Message tags, prefixed to every pipe payload.
 _F_DATA = b"D"
@@ -96,84 +81,46 @@ def process_backend_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
-def use_process_backend(exch: SingletonExchange, ctx) -> bool:
-    """Should this gather run on forked workers?  Only when the
-    statement asked for them, fork exists, and the subtree actually
-    fans out (a serial or nested-gather child gains nothing)."""
-    if getattr(ctx, "workers", "thread") != "process":
-        return False
-    if isinstance(exch.input, SingletonExchange):
-        return False
-    return _contains_exchange(exch.input) and process_backend_available()
-
-
-# ---------------------------------------------------------------------------
-# Scheduler-injected leaves
-# ---------------------------------------------------------------------------
-
-class WireSource(RelNode):
-    """A leaf standing in for a pipe-crossing exchange edge.
-
-    Holds the receive ends of every producer's channel for one
-    partition; the executor's ``stream_batches`` probe drains them
-    (multiplexed, so no producer ordering can deadlock the edge).
-    Single-use, owned by exactly one worker's subtree.
-    """
-
-    def __init__(self, conns: Sequence, row_type) -> None:
-        super().__init__([], RelTraitSet(VECTORIZED))
-        self.conns = list(conns)
-        self._wire_row_type = row_type
-
-    def derive_row_type(self):
-        return self._wire_row_type
-
-    def attr_digest(self) -> str:
-        return f"wire#{self.id}x{len(self.conns)}"
-
-    def copy(self, inputs: Optional[Sequence[RelNode]] = None,
-             traits: Optional[RelTraitSet] = None) -> "WireSource":
-        return self
-
-    def stream_batches(self, ctx, batch_size) -> Iterator[ColumnBatch]:
-        return _drain_conns(self.conns, ctx)
-
-
-class ShardSource(RelNode):
-    """A leaf standing in for one adapter-served shard of a
-    :class:`PartitionedScan`.
-
-    Re-plans the shard from the scan's ``partition_rel`` template
-    inside whatever worker its subtree lands in, with the same
-    per-shard retry treatment as the thread scheduler.
-    """
-
-    def __init__(self, scan: PartitionedScan, partition: int) -> None:
-        super().__init__([], RelTraitSet(VECTORIZED))
-        self.scan = scan
-        self.partition = partition
-
-    def derive_row_type(self):
-        return self.scan.row_type
-
-    def attr_digest(self) -> str:
-        return f"shard#{self.partition}/{self.scan.n_partitions}"
-
-    def copy(self, inputs: Optional[Sequence[RelNode]] = None,
-             traits: Optional[RelTraitSet] = None) -> "ShardSource":
-        return self
-
-    def stream_batches(self, ctx, batch_size) -> Iterator[ColumnBatch]:
-        res = getattr(ctx, "resilience", None)
-        breaker = (res.breaker_for(self.scan.backend_key(), "partition")
-                   if res is not None else None)
-        return _shard_stream(self.scan, self.partition, ctx, batch_size,
-                             breaker)
-
-
 # ---------------------------------------------------------------------------
 # Worker side
 # ---------------------------------------------------------------------------
+
+class _PipeOutbox:
+    """A producer's write ends: one pipe to each consumer of its edge."""
+
+    def __init__(self, conns: List) -> None:
+        self.conns = conns
+
+    def __len__(self) -> int:
+        return len(self.conns)
+
+    def send(self, j: int, batch: ColumnBatch) -> bool:
+        self.conns[j].send_bytes(_F_DATA + encode_batch(batch))
+        return True
+
+    def send_all(self, batch: ColumnBatch) -> bool:
+        payload = _F_DATA + encode_batch(batch)  # encoded once for all outs
+        for conn in self.conns:
+            conn.send_bytes(payload)
+        return True
+
+    def finish(self, error: Optional[BaseException],
+               ctx: ExecutionContext) -> None:
+        if isinstance(error, OSError):
+            return  # consumer gone (cancel, LIMIT): wind down quietly
+        frames = [_F_EOS]
+        if error is not None:
+            frames.insert(0, _F_ERROR + _encode_error(error))
+        try:
+            # STATS to one consumer only (it folds and forwards).
+            self.conns[0].send_bytes(
+                _F_STATS + pickle.dumps(ctx.child_stats()))
+            for frame in frames:
+                for conn in self.conns:
+                    conn.send_bytes(frame)
+        except OSError:
+            pass
+
 
 def _encode_error(exc: BaseException) -> bytes:
     try:
@@ -190,58 +137,15 @@ def _decode_error(payload: bytes) -> BaseException:
                             "decoded from its pipe")
 
 
-def _route(stream: Iterator[ColumnBatch], routing: tuple, outs: Sequence,
-           ctx: ExecutionContext) -> None:
-    """Drive a worker's batch stream into its out pipes.
-
-    ``routing`` mirrors the thread scheduler's edge kinds:
-    ``("drain", metered)`` sends every batch to every out (one out: a
-    plain drain; N outs: a broadcast, shuffle-metered ×N when
-    ``metered``); ``("rr", offset)`` round-robins batches; and
-    ``("hash", keys)`` re-buckets rows by ``hash(keys) % N`` — the
-    bucket is a selection vector, applied by the wire encoder, so the
-    split never copies columns.
-    """
-    kind = routing[0]
-    n_out = len(outs)
-    if kind == "drain":
-        metered = routing[1] and n_out > 1
-        for batch in stream:
-            ctx.checkpoint()
-            if metered:
-                ctx.add_shuffled(batch.live_count * n_out)
-            payload = _F_DATA + encode_batch(batch)
-            for conn in outs:
-                conn.send_bytes(payload)
-        return
-    if kind == "rr":
-        i = routing[1]  # stagger producers so partitions fill evenly
-        for batch in stream:
-            ctx.checkpoint()
-            ctx.add_shuffled(batch.live_count)
-            outs[i % n_out].send_bytes(_F_DATA + encode_batch(batch))
-            i += 1
-        return
-    keys = routing[1]  # kind == "hash"
-    for batch in stream:
-        ctx.checkpoint()
-        compacted = batch.compact()
-        n = compacted.num_rows
-        if n == 0:
-            continue
-        ctx.add_shuffled(n)
-        key_cols = [compacted.columns[k] for k in keys]
-        buckets: List[List[int]] = [[] for _ in range(n_out)]
-        for i in range(n):
-            h = hash(tuple(col[i] for col in key_cols))
-            buckets[h % n_out].append(i)
-        for j, sel in enumerate(buckets):
-            if sel:
-                sub = compacted.with_selection(sel)
-                outs[j].send_bytes(_F_DATA + encode_batch(sub))
+def _close(conns: Sequence) -> None:
+    for conn in conns:
+        try:
+            conn.close()
+        except OSError:  # pragma: no cover - already closed
+            pass
 
 
-def _worker_main(tree: RelNode, routing: tuple, outs: Sequence,
+def _worker_main(tree: RelNode, routing: tuple, outbox: _PipeOutbox,
                  close_conns: Sequence, parameters: Sequence,
                  deadline_remaining: Optional[float],
                  policy: Optional[RetryPolicy],
@@ -250,12 +154,7 @@ def _worker_main(tree: RelNode, routing: tuple, outs: Sequence,
     # Close every inherited pipe end this worker does not own: EOF
     # detection (crash surfacing, clean teardown) depends on each fd
     # being open only in its owner.
-    for conn in close_conns:
-        try:
-            conn.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
-    from .executor import execute_batches
+    _close(close_conns)
     ctx = ExecutionContext(
         parameters=parameters,
         deadline=Deadline.after(deadline_remaining),
@@ -264,90 +163,23 @@ def _worker_main(tree: RelNode, routing: tuple, outs: Sequence,
         workers="thread",  # nested regions fan out threads, not processes
     )
     try:
-        _route(execute_batches(tree, ctx, batch_size), routing, outs, ctx)
-        # STATS to one consumer only (it folds and forwards), EOS to all.
-        outs[0].send_bytes(_F_STATS + pickle.dumps(ctx.child_stats()))
-        for conn in outs:
-            conn.send_bytes(_F_EOS)
-    except (BrokenPipeError, OSError):
-        pass  # consumer gone (cancel, LIMIT): wind down quietly
-    except BaseException as exc:
-        try:
-            outs[0].send_bytes(_F_STATS + pickle.dumps(ctx.child_stats()))
-            payload = _F_ERROR + _encode_error(exc)
-            for conn in outs:
-                conn.send_bytes(payload)
-            for conn in outs:
-                conn.send_bytes(_F_EOS)
-        except (BrokenPipeError, OSError):
-            pass
+        run_worker(tree, routing, outbox, ctx, batch_size)
     finally:
-        for conn in outs:
-            try:
-                conn.close()
-            except OSError:
-                pass
+        _close(outbox.conns)
 
 
 # ---------------------------------------------------------------------------
 # Parent side
 # ---------------------------------------------------------------------------
 
-def _crash(ctx: ExecutionContext) -> WorkerCrashed:
-    ctx.note_worker_crash()
-    return WorkerCrashed(
-        "worker process died before end-of-stream (pipe closed "
-        "mid-statement)")
-
-
-def _drain_conns(conns: Sequence, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
-    """Drain wire frames from many producer pipes, multiplexed.
-
-    Mirrors the thread scheduler's ``_iter_queue``: STATS frames fold
-    into ``ctx``, ERROR frames re-raise the worker's exception, EOF
-    before EOS becomes a typed :class:`WorkerCrashed`, and every wait
-    checks the statement's deadline and cancellation flag.
-    """
-    pending = list(conns)
-    while pending:
-        ctx.checkpoint()
-        ready = _mp_connection.wait(pending, timeout=_POLL)
-        for conn in ready:
-            try:
-                msg = conn.recv_bytes()
-            except (EOFError, OSError):
-                raise _crash(ctx)
-            tag = msg[:1]
-            if tag == _F_DATA:
-                yield decode_batch(memoryview(msg)[1:])
-            elif tag == _F_STATS:
-                ctx.merge_child_stats(pickle.loads(msg[1:]))
-            elif tag == _F_ERROR:
-                raise _decode_error(msg[1:])
-            else:  # _F_EOS
-                pending.remove(conn)
-                conn.close()
-
-
-def _conn_rows(conn, ctx: ExecutionContext) -> Iterator[tuple]:
-    """Row iterator over one pipe, for the ordered k-way merge."""
-    while True:
-        while not conn.poll(_POLL):
-            ctx.checkpoint()
-        try:
-            msg = conn.recv_bytes()
-        except (EOFError, OSError):
-            raise _crash(ctx)
-        tag = msg[:1]
-        if tag == _F_DATA:
-            yield from decode_batch(memoryview(msg)[1:]).iter_rows()
-        elif tag == _F_STATS:
-            ctx.merge_child_stats(pickle.loads(msg[1:]))
-        elif tag == _F_ERROR:
-            raise _decode_error(msg[1:])
-        else:  # _F_EOS
-            conn.close()
-            return
+def _tree_conns(rel: RelNode) -> List:
+    """Every pipe receive end a worker subtree reads."""
+    out: List = []
+    if isinstance(rel, InjectedStream) and rel.receiver is not None:
+        out.extend(rel.receiver)
+    for child in rel.inputs:
+        out.extend(_tree_conns(child))
+    return out
 
 
 class ProcessRegion:
@@ -355,64 +187,95 @@ class ProcessRegion:
     a single gather, plus every pipe between them.
 
     The full topology (pipes + worker subtrees) is built first; only
-    :meth:`start` forks.  After forking, the parent closes every pipe
-    end except the gather's receive ends, and each child closes
-    everything but its own — the fd discipline EOF semantics require.
+    :meth:`start` forks.  Each child closes every pipe end but its own,
+    and after forking the parent closes every end a child owns, keeping
+    only the gather's receive ends — the fd discipline EOF semantics
+    require.
     """
 
     def __init__(self, ctx: ExecutionContext) -> None:
         self.ctx = ctx
         self._mp = multiprocessing.get_context("fork")
         self.all_conns: List = []
-        self.parent_keep: set = set()
-        self.specs: List[Tuple[RelNode, tuple, List]] = []
+        #: ``(tree, routing, outbox)`` per worker, forked by :meth:`start`
+        self.workers: List[tuple] = []
         self.procs: List = []
 
-    def pipe(self) -> Tuple:
-        r, w = self._mp.Pipe(duplex=False)
-        self.all_conns += [r, w]
-        return r, w
+    def edge(self, n_producers: int, n_consumers: int):
+        """An exchange edge: one pipe per (producer, consumer) pair.
+        Returns ``(outboxes, receivers)``; a receiver is the list of
+        one consumer's receive ends, one per producer."""
+        matrix = [[self._mp.Pipe(duplex=False) for _ in range(n_consumers)]
+                  for _ in range(n_producers)]
+        for row in matrix:
+            for r, w in row:
+                self.all_conns += [r, w]
+        outboxes = [_PipeOutbox([w for _, w in row]) for row in matrix]
+        receivers = [[row[p][0] for row in matrix] for p in range(n_consumers)]
+        return outboxes, receivers
 
-    def add_worker(self, tree: RelNode, routing: tuple, outs: List) -> None:
-        self.specs.append((tree, routing, outs))
+    def receive(self, receiver, ctx: ExecutionContext,
+                batch_size: Optional[int] = None) -> Iterator[ColumnBatch]:
+        """Drain wire frames from one consumer's producer pipes,
+        multiplexed.
+
+        The pipe twin of :meth:`.parallel.Region.receive`: STATS frames
+        fold into ``ctx``, ERROR frames re-raise the worker's exception,
+        EOF before EOS becomes a typed :class:`WorkerCrashed`, and every
+        wait checks the statement's deadline and cancellation flag.
+        """
+        pending = list(receiver)
+        while pending:
+            ctx.checkpoint()
+            ready = _mp_connection.wait(pending, timeout=_POLL)
+            for conn in ready:
+                try:
+                    msg = conn.recv_bytes()
+                except (EOFError, OSError):
+                    ctx.note_worker_crash()
+                    raise WorkerCrashed(
+                        "worker process died before end-of-stream (pipe "
+                        "closed mid-statement)")
+                tag = msg[:1]
+                if tag == _F_DATA:
+                    yield decode_batch(memoryview(msg)[1:])
+                elif tag == _F_STATS:
+                    ctx.merge_child_stats(pickle.loads(msg[1:]))
+                elif tag == _F_ERROR:
+                    raise _decode_error(msg[1:])
+                else:  # _F_EOS
+                    pending.remove(conn)
+                    conn.close()
 
     def start(self, batch_size: int) -> None:
         ctx = self.ctx
         deadline = ctx.deadline
         remaining = deadline.remaining() if deadline is not None else None
-        res = getattr(ctx, "resilience", None)
+        res = ctx.resilience
         policy = res.policy if res is not None else None
-        for idx, (tree, routing, outs) in enumerate(self.specs):
-            keep = {id(c) for c in outs}
-            keep.update(id(c) for c in _tree_conns(tree))
+        owned: List = []
+        for idx, (tree, routing, outbox) in enumerate(self.workers):
+            mine = outbox.conns + _tree_conns(tree)
+            keep = {id(c) for c in mine}
             close = [c for c in self.all_conns if id(c) not in keep]
             proc = self._mp.Process(
                 target=_worker_main,
-                args=(tree, routing, outs, close, list(ctx.parameters),
+                args=(tree, routing, outbox, close, list(ctx.parameters),
                       remaining, policy, batch_size),
                 daemon=True, name=f"repro-pworker-{idx}")
             self.procs.append(proc)
             proc.start()
-        # All children forked: the parent now drops every end it does
-        # not read, so EOF propagates the moment a child exits.
-        for conn in self.all_conns:
-            if id(conn) not in self.parent_keep:
-                try:
-                    conn.close()
-                except OSError:  # pragma: no cover
-                    pass
+            owned += mine
+        # All children forked: the parent now drops every end a child
+        # owns, so EOF propagates the moment a child exits.
+        _close(owned)
         ctx.note_processes_spawned(len(self.procs))
 
     def shutdown(self, join_timeout: float = SHUTDOWN_JOIN_TIMEOUT) -> int:
         """Reclaim every worker within the join budget; returns the
         number (if any) that survived even SIGKILL, counted on the
         context as leaks."""
-        for conn in self.all_conns:
-            if id(conn) in self.parent_keep:
-                try:
-                    conn.close()
-                except OSError:
-                    pass
+        _close(self.all_conns)
         budget_end = time.monotonic() + join_timeout
         for proc in self.procs:  # grace: most workers have already exited
             proc.join(max(0.0, min(0.1, budget_end - time.monotonic())))
@@ -427,108 +290,6 @@ class ProcessRegion:
                 proc.join(0.5)
                 if proc.is_alive():  # pragma: no cover - unkillable
                     leaked += 1
-        if leaked and self.ctx is not None:
+        if leaked:
             self.ctx.note_worker_leak(leaked)
         return leaked
-
-
-def _tree_conns(rel: RelNode) -> List:
-    """Every pipe receive end embedded in a worker subtree."""
-    out: List = []
-    if isinstance(rel, WireSource):
-        out.extend(rel.conns)
-    for child in rel.inputs:
-        out.extend(_tree_conns(child))
-    return out
-
-
-def _build_sources(rel: RelNode, ctx: ExecutionContext,
-                   region: ProcessRegion) -> List[RelNode]:
-    """The per-partition source subtrees produced by ``rel``.
-
-    The process twin of :func:`.parallel.partition_streams`: exchange
-    edges become pipe matrices with the producer side doing the
-    routing in-child, adapter-served shards become
-    :class:`ShardSource` leaves, and partition-local operators fuse
-    with their per-partition inputs into single worker subtrees.
-    """
-    if isinstance(rel, SingletonExchange) or not _contains_exchange(rel):
-        # A serial section (or nested gather, which runs its own
-        # region — threaded — inside whatever worker it lands in)
-        # contributes a single source.
-        return [rel]
-
-    if isinstance(rel, PartitionedScan):
-        res = getattr(ctx, "resilience", None)
-        breaker = (res.breaker_for(rel.backend_key(), "partition")
-                   if res is not None else None)
-        if breaker is not None and not breaker.allow():
-            # Partitioned serving is circuit-open: degrade to the
-            # gather-then-shard baseline — one producer runs the
-            # serial template and re-shards in-engine.
-            ctx.note_breaker_rejection()
-            ctx.note_shard_fallback()
-            pipes = [region.pipe() for _ in range(rel.n_partitions)]
-            routing = ("hash", rel.keys) if rel.keys else ("rr", 0)
-            region.add_worker(rel.input, routing, [w for _, w in pipes])
-            return [WireSource([r], rel.row_type) for r, _ in pipes]
-        return [ShardSource(rel, p) for p in range(rel.n_partitions)]
-
-    if isinstance(rel, (HashExchange, RandomExchange, BroadcastExchange)):
-        children = _build_sources(rel.input, ctx, region)
-        n_out = rel.parallelism
-        recv: List[List] = [[] for _ in range(n_out)]
-        for i, child in enumerate(children):
-            outs = []
-            for p in range(n_out):
-                r, w = region.pipe()
-                recv[p].append(r)
-                outs.append(w)
-            if isinstance(rel, HashExchange):
-                routing: tuple = ("hash", rel.keys)
-            elif isinstance(rel, RandomExchange):
-                routing = ("rr", i)
-            else:
-                routing = ("drain", True)
-            region.add_worker(child, routing, outs)
-        return [WireSource(conns, rel.row_type) for conns in recv]
-
-    # Partition-local operator: fuse one copy per partition with its
-    # per-partition inputs into a single worker subtree.
-    input_sources = [_build_sources(child, ctx, region)
-                     for child in rel.inputs]
-    counts = {len(s) for s in input_sources}
-    if len(counts) != 1:
-        raise RuntimeError(
-            f"mis-partitioned plan: {rel.rel_name} inputs have "
-            f"{sorted(len(s) for s in input_sources)} partitions")
-    n = counts.pop()
-    return [rel.copy(inputs=[input_sources[k][p]
-                             for k in range(len(rel.inputs))])
-            for p in range(n)]
-
-
-def process_gather(exch: SingletonExchange, ctx: ExecutionContext,
-                   batch_size: int) -> Iterator[ColumnBatch]:
-    """Execute a gather on forked workers: build the pipe topology,
-    fork one worker per final partition subtree, and merge their
-    streams in the parent — ordered k-way merge when a collation must
-    survive, concatenation as frames arrive otherwise."""
-    region = ProcessRegion(ctx)
-    try:
-        sources = _build_sources(exch.input, ctx, region)
-        final_conns = []
-        for src in sources:
-            r, w = region.pipe()
-            region.parent_keep.add(id(r))
-            region.add_worker(src, ("drain", False), [w])
-            final_conns.append(r)
-        region.start(batch_size)
-        if exch.collation.field_collations:
-            row_iters = [_conn_rows(c, ctx) for c in final_conns]
-            merged = heapq.merge(*row_iters, key=row_sort_key(exch.collation))
-            yield from _rebatch(merged, exch.row_type.field_count, batch_size)
-        else:
-            yield from _drain_conns(final_conns, ctx)
-    finally:
-        region.shutdown()

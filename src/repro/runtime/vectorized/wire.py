@@ -20,10 +20,12 @@ Design points:
   Mongo ``_MAP`` dicts) fall back to one tag byte per value with a
   fixed or length-prefixed payload; only genuinely exotic scalars use
   a per-value pickle escape hatch.
-* **Length-prefixed frames.**  :func:`pack_frame`/:func:`read_frame`
-  wrap a payload in a ``u32`` length prefix for raw byte streams;
-  ``multiprocessing`` connections carry the same payloads through
-  ``send_bytes`` (which frames internally).
+* **Typed failure on malformed input.**  Every read is bounds-checked
+  against the frame, so a truncated, oversized or corrupt frame raises
+  ``ValueError("corrupt wire frame: …")`` — never a bare ``struct``,
+  index, pickle or EOF error — and decoding allocates no more than the
+  frame's length can back.  Pipes frame their payloads themselves
+  (``send_bytes``).
 
 The format is symmetric and lossless for engine row values:
 ``decode_batch(encode_batch(b)).to_rows() == b.to_rows()`` with value
@@ -37,7 +39,7 @@ from __future__ import annotations
 import pickle
 import struct
 from array import array
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from .batch import ColumnBatch
 
@@ -188,119 +190,124 @@ def encode_batch(batch: ColumnBatch) -> bytes:
     return bytes(out)
 
 
-def _decode_tagged(buf: memoryview, pos: int, n: int) -> list:
+def _corrupt(detail: str) -> ValueError:
+    return ValueError(f"corrupt wire frame: {detail}")
+
+
+def _take(buf: memoryview, pos: int, size: int):
+    """``(buf[pos:pos + size], pos + size)``, or a typed error when the
+    frame ends first — so a size read from the frame can never make
+    decoding allocate more than the frame's own length."""
+    end = pos + size
+    if end > len(buf):
+        raise _corrupt(f"truncated at byte {len(buf)}, needs {end}")
+    return buf[pos:end], end
+
+
+def _decode_tagged(buf: memoryview, n: int) -> list:
+    if n > len(buf):  # every value carries at least its tag byte
+        raise _corrupt(f"{n} tagged values in {len(buf)} bytes")
     values: list = []
-    for _ in range(n):
-        tag = buf[pos]
-        pos += 1
-        if tag == _V_NONE:
-            values.append(None)
-        elif tag == _V_TRUE:
-            values.append(True)
-        elif tag == _V_FALSE:
-            values.append(False)
-        elif tag == _V_INT:
-            values.append(_I64.unpack_from(buf, pos)[0])
-            pos += 8
-        elif tag == _V_FLOAT:
-            values.append(_F64.unpack_from(buf, pos)[0])
-            pos += 8
-        elif tag in (_V_STR, _V_BYTES, _V_PICKLE):
-            (length,) = _U32.unpack_from(buf, pos)
-            pos += 4
-            raw = bytes(buf[pos:pos + length])
-            pos += length
-            if tag == _V_STR:
-                values.append(raw.decode("utf-8"))
-            elif tag == _V_BYTES:
-                values.append(raw)
+    pos = 0
+    try:
+        # Fixed-size reads past the end of the (bounded) body raise
+        # IndexError or struct.error, turned into the typed error below.
+        for _ in range(n):
+            tag = buf[pos]
+            pos += 1
+            if tag == _V_NONE:
+                values.append(None)
+            elif tag == _V_TRUE:
+                values.append(True)
+            elif tag == _V_FALSE:
+                values.append(False)
+            elif tag == _V_INT:
+                values.append(_I64.unpack_from(buf, pos)[0])
+                pos += 8
+            elif tag == _V_FLOAT:
+                values.append(_F64.unpack_from(buf, pos)[0])
+                pos += 8
+            elif tag in (_V_STR, _V_BYTES, _V_PICKLE):
+                (length,) = _U32.unpack_from(buf, pos)
+                raw, pos = _take(buf, pos + 4, length)
+                if tag == _V_STR:
+                    values.append(str(raw, "utf-8"))
+                elif tag == _V_BYTES:
+                    values.append(bytes(raw))
+                else:
+                    try:
+                        values.append(pickle.loads(raw))
+                    except Exception as exc:
+                        raise _corrupt(f"undecodable pickled value ({exc!r})")
             else:
-                values.append(pickle.loads(raw))
-        else:
-            raise ValueError(f"corrupt wire frame: unknown value tag {tag}")
+                raise _corrupt(f"unknown value tag {tag}")
+    except (IndexError, struct.error):
+        raise _corrupt("truncated tagged column") from None
+    if pos != len(buf):
+        raise _corrupt("tagged column length mismatch")
+    return values
+
+
+def _decode_column(tag: int, body: memoryview, n: int) -> list:
+    bpos = 0
+    nulls = b""
+    if tag in (_COL_INT_NULL, _COL_FLOAT_NULL, _COL_STR_NULL):
+        raw, bpos = _take(body, 0, (n + 7) // 8)
+        nulls = bytes(raw)
+    if tag in (_COL_INT, _COL_INT_NULL, _COL_FLOAT, _COL_FLOAT_NULL):
+        if len(body) - bpos != 8 * n:
+            raise _corrupt("numeric column length mismatch")
+        arr = array("q" if tag in (_COL_INT, _COL_INT_NULL) else "d")
+        arr.frombytes(body[bpos:])
+        values = arr.tolist()
+    elif tag in (_COL_STR, _COL_STR_NULL):
+        lengths = array("I")
+        raw, bpos = _take(body, bpos, lengths.itemsize * n)
+        lengths.frombytes(raw)
+        if bpos + sum(lengths) != len(body):
+            raise _corrupt("string column length mismatch")
+        values = []
+        for length in lengths:
+            values.append(str(body[bpos:bpos + length], "utf-8"))
+            bpos += length
+    elif tag == _COL_TAGGED:
+        values = _decode_tagged(body, n)
+    else:
+        raise _corrupt(f"unknown column tag {tag}")
+    if nulls:
+        for i in range(n):
+            if nulls[i >> 3] & (1 << (i & 7)):
+                values[i] = None
     return values
 
 
 def decode_batch(data) -> ColumnBatch:
     """Decode a frame produced by :func:`encode_batch` (bytes or
-    memoryview) into a compact :class:`ColumnBatch`."""
+    memoryview) into a compact :class:`ColumnBatch`.
+
+    A truncated, oversized or otherwise malformed frame raises
+    ``ValueError("corrupt wire frame: …")``, and nothing is allocated
+    in proportion to a header count the frame's length cannot back."""
     buf = memoryview(data)
-    magic, version, field_count, n = _HEADER.unpack_from(buf, 0)
+    raw, pos = _take(buf, 0, _HEADER.size)
+    magic, version, field_count, n = _HEADER.unpack(raw)
     if magic != MAGIC or version != VERSION:
-        raise ValueError(
-            f"corrupt wire frame: magic=0x{magic:02x} version={version}")
-    pos = _HEADER.size
+        raise _corrupt(f"magic=0x{magic:02x} version={version}")
     columns: List[list] = []
     for _ in range(field_count):
-        tag = buf[pos]
-        pos += 1
+        raw, pos = _take(buf, pos, 1)
+        tag = raw[0]
         if tag == _COL_EMPTY:
+            if n:
+                raise _corrupt(f"empty column in a {n}-row batch")
             columns.append([])
             continue
-        (body_len,) = _U32.unpack_from(buf, pos)
-        pos += 4
-        body = buf[pos:pos + body_len]
-        pos += body_len
-        bpos = 0
-        nulls = b""
-        if tag in (_COL_INT_NULL, _COL_FLOAT_NULL, _COL_STR_NULL):
-            nbytes = (n + 7) // 8
-            nulls = bytes(body[:nbytes])
-            bpos = nbytes
-        if tag in (_COL_INT, _COL_INT_NULL):
-            arr = array("q")
-            arr.frombytes(body[bpos:bpos + 8 * n])
-            values = arr.tolist()
-        elif tag in (_COL_FLOAT, _COL_FLOAT_NULL):
-            arr = array("d")
-            arr.frombytes(body[bpos:bpos + 8 * n])
-            values = arr.tolist()
-        elif tag in (_COL_STR, _COL_STR_NULL):
-            lengths = array("I")
-            lengths.frombytes(body[bpos:bpos + lengths.itemsize * n])
-            bpos += lengths.itemsize * n
-            values = []
-            for length in lengths:
-                values.append(bytes(body[bpos:bpos + length]).decode("utf-8"))
-                bpos += length
-        elif tag == _COL_TAGGED:
-            values = _decode_tagged(body, 0, n)
-        else:
-            raise ValueError(f"corrupt wire frame: unknown column tag {tag}")
-        if nulls:
-            for i in range(n):
-                if nulls[i >> 3] & (1 << (i & 7)):
-                    values[i] = None
-        columns.append(values)
+        raw, pos = _take(buf, pos, 4)
+        body, pos = _take(buf, pos, _U32.unpack(raw)[0])
+        try:
+            columns.append(_decode_column(tag, body, n))
+        except UnicodeDecodeError as exc:
+            raise _corrupt(f"invalid utf-8 ({exc.reason})")
+    if pos != len(buf):
+        raise _corrupt(f"{len(buf) - pos} trailing bytes")
     return ColumnBatch(columns, n)
-
-
-# -- length-prefixed framing for raw byte streams -----------------------------
-
-def pack_frame(payload: bytes) -> bytes:
-    """Prefix ``payload`` with its u32 length (for pipe/file streams;
-    ``multiprocessing`` connections frame internally instead)."""
-    return _U32.pack(len(payload)) + payload
-
-
-def read_frame(read: Callable[[int], bytes]) -> Optional[bytes]:
-    """Read one length-prefixed frame via ``read(n)``; None at EOF.
-
-    Raises ``EOFError`` on a truncated frame (producer died mid-write),
-    which the scheduler surfaces as a typed worker-crash error.
-    """
-    prefix = read(4)
-    if not prefix:
-        return None
-    if len(prefix) < 4:
-        raise EOFError("truncated wire frame length prefix")
-    (length,) = _U32.unpack(prefix)
-    payload = b""
-    while len(payload) < length:
-        chunk = read(length - len(payload))
-        if not chunk:
-            raise EOFError(
-                f"truncated wire frame: expected {length} bytes, "
-                f"got {len(payload)}")
-        payload += chunk
-    return payload

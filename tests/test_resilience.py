@@ -10,7 +10,7 @@ fails loudly instead of wedging CI.
 """
 
 import gc
-import queue
+import multiprocessing
 import threading
 import time
 
@@ -37,7 +37,11 @@ from repro.errors import (
 from repro.core.types import DEFAULT_TYPE_FACTORY as F
 from repro.framework import FrameworkConfig, Planner
 from repro.runtime.operators import ExecutionContext
-from repro.runtime.vectorized.parallel import Region, _iter_queue
+from repro.runtime.vectorized.parallel import Region, region_for
+from repro.runtime.vectorized.parallel_process import (
+    ProcessRegion,
+    process_backend_available,
+)
 
 N_ROWS = 300
 GROUP_SQL = "SELECT k, SUM(v) AS total FROM s.t GROUP BY k"
@@ -46,6 +50,12 @@ ORDERED_SQL = ("SELECT k, SUM(v) AS total FROM s.t "
 
 #: retry knobs that keep injected-fault tests fast
 FAST_RETRY = dict(scan_retry_backoff=0.001, scan_retry_backoff_max=0.002)
+
+#: the two exchange transports; a forked worker's ChaosTable counters
+#: stay in the child, so process variants assert through the counters
+#: the child folds into the statement context instead
+WORKERS = ["thread", pytest.param("process", marks=pytest.mark.skipif(
+    not process_backend_available(), reason="no fork start method"))]
 
 
 def table_rows(n=N_ROWS):
@@ -83,6 +93,15 @@ def planner_for(catalog, **kwargs):
 def live_workers():
     return [t for t in threading.enumerate()
             if t.name.startswith("repro-worker") and t.is_alive()]
+
+
+def assert_no_workers(timeout=10.0):
+    """No scheduler thread alive, and every forked worker reaped."""
+    assert not live_workers()
+    end = time.monotonic() + timeout
+    while multiprocessing.active_children():  # reaps as a side effect
+        assert time.monotonic() < end, "worker processes leaked"
+        time.sleep(0.05)
 
 
 # ---------------------------------------------------------------------------
@@ -154,12 +173,21 @@ class TestPrimitives:
         assert not reg.breaker_for(backend, "partition").allow()
         assert reg.breaker_for(backend, "scan").allow()
 
-    def test_iter_queue_raises_deadline_not_hangs(self):
-        ctx = ExecutionContext(deadline=Deadline.after(0.05))
-        region = Region(ctx)
-        starving = queue.Queue()  # a producer that never delivers
-        with pytest.raises(DeadlineExceeded):
-            next(_iter_queue(starving, 1, region))
+    @pytest.mark.chaos
+    @pytest.mark.parametrize("workers", WORKERS)
+    def test_iter_queue_raises_deadline_not_hangs(self, workers):
+        """A starved edge — its producer never delivers — raises the
+        typed deadline error at the receiver on either transport."""
+        ctx = ExecutionContext(deadline=Deadline.after(0.05), workers=workers)
+        region = region_for(ctx)
+        assert isinstance(region, {"thread": Region,
+                                   "process": ProcessRegion}[workers])
+        _, (receiver,) = region.edge(1, 1)
+        try:
+            with pytest.raises(DeadlineExceeded):
+                next(region.receive(receiver, ctx))
+        finally:
+            region.shutdown()
         assert ctx.deadline_misses == 1
 
 
@@ -379,23 +407,32 @@ class TestDeadlines:
 # ---------------------------------------------------------------------------
 
 @pytest.mark.chaos
+@pytest.mark.parametrize("workers", WORKERS)
 class TestShardResilience:
     @pytest.mark.parametrize("parallelism", [2, 4])
-    def test_only_failed_shard_is_rescanned(self, parallelism):
+    def test_only_failed_shard_is_rescanned(self, parallelism, workers):
         catalog, chaos = make_catalog(
             fail_after_rows=5, fail_times=1, only_partition=1)
         planner = planner_for(catalog, engine="vectorized",
-                              parallelism=parallelism)
+                              parallelism=parallelism, workers=workers)
         result = planner.execute(GROUP_SQL)
         assert sorted(result.rows) == expected_groups()
         assert result.context.retries == 1
-        # Every shard scanned once, plus exactly one re-run of the
-        # failed shard — siblings were not restarted.
-        assert chaos.partition_scans_started == parallelism + 1
-        assert chaos.scans_started == 0  # pushdown actually happened
+        # The failed attempt's five rows are the only ones read twice:
+        # a restarted sibling shard would add all of its rows again.
+        assert result.context.rows_scanned == N_ROWS + 5
+        if workers == "thread":
+            # Every shard scanned once, plus exactly one re-run of the
+            # failed shard — siblings were not restarted.
+            assert chaos.partition_scans_started == parallelism + 1
+            assert chaos.scans_started == 0  # pushdown actually happened
+        else:
+            assert result.context.processes_spawned == parallelism
+        assert_no_workers()
 
     @pytest.mark.parametrize("parallelism", [2, 4])
-    def test_windowed_query_survives_transient_shard_failure(self, parallelism):
+    def test_windowed_query_survives_transient_shard_failure(
+            self, parallelism, workers):
         """A shard-local window over a chaos-partitioned scan: the
         failed shard's retry replays with the already-emitted rows
         skipped, so the window's gathered partition input must contain
@@ -411,7 +448,7 @@ class TestShardResilience:
         catalog, chaos = make_catalog(
             fail_after_rows=5, fail_times=1, only_partition=1)
         planner = planner_for(catalog, engine="vectorized",
-                              parallelism=parallelism)
+                              parallelism=parallelism, workers=workers)
         plan = planner.optimize(planner.rel(sql))
         assert "VectorizedWindow" in plan.explain()
         assert "HashExchange" not in plan.explain()
@@ -419,27 +456,38 @@ class TestShardResilience:
         assert sorted(result.rows) == expected
         assert result.context.retries == 1
         # Only the failed shard re-ran; the window saw no shuffle.
-        assert chaos.partition_scans_started == parallelism + 1
-        assert chaos.scans_started == 0
+        assert result.context.rows_scanned == N_ROWS + 5
         assert result.context.rows_shuffled == 0
+        if workers == "thread":
+            assert chaos.partition_scans_started == parallelism + 1
+            assert chaos.scans_started == 0
+        assert_no_workers()
 
-    def test_open_partition_breaker_degrades_to_gather_then_shard(self):
+    def test_open_partition_breaker_degrades_to_gather_then_shard(
+            self, workers):
         catalog, chaos = make_catalog(
             fail_after_rows=0, fail_times=-1, only_partition=0)
         planner = planner_for(catalog, engine="vectorized", parallelism=2,
-                              scan_retry_attempts=1,
+                              workers=workers, scan_retry_attempts=1,
                               breaker_failure_threshold=1)
         with pytest.raises(TransientBackendError):
             planner.execute(GROUP_SQL)
+        if workers == "process":
+            # A forked worker charges its shard failures to its own
+            # fresh breaker registry, so open the statement's here.
+            planner.breakers.breaker_for(chaos, "partition").record_failure()
         # The "partition" breaker is now open; the next statement must
         # degrade to the serial-scan-then-reshard baseline and succeed
         # (the plain scan path is healthy).
         result = planner.execute(GROUP_SQL)
         assert sorted(result.rows) == expected_groups()
-        assert result.context.shard_fallbacks >= 1
-        assert result.context.breaker_rejections >= 1
+        assert result.context.shard_fallbacks == 1
+        assert result.context.breaker_rejections == 1
+        # The in-engine re-shard moves every row across one edge.
+        assert result.context.rows_shuffled == N_ROWS
         snap = planner.breakers.snapshot()
         assert snap["t/partition"]["state"] == "open"
+        assert_no_workers()
 
 
 # ---------------------------------------------------------------------------
@@ -478,21 +526,22 @@ class TestBreakers:
 class TestExchangeErrorPropagation:
     """A scan raising mid-stream below exchanges must surface the
     ORIGINAL exception at the gather — never ``queue.Empty``, never a
-    hang — and leave no worker threads behind."""
+    hang — and leave no worker thread or process behind."""
 
+    @pytest.mark.parametrize("workers", WORKERS)
     @pytest.mark.parametrize("parallelism", [2, 4])
     @pytest.mark.parametrize("sql", [GROUP_SQL, ORDERED_SQL],
                              ids=["hash-exchange", "ordered-merge"])
-    def test_original_error_surfaces(self, sql, parallelism):
+    def test_original_error_surfaces(self, sql, parallelism, workers):
         catalog, _ = make_catalog(
             fail_after_rows=50, fail_times=-1,
             error_factory=lambda t, p, r: ValueError("boom"))
         planner = planner_for(catalog, engine="vectorized",
-                              parallelism=parallelism,
+                              parallelism=parallelism, workers=workers,
                               partitioned_scans=False)
         with pytest.raises(ValueError, match="boom"):
             planner.execute(sql)
-        assert not live_workers()
+        assert_no_workers()
 
 
 # ---------------------------------------------------------------------------

@@ -673,7 +673,7 @@ class TestSelectionVectorSemantics:
         compacts it before selecting again."""
         from repro.core.traits import RelTraitSet
         from repro.runtime.operators import ExecutionContext
-        from repro.runtime.vectorized.exchange import InjectedBatches
+        from repro.runtime.vectorized.exchange import InjectedStream
         from repro.runtime.vectorized.executor import execute_batches
         from repro.runtime.vectorized.nodes import (
             VECTORIZED, VectorizedFilter, VectorizedProject)
@@ -699,7 +699,8 @@ class TestSelectionVectorSemantics:
         batch_size = 16
         below = list(execute_batches(lower, ExecutionContext(), batch_size))
         above = list(execute_batches(
-            project(InjectedBatches(iter(below), lower.row_type)),
+            project(InjectedStream(lower.row_type,
+                                   lambda ctx, batch_size: iter(below))),
             ExecutionContext(), batch_size))
         assert len(above) == len(below) > 1
         for b, a in zip(below, above):

@@ -9,7 +9,6 @@ column encoding (typed int/float/str columns, nullable variants, and
 the tagged fallback for mixed/exotic columns).
 """
 
-import io
 import math
 import struct
 
@@ -23,8 +22,6 @@ from repro.runtime.vectorized.wire import (
     VERSION,
     decode_batch,
     encode_batch,
-    pack_frame,
-    read_frame,
 )
 
 INT64_MIN = -(2 ** 63)
@@ -159,23 +156,44 @@ class TestWireEdges:
         with pytest.raises(ValueError, match="corrupt wire frame"):
             decode_batch(bytes(frame))
 
-    def test_frame_framing_roundtrip(self):
-        payloads = [b"", b"x", encode_batch(ColumnBatch([[1, 2]], 2))]
-        stream = io.BytesIO(b"".join(pack_frame(p) for p in payloads))
-        got = []
-        while (frame := read_frame(stream.read)) is not None:
-            got.append(frame)
-        assert got == payloads
-
-    def test_truncated_frame_raises_eof(self):
-        whole = pack_frame(b"abcdef")
-        with pytest.raises(EOFError, match="truncated"):
-            read_frame(io.BytesIO(whole[:-2]).read)
-        with pytest.raises(EOFError, match="truncated"):
-            read_frame(io.BytesIO(whole[:2]).read)
-
     def test_header_layout_is_stable(self):
         """The header is part of the wire contract: magic, version,
         field count (u16) and row count (u32), little-endian."""
         frame = encode_batch(ColumnBatch([[7], ["a"]], 1))
         assert struct.unpack_from("<BBHI", frame, 0) == (MAGIC, VERSION, 2, 1)
+
+
+class TestMalformedFrames:
+    """A pipe hands the decoder whatever bytes arrived: every malformed
+    frame must fail with the one typed error, never a bare struct,
+    index, pickle or EOF error, and never allocate per header row."""
+
+    #: one column per encoding: int, nullable float, nullable string,
+    #: and a tagged column holding bool, bytes, NULL and a pickled dict
+    MIXED = ColumnBatch([[1, 2, 3], [1.5, None, 2.5], ["a", None, "é"],
+                         [True, b"x", {"k": 1}]], 3)
+
+    def test_every_truncation_raises_typed_error(self):
+        frame = encode_batch(self.MIXED)
+        assert decode_batch(frame).to_rows() == self.MIXED.to_rows()
+        for cut in range(len(frame)):
+            with pytest.raises(ValueError, match="corrupt wire frame"):
+                decode_batch(frame[:cut])
+
+    @pytest.mark.parametrize("rows", [4, 2 ** 31, 2 ** 32 - 1])
+    def test_oversized_row_count_raises_typed_error(self, rows):
+        frame = bytearray(encode_batch(self.MIXED))
+        struct.pack_into("<I", frame, 4, rows)
+        with pytest.raises(ValueError, match="corrupt wire frame"):
+            decode_batch(bytes(frame))
+
+    def test_trailing_bytes_rejected(self):
+        frame = encode_batch(self.MIXED)
+        with pytest.raises(ValueError, match="corrupt wire frame"):
+            decode_batch(frame + b"\x00")
+
+    def test_empty_column_in_nonempty_batch_rejected(self):
+        frame = bytearray(encode_batch(ColumnBatch([], 0)))
+        struct.pack_into("<HI", frame, 2, 1, 2 ** 31)
+        with pytest.raises(ValueError, match="corrupt wire frame"):
+            decode_batch(bytes(frame) + b"\x00")
