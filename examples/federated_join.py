@@ -73,10 +73,9 @@ def main() -> None:
           f"(0 — Splunk reached it via lookup, not Calcite)")
 
     # For contrast: disable the Splunk join rule and re-plan.
-    from repro.adapters.splunk.adapter import SplunkJoinRule
     splunk_schema = catalog.resolve_schema(["splunk"])
     splunk_schema.rules = [r for r in splunk_schema.rules
-                           if not isinstance(r, SplunkJoinRule)]
+                           if getattr(r, "op", None) != "join"]
     planner2 = Planner(FrameworkConfig(catalog))
     alt = planner2.optimize(planner2.rel(SQL))
     print("\nWithout the SplunkJoinRule (join runs client-side):")

@@ -5,9 +5,10 @@ csv/memory) describes what it can do through one declaration,
 :class:`ScanCapabilities`, instead of the planner special-casing each
 adapter:
 
-* ``supports_predicate_pushdown`` + ``pushable_ops`` — which relational
-  operators the backend evaluates server-side (its push rules consume
-  this; ``pushable_ops`` is the documented contract surface).
+* ``pushable_ops`` — which relational operators the backend evaluates
+  server-side.  The backend's planner rules are generated from it
+  (:func:`~repro.adapters.pushdown.pushdown_rules`), so the
+  declaration is the rule set.
 * ``supports_partitioned_scan`` + ``partition_scheme`` — whether the
   backend can serve one shard of a hash-partitioned scan, i.e. only
   the rows with ``MOD(HASH(keys), n_partitions) = partition_id``
@@ -35,8 +36,8 @@ the parallel scheduler's hash split, the in-process backends, and the
 
 This module also hosts :func:`split_comparisons`, the one shared
 "decompose a filter into pushable column-vs-literal comparisons plus a
-residual" routine that the per-backend filter-push rules previously
-each re-implemented.
+residual" routine every non-SQL backend's ``push_filter`` renders
+from, and :func:`kept_fields`, the field-list test for projections.
 """
 
 from __future__ import annotations
@@ -92,10 +93,11 @@ register_runtime_function("HASH", lambda *values: hash(values))
 class ScanCapabilities:
     """What a backend's scans can do, declared once per table/adapter.
 
-    ``pushable_ops`` names the relational operators the adapter's
-    planner rules can push into the backend (``"filter"``,
-    ``"project"``, ``"sort"``, ``"limit"``, ``"aggregate"``,
-    ``"join"``); it is the documented contract the rules implement.
+    ``pushable_ops`` names the relational operators the backend
+    evaluates (``"filter"``, ``"project"``, ``"sort"``, ``"limit"``,
+    ``"aggregate"``, ``"join"``); a pushdown backend gets one generated
+    push rule per op, and a backend pushes predicates exactly when it
+    declares ``"filter"``.
     ``partition_scheme`` is ``"hash-mod"`` when the backend can filter
     ``MOD(HASH(keys), n) = i`` server-side (or equivalent), or
     ``"stride"`` when it can only deal out disjoint slices (valid for
@@ -105,16 +107,18 @@ class ScanCapabilities:
     or NaN value matches no row.
     """
 
-    supports_predicate_pushdown: bool = False
     supports_partitioned_scan: bool = False
     partition_scheme: Optional[str] = None
     pushable_ops: frozenset = field(default_factory=frozenset)
     supports_key_lookup: bool = False
 
+    @property
+    def supports_predicate_pushdown(self) -> bool:
+        return "filter" in self.pushable_ops
+
     def fingerprint(self) -> Tuple:
         """A hashable summary for plan-cache planning fingerprints."""
-        return (self.supports_predicate_pushdown,
-                self.supports_partitioned_scan,
+        return (self.supports_partitioned_scan,
                 self.partition_scheme,
                 tuple(sorted(self.pushable_ops)),
                 self.supports_key_lookup)
@@ -125,7 +129,7 @@ SCAN_ONLY = ScanCapabilities()
 
 
 # ---------------------------------------------------------------------------
-# Shared filter decomposition (the old per-backend copies unified)
+# Shared filter decomposition
 # ---------------------------------------------------------------------------
 
 class Comparison(NamedTuple):
@@ -190,3 +194,19 @@ def _classify(conjunct: RexNode, field_of, kinds, accept_value) -> Optional[Comp
     if field is None or not accept_value(lit.value):
         return None
     return Comparison(field, kind, lit.value, conjunct)
+
+
+def kept_fields(projects: Sequence[RexNode], out_names: Sequence[str],
+                in_names: Sequence[str]) -> Optional[List[str]]:
+    """The input fields a projection keeps, by name, when it only picks
+    and reorders them without renaming; None otherwise.
+
+    This is the projection a field-list pushdown (``_source``, SPL
+    ``fields``) can express.
+    """
+    kept: List[str] = []
+    for p, out in zip(projects, out_names):
+        if not isinstance(p, RexInputRef) or in_names[p.index] != out:
+            return None
+        kept.append(out)
+    return kept

@@ -5,10 +5,8 @@ from .adapter import (
     CassandraQuery,
     CassandraSchema,
     CassandraTable,
-    cassandra_rules,
 )
 from .store import CassandraError, CassandraStore, CassandraTableDef
 
 __all__ = ["CASSANDRA", "CassandraError", "CassandraQuery", "CassandraSchema",
-           "CassandraStore", "CassandraTable", "CassandraTableDef",
-           "cassandra_rules"]
+           "CassandraStore", "CassandraTable", "CassandraTableDef"]

@@ -1,6 +1,8 @@
 """The Cassandra adapter (Section 6's worked pushdown example).
 
-Reproduces the paper's rules verbatim:
+Reproduces the paper's rules verbatim, as the ``push_filter`` and
+``push_sort`` hooks of :class:`CassandraSchema` that the planner rules
+are generated from:
 
 * a ``LogicalFilter`` restricting the partition key is rewritten to a
   ``CassandraFilter`` "to ensure the partition filter is pushed down to
@@ -19,13 +21,13 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from ...core.cost import RelOptCost
-from ...core.rel import Filter, LogicalTableScan, RelNode, Sort
-from ...core.rex import RexNode, SqlKind
-from ...core.rule import ConverterRule, RelOptRule, RelOptRuleCall, any_operand, operand
+from ...core.rel import Filter, LogicalFilter, LogicalTableScan, RelNode, Sort
+from ...core.rex import RexNode, SqlKind, compose_conjunction
 from ...core.traits import Convention, RelCollation, RelFieldCollation, RelTraitSet
 from ...core.types import DEFAULT_TYPE_FACTORY, RelDataType
-from ...schema.core import Schema, Statistic, Table
+from ...schema.core import Statistic, Table
 from ..capability import ScanCapabilities, split_comparisons
+from ..pushdown import PushdownSchema
 from .store import CassandraStore, CassandraTableDef
 
 _F = DEFAULT_TYPE_FACTORY
@@ -36,7 +38,6 @@ CASSANDRA = Convention("cassandra")
 #: partitioned scans use the generic client-side hash-mod fallback
 #: (rows are plain tuples), not a server-side token-range split.
 _CASSANDRA_CAPABILITIES = ScanCapabilities(
-    supports_predicate_pushdown=True,
     supports_partitioned_scan=True,
     partition_scheme="hash-mod",
     pushable_ops=frozenset({"filter", "sort", "limit"}),
@@ -60,26 +61,6 @@ class CassandraTable(Table):
 
     def capabilities(self) -> ScanCapabilities:
         return _CASSANDRA_CAPABILITIES
-
-
-class CassandraSchema(Schema):
-    def __init__(self, name: str, store: CassandraStore) -> None:
-        super().__init__(name)
-        self.store = store
-        self.convention = CASSANDRA
-        for rule in cassandra_rules(self):
-            self.add_rule(rule)
-
-    def add_cassandra_table(self, name: str, field_names, field_types,
-                            partition_keys, clustering_keys,
-                            rows=None) -> CassandraTable:
-        table_def = self.store.create_table(
-            name, field_names, partition_keys, clustering_keys)
-        for row in rows or []:
-            table_def.insert(row)
-        table = CassandraTable(self.store, table_def, field_types)
-        self.add_table(table)
-        return table
 
 
 class CassandraQuery(RelNode):
@@ -183,171 +164,111 @@ def _collation_for(table: CassandraTable,
         RelFieldCollation(names.index(c), desc) for c, desc in order_fields])
 
 
-class CassandraTableScanRule(ConverterRule):
-    def __init__(self, schema: CassandraSchema) -> None:
-        super().__init__(LogicalTableScan, Convention.NONE, CASSANDRA,
-                         f"CassandraTableScanRule({schema.name})")
-        self.schema = schema
+_CQL_OPS = {SqlKind.EQUALS: "=", SqlKind.LESS_THAN: "<",
+            SqlKind.LESS_THAN_OR_EQUAL: "<=",
+            SqlKind.GREATER_THAN: ">",
+            SqlKind.GREATER_THAN_OR_EQUAL: ">="}
 
-    def convert(self, rel: RelNode, call: RelOptRuleCall) -> Optional[RelNode]:
-        source = rel.table.source
-        if not isinstance(source, CassandraTable) or source.store is not self.schema.store:
+
+def _split_filter(condition: RexNode, query: CassandraQuery):
+    """Split the predicate into (partition equality, clustering
+    ranges, residual conjuncts) — non-key comparisons stay client
+    side as a residual filter, a *partial* pushdown."""
+    table_def = query.cass_table.table_def
+    names = list(query.cass_table.row_type.field_names)
+    comparisons, residual = split_comparisons(condition)
+    partition: Dict[str, Any] = {}
+    ranges: List[Tuple[str, str, Any]] = []
+    for comp in comparisons:
+        column = names[comp.field]
+        if column in table_def.partition_keys and comp.kind is SqlKind.EQUALS:
+            partition[column] = comp.value
+        elif column in table_def.clustering_keys and comp.kind in _CQL_OPS:
+            ranges.append((column, _CQL_OPS[comp.kind], comp.value))
+        else:
+            residual.append(comp.rex)
+    return partition, ranges, residual
+
+
+class CassandraSchema(PushdownSchema):
+    query_class = CassandraQuery
+    capabilities = _CASSANDRA_CAPABILITIES
+    #: a pushed ORDER BY is served by clustering order
+    keeps_order = True
+
+    def __init__(self, name: str, store: CassandraStore) -> None:
+        super().__init__(name, CASSANDRA)
+        self.store = store
+
+    def add_cassandra_table(self, name: str, field_names, field_types,
+                            partition_keys, clustering_keys,
+                            rows=None) -> CassandraTable:
+        table_def = self.store.create_table(
+            name, field_names, partition_keys, clustering_keys)
+        for row in rows or []:
+            table_def.insert(row)
+        table = CassandraTable(self.store, table_def, field_types)
+        self.add_table(table)
+        return table
+
+    def query_for(self, scan: LogicalTableScan) -> Optional[CassandraQuery]:
+        source = scan.table.source
+        if not isinstance(source, CassandraTable) or source.store is not self.store:
             return None
         return CassandraQuery(source)
 
+    def owns(self, query: CassandraQuery) -> bool:
+        return query.cass_table.store is self.store
 
-class CassandraFilterRule(RelOptRule):
-    """LogicalFilter → CassandraFilter: partition-key equality plus
-    clustering-key ranges push into CQL."""
-
-    def __init__(self, schema: CassandraSchema) -> None:
-        super().__init__(operand(Filter, any_operand(CassandraQuery)),
-                         f"CassandraFilterRule({schema.name})")
-        self.schema = schema
-
-    _CQL_OPS = {SqlKind.EQUALS: "=", SqlKind.LESS_THAN: "<",
-                SqlKind.LESS_THAN_OR_EQUAL: "<=",
-                SqlKind.GREATER_THAN: ">",
-                SqlKind.GREATER_THAN_OR_EQUAL: ">="}
-
-    def _translate(self, condition: RexNode, query: "CassandraQuery"):
-        """Split the predicate into (partition equality, clustering
-        ranges, residual conjuncts) — non-key comparisons stay client
-        side as a residual filter, a *partial* pushdown."""
-        table_def = query.cass_table.table_def
-        names = list(query.cass_table.row_type.field_names)
-        comparisons, residual = split_comparisons(condition)
-        partition: Dict[str, Any] = {}
-        ranges: List[Tuple[str, str, Any]] = []
-        for comp in comparisons:
-            column = names[comp.field]
-            if column in table_def.partition_keys and comp.kind is SqlKind.EQUALS:
-                partition[column] = comp.value
-            elif column in table_def.clustering_keys and comp.kind in self._CQL_OPS:
-                ranges.append((column, self._CQL_OPS[comp.kind], comp.value))
-            else:
-                residual.append(comp.rex)
-        return partition, ranges, residual
-
-    def matches(self, call: RelOptRuleCall) -> bool:
-        query = call.rel(1)
-        if query.cass_table.store is not self.schema.store:
-            return False
-        if query.partition_filter is not None or query.order_fields \
-                or query.clustering_ranges:
-            return False
-        partition, ranges, _residual = self._translate(
-            call.rel(0).condition, query)
-        # Only fire when something actually pushes, and only when the
-        # partition key is fully restricted (Cassandra's requirement).
-        if not partition and not ranges:
-            return False
-        table_def = query.cass_table.table_def
-        if partition and any(k not in partition for k in table_def.partition_keys):
-            return False
-        return bool(partition)
-
-    def on_match(self, call: RelOptRuleCall) -> None:
-        from ...core.rel import LogicalFilter
-        from ...core.rex import compose_conjunction
-        from ...core.traits import RelTraitSet
-        filter_, query = call.rel(0), call.rel(1)
-        partition, ranges, residual = self._translate(filter_.condition, query)
-        new_query = CassandraQuery(
-            query.cass_table, partition or None, tuple(ranges))
+    def push_filter(self, filter_: Filter,
+                    query: CassandraQuery) -> Optional[RelNode]:
+        """LogicalFilter → CassandraFilter: partition-key equality plus
+        clustering-key ranges push into CQL, only once the partition
+        key is fully restricted (Cassandra's requirement)."""
+        if (query.partition_filter is not None or query.order_fields
+                or query.clustering_ranges):
+            return None
+        partition, ranges, residual = _split_filter(filter_.condition, query)
+        partition_keys = query.cass_table.table_def.partition_keys
+        if not partition or any(k not in partition for k in partition_keys):
+            return None
+        pushed = CassandraQuery(query.cass_table, partition, tuple(ranges))
         rest = compose_conjunction(residual)
         if rest is None:
-            call.transform_to(new_query)
-        else:
-            # The residual runs client-side: a *logical* filter over the
-            # pushed query (otherwise it would inherit the cassandra
-            # convention and no engine could implement it).
-            call.transform_to(LogicalFilter(new_query, rest,
-                                            RelTraitSet(Convention.NONE)))
+            return pushed
+        # The residual runs client-side: a *logical* filter over the
+        # pushed query (otherwise it would inherit the cassandra
+        # convention and no engine could implement it).
+        return LogicalFilter(pushed, rest, RelTraitSet(Convention.NONE))
 
-
-class CassandraSortRule(RelOptRule):
-    """LogicalSort → CassandraSort under the paper's two conditions."""
-
-    def __init__(self, schema: CassandraSchema) -> None:
-        super().__init__(operand(Sort, any_operand(CassandraQuery)),
-                         f"CassandraSortRule({schema.name})")
-        self.schema = schema
-
-    def matches(self, call: RelOptRuleCall) -> bool:
-        sort, query = call.rel(0), call.rel(1)
-        if query.cass_table.store is not self.schema.store:
-            return False
-        if not sort.collation.field_collations:
-            return False
+    def push_sort(self, sort: Sort,
+                  query: CassandraQuery) -> Optional[CassandraQuery]:
+        """LogicalSort → CassandraSort under the paper's two conditions."""
         # Condition (1): filtered to a single partition.
         if not query.filters_single_partition:
-            return False
+            return None
         # Condition (2): required sort shares a prefix with the
         # clustering (partition-internal) order.
         names = list(query.cass_table.row_type.field_names)
         clustering = query.cass_table.table_def.clustering_keys
         fcs = sort.collation.field_collations
         if len(fcs) > len(clustering):
-            return False
-        directions = {fc.descending for fc in fcs}
-        if len(directions) > 1:
-            return False  # must be uniformly ASC or DESC
-        for fc, cluster_col in zip(fcs, clustering):
-            if names[fc.field_index] != cluster_col:
-                return False
-        return True
+            return None
+        if len({fc.descending for fc in fcs}) > 1:
+            return None  # must be uniformly ASC or DESC
+        if any(names[fc.field_index] != cluster_col
+               for fc, cluster_col in zip(fcs, clustering)):
+            return None
+        order_fields = tuple((names[fc.field_index], fc.descending)
+                             for fc in fcs)
+        return CassandraQuery(query.cass_table, query.partition_filter,
+                              query.clustering_ranges, order_fields, sort.fetch)
 
-    def on_match(self, call: RelOptRuleCall) -> None:
-        sort, query = call.rel(0), call.rel(1)
-        names = list(query.cass_table.row_type.field_names)
-        order_fields = tuple(
-            (names[fc.field_index], fc.descending)
-            for fc in sort.collation.field_collations)
-        call.transform_to(CassandraQuery(
-            query.cass_table, query.partition_filter, query.clustering_ranges,
-            order_fields, sort.fetch))
-
-
-class CassandraLimitRule(RelOptRule):
-    """Push a bare LIMIT (no re-sort needed) into CQL."""
-
-    def __init__(self, schema: CassandraSchema) -> None:
-        super().__init__(operand(Sort, any_operand(CassandraQuery)),
-                         f"CassandraLimitRule({schema.name})")
-        self.schema = schema
-
-    def matches(self, call: RelOptRuleCall) -> bool:
-        sort, query = call.rel(0), call.rel(1)
-        return (query.cass_table.store is self.schema.store
-                and not sort.collation.field_collations
-                and sort.offset is None and sort.fetch is not None
-                and query.limit is None)
-
-    def on_match(self, call: RelOptRuleCall) -> None:
-        sort, query = call.rel(0), call.rel(1)
-        call.transform_to(CassandraQuery(
-            query.cass_table, query.partition_filter, query.clustering_ranges,
-            query.order_fields, sort.fetch))
-
-
-class CassandraToEnumerableConverterRule(ConverterRule):
-    def __init__(self, schema: CassandraSchema) -> None:
-        super().__init__(CassandraQuery, CASSANDRA, Convention.ENUMERABLE,
-                         f"CassandraToEnumerableConverterRule({schema.name})")
-        self.schema = schema
-
-    def convert(self, rel: RelNode, call: RelOptRuleCall) -> Optional[RelNode]:
-        from ...core.rel import Converter
-        return Converter(call.convert_input(rel, RelTraitSet(CASSANDRA)),
-                         RelTraitSet(Convention.ENUMERABLE, rel.traits.collation))
-
-
-def cassandra_rules(schema: CassandraSchema) -> List[RelOptRule]:
-    return [
-        CassandraTableScanRule(schema),
-        CassandraFilterRule(schema),
-        CassandraSortRule(schema),
-        CassandraLimitRule(schema),
-        CassandraToEnumerableConverterRule(schema),
-    ]
+    def push_limit(self, sort: Sort,
+                   query: CassandraQuery) -> Optional[CassandraQuery]:
+        """A bare LIMIT (no re-sort needed)."""
+        if sort.offset is not None or sort.fetch is None or query.limit is not None:
+            return None
+        return CassandraQuery(query.cass_table, query.partition_filter,
+                              query.clustering_ranges, query.order_fields,
+                              sort.fetch)

@@ -1,7 +1,7 @@
 """Druid adapter + its simulated time-partitioned OLAP store."""
 
-from .adapter import DRUID, DruidQuery, DruidSchema, DruidTable, druid_rules
+from .adapter import DRUID, DruidQuery, DruidSchema, DruidTable
 from .store import DruidDatasource, DruidError, DruidStore
 
 __all__ = ["DRUID", "DruidDatasource", "DruidError", "DruidQuery",
-           "DruidSchema", "DruidStore", "DruidTable", "druid_rules"]
+           "DruidSchema", "DruidStore", "DruidTable"]

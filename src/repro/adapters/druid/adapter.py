@@ -7,16 +7,16 @@ a single REST call answered from Druid's column store.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from ...core.cost import RelOptCost
 from ...core.rel import Aggregate, Filter, LogicalTableScan, RelNode
 from ...core.rex import RexNode, SqlKind
-from ...core.rule import ConverterRule, RelOptRule, RelOptRuleCall, any_operand, operand
 from ...core.traits import Convention, RelTraitSet
 from ...core.types import DEFAULT_TYPE_FACTORY, RelDataType
-from ...schema.core import Schema, Statistic, Table
+from ...schema.core import Statistic, Table
 from ..capability import ScanCapabilities, split_comparisons
+from ..pushdown import PushdownSchema
 from .store import DruidDatasource, DruidStore, render_query
 
 _F = DEFAULT_TYPE_FACTORY
@@ -26,7 +26,6 @@ DRUID = Convention("druid")
 #: filters and grouped aggregations collapse into one JSON query; no
 #: partitioned scans (no server-side hash-mod over segments here).
 _DRUID_CAPABILITIES = ScanCapabilities(
-    supports_predicate_pushdown=True,
     pushable_ops=frozenset({"filter", "aggregate"}),
 )
 
@@ -50,22 +49,6 @@ class DruidTable(Table):
 
     def capabilities(self) -> ScanCapabilities:
         return _DRUID_CAPABILITIES
-
-
-class DruidSchema(Schema):
-    def __init__(self, name: str, store: DruidStore) -> None:
-        super().__init__(name)
-        self.store = store
-        self.convention = DRUID
-        for rule in druid_rules(self):
-            self.add_rule(rule)
-
-    def add_datasource(self, name: str, dimensions, metrics, field_types,
-                       events: Optional[List[dict]] = None) -> DruidTable:
-        ds = self.store.create_datasource(name, dimensions, metrics, events)
-        table = DruidTable(self.store, ds, field_types)
-        self.add_table(table)
-        return table
 
 
 class DruidQuery(RelNode):
@@ -140,19 +123,6 @@ class DruidQuery(RelNode):
         return [("query", self.request())]
 
 
-class DruidTableScanRule(ConverterRule):
-    def __init__(self, schema: DruidSchema) -> None:
-        super().__init__(LogicalTableScan, Convention.NONE, DRUID,
-                         f"DruidTableScanRule({schema.name})")
-        self.schema = schema
-
-    def convert(self, rel: RelNode, call: RelOptRuleCall) -> Optional[RelNode]:
-        source = rel.table.source
-        if not isinstance(source, DruidTable) or source.store is not self.schema.store:
-            return None
-        return DruidQuery(source)
-
-
 _BOUND_SPECS = {
     SqlKind.GREATER_THAN: ("lower", True),
     SqlKind.GREATER_THAN_OR_EQUAL: ("lower", False),
@@ -184,88 +154,70 @@ def translate_filter_spec(condition: RexNode, field_names) -> Optional[dict]:
     return {"type": "and", "fields": fields}
 
 
-class DruidFilterRule(RelOptRule):
-    def __init__(self, schema: DruidSchema) -> None:
-        super().__init__(operand(Filter, any_operand(DruidQuery)),
-                         f"DruidFilterRule({schema.name})")
-        self.schema = schema
-
-    def matches(self, call: RelOptRuleCall) -> bool:
-        query = call.rel(1)
-        if query.druid_table.store is not self.schema.store:
-            return False
-        if query.filter_spec is not None or query.group_dims is not None:
-            return False
-        return translate_filter_spec(
-            call.rel(0).condition, query.row_type.field_names) is not None
-
-    def on_match(self, call: RelOptRuleCall) -> None:
-        filter_, query = call.rel(0), call.rel(1)
-        spec = translate_filter_spec(
-            filter_.condition, query.row_type.field_names)
-        assert spec is not None
-        call.transform_to(DruidQuery(query.druid_table, spec))
-
-
 _AGG_TYPES = {"COUNT": "count", "SUM": "longSum", "MIN": "longMin", "MAX": "longMax"}
 
 
-class DruidAggregateRule(RelOptRule):
-    """Push GROUP BY dimensions + COUNT/SUM/MIN/MAX into a groupBy query."""
+def translate_aggregations(agg: Aggregate, query: DruidQuery) -> Optional[List[dict]]:
+    """GROUP BY dimensions + COUNT/SUM/MIN/MAX → groupBy aggregation
+    specs; None if any group key is not a dimension or any call has no
+    Druid aggregator."""
+    names = query.row_type.field_names
+    dims = set(query.druid_table.datasource.dimensions)
+    if not all(names[g] in dims for g in agg.group_set):
+        return None
+    aggregations = []
+    for c in agg.agg_calls:
+        if c.op.name not in _AGG_TYPES or c.distinct or c.filter_arg is not None:
+            return None
+        if c.op.name != "COUNT" and len(c.args) != 1:
+            return None
+        spec = {"type": _AGG_TYPES[c.op.name], "name": c.name}
+        if c.args:
+            spec["fieldName"] = names[c.args[0]]
+        aggregations.append(spec)
+    return aggregations
 
-    def __init__(self, schema: DruidSchema) -> None:
-        super().__init__(operand(Aggregate, any_operand(DruidQuery)),
-                         f"DruidAggregateRule({schema.name})")
-        self.schema = schema
 
-    def matches(self, call: RelOptRuleCall) -> bool:
-        agg, query = call.rel(0), call.rel(1)
-        if query.druid_table.store is not self.schema.store:
-            return False
+class DruidSchema(PushdownSchema):
+    query_class = DruidQuery
+    capabilities = _DRUID_CAPABILITIES
+
+    def __init__(self, name: str, store: DruidStore) -> None:
+        super().__init__(name, DRUID)
+        self.store = store
+
+    def add_datasource(self, name: str, dimensions, metrics, field_types,
+                       events: Optional[List[dict]] = None) -> DruidTable:
+        ds = self.store.create_datasource(name, dimensions, metrics, events)
+        table = DruidTable(self.store, ds, field_types)
+        self.add_table(table)
+        return table
+
+    def query_for(self, scan: LogicalTableScan) -> Optional[DruidQuery]:
+        source = scan.table.source
+        if not isinstance(source, DruidTable) or source.store is not self.store:
+            return None
+        return DruidQuery(source)
+
+    def owns(self, query: DruidQuery) -> bool:
+        return query.druid_table.store is self.store
+
+    def push_filter(self, filter_: Filter,
+                    query: DruidQuery) -> Optional[DruidQuery]:
+        if query.filter_spec is not None or query.group_dims is not None:
+            return None
+        spec = translate_filter_spec(filter_.condition,
+                                     query.row_type.field_names)
+        return None if spec is None else DruidQuery(query.druid_table, spec)
+
+    def push_aggregate(self, agg: Aggregate,
+                       query: DruidQuery) -> Optional[DruidQuery]:
         if query.group_dims is not None:
-            return False
+            return None
+        aggregations = translate_aggregations(agg, query)
+        if aggregations is None:
+            return None
         names = query.row_type.field_names
-        dims = set(query.druid_table.datasource.dimensions)
-        if not all(names[g] in dims for g in agg.group_set):
-            return False
-        for c in agg.agg_calls:
-            if c.op.name not in _AGG_TYPES or c.distinct or c.filter_arg is not None:
-                return False
-            if c.op.name != "COUNT" and len(c.args) != 1:
-                return False
-        return True
-
-    def on_match(self, call: RelOptRuleCall) -> None:
-        agg, query = call.rel(0), call.rel(1)
-        names = query.row_type.field_names
-        dims = [names[g] for g in agg.group_set]
-        aggregations = []
-        for c in agg.agg_calls:
-            spec = {"type": _AGG_TYPES[c.op.name], "name": c.name}
-            if c.args:
-                spec["fieldName"] = names[c.args[0]]
-            aggregations.append(spec)
-        call.transform_to(DruidQuery(
-            query.druid_table, query.filter_spec, dims, aggregations,
-            row_type=agg.row_type))
-
-
-class DruidToEnumerableConverterRule(ConverterRule):
-    def __init__(self, schema: DruidSchema) -> None:
-        super().__init__(DruidQuery, DRUID, Convention.ENUMERABLE,
-                         f"DruidToEnumerableConverterRule({schema.name})")
-        self.schema = schema
-
-    def convert(self, rel: RelNode, call: RelOptRuleCall) -> Optional[RelNode]:
-        from ...core.rel import Converter
-        return Converter(call.convert_input(rel, RelTraitSet(DRUID)),
-                         RelTraitSet(Convention.ENUMERABLE))
-
-
-def druid_rules(schema: DruidSchema) -> List[RelOptRule]:
-    return [
-        DruidTableScanRule(schema),
-        DruidFilterRule(schema),
-        DruidAggregateRule(schema),
-        DruidToEnumerableConverterRule(schema),
-    ]
+        return DruidQuery(query.druid_table, query.filter_spec,
+                          [names[g] for g in agg.group_set], aggregations,
+                          row_type=agg.row_type)

@@ -5,9 +5,8 @@ from .adapter import (
     ElasticQuery,
     ElasticSchema,
     ElasticTable,
-    elastic_rules,
 )
 from .store import ElasticError, ElasticStore
 
 __all__ = ["ELASTIC", "ElasticError", "ElasticQuery", "ElasticSchema",
-           "ElasticStore", "ElasticTable", "elastic_rules"]
+           "ElasticStore", "ElasticTable"]

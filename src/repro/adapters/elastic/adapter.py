@@ -7,11 +7,11 @@ from typing import Any, Dict, List, Optional
 from ...core.cost import RelOptCost
 from ...core.rel import Filter, LogicalTableScan, Project, RelNode, Sort
 from ...core.rex import RexNode, SqlKind
-from ...core.rule import ConverterRule, RelOptRule, RelOptRuleCall, any_operand, operand
 from ...core.traits import Convention, RelTraitSet
 from ...core.types import DEFAULT_TYPE_FACTORY, RelDataType
-from ...schema.core import Schema, Statistic, Table
-from ..capability import ScanCapabilities, split_comparisons
+from ...schema.core import Statistic, Table
+from ..capability import ScanCapabilities, kept_fields, split_comparisons
+from ..pushdown import PushdownSchema
 from .store import ElasticStore, render_search
 
 _F = DEFAULT_TYPE_FACTORY
@@ -21,7 +21,6 @@ ELASTIC = Convention("elasticsearch")
 #: term/range filters, _source projections and size limits all travel
 #: in the _search body; no partitioned scans (no server-side hash-mod).
 _ELASTIC_CAPABILITIES = ScanCapabilities(
-    supports_predicate_pushdown=True,
     pushable_ops=frozenset({"filter", "project", "limit"}),
 )
 
@@ -43,23 +42,6 @@ class ElasticTable(Table):
 
     def capabilities(self) -> ScanCapabilities:
         return _ELASTIC_CAPABILITIES
-
-
-class ElasticSchema(Schema):
-    def __init__(self, name: str, store: ElasticStore) -> None:
-        super().__init__(name)
-        self.store = store
-        self.convention = ELASTIC
-        for rule in elastic_rules(self):
-            self.add_rule(rule)
-
-    def add_elastic_table(self, index: str, field_names, field_types,
-                          documents: Optional[List[dict]] = None) -> ElasticTable:
-        if documents is not None:
-            self.store.add_index(index, documents)
-        table = ElasticTable(self.store, index, field_names, field_types)
-        self.add_table(table)
-        return table
 
 
 class ElasticQuery(RelNode):
@@ -123,19 +105,6 @@ class ElasticQuery(RelNode):
         return [("request", self.request())]
 
 
-class ElasticTableScanRule(ConverterRule):
-    def __init__(self, schema: ElasticSchema) -> None:
-        super().__init__(LogicalTableScan, Convention.NONE, ELASTIC,
-                         f"ElasticTableScanRule({schema.name})")
-        self.schema = schema
-
-    def convert(self, rel: RelNode, call: RelOptRuleCall) -> Optional[RelNode]:
-        source = rel.table.source
-        if not isinstance(source, ElasticTable) or source.store is not self.schema.store:
-            return None
-        return ElasticQuery(source)
-
-
 _RANGE_OPS = {
     SqlKind.GREATER_THAN: "gt",
     SqlKind.GREATER_THAN_OR_EQUAL: "gte",
@@ -164,95 +133,56 @@ def translate_to_dsl(condition: RexNode, field_names) -> Optional[List[dict]]:
     return clauses
 
 
-class ElasticFilterRule(RelOptRule):
-    def __init__(self, schema: ElasticSchema) -> None:
-        super().__init__(operand(Filter, any_operand(ElasticQuery)),
-                         f"ElasticFilterRule({schema.name})")
-        self.schema = schema
+class ElasticSchema(PushdownSchema):
+    query_class = ElasticQuery
+    capabilities = _ELASTIC_CAPABILITIES
 
-    def matches(self, call: RelOptRuleCall) -> bool:
-        query = call.rel(1)
-        if query.elastic_table.store is not self.schema.store:
-            return False
+    def __init__(self, name: str, store: ElasticStore) -> None:
+        super().__init__(name, ELASTIC)
+        self.store = store
+
+    def add_elastic_table(self, index: str, field_names, field_types,
+                          documents: Optional[List[dict]] = None) -> ElasticTable:
+        if documents is not None:
+            self.store.add_index(index, documents)
+        table = ElasticTable(self.store, index, field_names, field_types)
+        self.add_table(table)
+        return table
+
+    def query_for(self, scan: LogicalTableScan) -> Optional[ElasticQuery]:
+        source = scan.table.source
+        if not isinstance(source, ElasticTable) or source.store is not self.store:
+            return None
+        return ElasticQuery(source)
+
+    def owns(self, query: ElasticQuery) -> bool:
+        return query.elastic_table.store is self.store
+
+    def push_filter(self, filter_: Filter,
+                    query: ElasticQuery) -> Optional[ElasticQuery]:
         if query.source is not None or query.size is not None:
-            return False
-        return translate_to_dsl(
-            call.rel(0).condition, query.row_type.field_names) is not None
-
-    def on_match(self, call: RelOptRuleCall) -> None:
-        filter_, query = call.rel(0), call.rel(1)
+            return None
         clauses = translate_to_dsl(filter_.condition, query.row_type.field_names)
-        assert clauses is not None
-        call.transform_to(ElasticQuery(
-            query.elastic_table, tuple(query.filters) + tuple(clauses)))
+        if clauses is None:
+            return None
+        return ElasticQuery(query.elastic_table,
+                            tuple(query.filters) + tuple(clauses))
 
-
-class ElasticProjectRule(RelOptRule):
-    """Push a pure-reference projection as a _source field list."""
-
-    def __init__(self, schema: ElasticSchema) -> None:
-        super().__init__(operand(Project, any_operand(ElasticQuery)),
-                         f"ElasticProjectRule({schema.name})")
-        self.schema = schema
-
-    def matches(self, call: RelOptRuleCall) -> bool:
-        project, query = call.rel(0), call.rel(1)
-        if query.elastic_table.store is not self.schema.store:
-            return False
+    def push_project(self, project: Project,
+                     query: ElasticQuery) -> Optional[ElasticQuery]:
+        """A pure-reference projection becomes a _source field list."""
         if query.source is not None:
-            return False
-        perm = project.permutation()
-        if perm is None:
-            return False
-        in_names = query.row_type.field_names
-        return all(project.field_names[i] == in_names[perm[i]] for i in perm)
+            return None
+        source = kept_fields(project.projects, project.field_names,
+                             query.row_type.field_names)
+        if source is None:
+            return None
+        return ElasticQuery(query.elastic_table, query.filters, source,
+                            query.size)
 
-    def on_match(self, call: RelOptRuleCall) -> None:
-        project, query = call.rel(0), call.rel(1)
-        perm = project.permutation()
-        assert perm is not None
-        in_names = query.row_type.field_names
-        source = [in_names[perm[i]] for i in range(len(project.projects))]
-        call.transform_to(ElasticQuery(
-            query.elastic_table, query.filters, source, query.size))
-
-
-class ElasticLimitRule(RelOptRule):
-    def __init__(self, schema: ElasticSchema) -> None:
-        super().__init__(operand(Sort, any_operand(ElasticQuery)),
-                         f"ElasticLimitRule({schema.name})")
-        self.schema = schema
-
-    def matches(self, call: RelOptRuleCall) -> bool:
-        sort, query = call.rel(0), call.rel(1)
-        return (query.elastic_table.store is self.schema.store
-                and not sort.collation.field_collations
-                and sort.offset is None and sort.fetch is not None
-                and query.size is None)
-
-    def on_match(self, call: RelOptRuleCall) -> None:
-        sort, query = call.rel(0), call.rel(1)
-        call.transform_to(ElasticQuery(
-            query.elastic_table, query.filters, query.source, sort.fetch))
-
-
-class ElasticToEnumerableConverterRule(ConverterRule):
-    def __init__(self, schema: ElasticSchema) -> None:
-        super().__init__(ElasticQuery, ELASTIC, Convention.ENUMERABLE,
-                         f"ElasticToEnumerableConverterRule({schema.name})")
-        self.schema = schema
-
-    def convert(self, rel: RelNode, call: RelOptRuleCall) -> Optional[RelNode]:
-        from ...core.rel import Converter
-        return Converter(call.convert_input(rel, RelTraitSet(ELASTIC)),
-                         RelTraitSet(Convention.ENUMERABLE))
-
-
-def elastic_rules(schema: ElasticSchema) -> List[RelOptRule]:
-    return [
-        ElasticTableScanRule(schema),
-        ElasticFilterRule(schema),
-        ElasticProjectRule(schema),
-        ElasticLimitRule(schema),
-        ElasticToEnumerableConverterRule(schema),
-    ]
+    def push_limit(self, sort: Sort,
+                   query: ElasticQuery) -> Optional[ElasticQuery]:
+        if sort.offset is not None or sort.fetch is None or query.size is not None:
+            return None
+        return ElasticQuery(query.elastic_table, query.filters, query.source,
+                            sort.fetch)

@@ -1,7 +1,7 @@
 """JDBC adapter + its simulated backend (MiniDB)."""
 
-from .adapter import JdbcQuery, JdbcSchema, JdbcTable, jdbc_rules
+from .adapter import JdbcQuery, JdbcSchema, JdbcTable
 from .minidb import MiniDb, MiniDbError, MiniTable
 
 __all__ = ["JdbcQuery", "JdbcSchema", "JdbcTable", "MiniDb", "MiniDbError",
-           "MiniTable", "jdbc_rules"]
+           "MiniTable"]

@@ -24,7 +24,6 @@ from ...core.rel import (
     LogicalTableScan,
     Project,
     RelNode,
-    RelOptTable,
     Sort,
     TableScan,
 )
@@ -40,13 +39,13 @@ from ...core.rex import (
     contains_over,
     literal,
 )
-from ...core.rule import ConverterRule, RelOptRule, RelOptRuleCall, any_operand, operand
 from ...core.traits import Convention, RelTraitSet
-from ...core.types import DEFAULT_TYPE_FACTORY, RelDataType, SqlTypeName
-from ...schema.core import Schema, Statistic, Table
-from ...sql.dialect import SqlDialect, dialect_for
+from ...core.types import DEFAULT_TYPE_FACTORY, RelDataType
+from ...schema.core import Statistic, Table
+from ...sql.dialect import dialect_for
 from ...sql.unparser import RelToSqlConverter
 from ..capability import HASH, ScanCapabilities
+from ..pushdown import PushdownSchema
 from .minidb import MiniDb
 
 _F = DEFAULT_TYPE_FACTORY
@@ -55,7 +54,6 @@ _F = DEFAULT_TYPE_FACTORY
 #: push every pipeline stage and filter partition predicates
 #: (``MOD(HASH(keys), n) = i``) server-side.
 _JDBC_CAPABILITIES = ScanCapabilities(
-    supports_predicate_pushdown=True,
     supports_partitioned_scan=True,
     partition_scheme="hash-mod",
     pushable_ops=frozenset(
@@ -94,31 +92,6 @@ class JdbcTable(Table):
                f"WHERE MOD(HASH({cols}), {n_partitions}) = {partition_id}")
         _, rows = self.db.execute(sql)
         return iter(rows)
-
-
-class JdbcSchema(Schema):
-    """Schema factory for a JDBC source (Figure 3's schema factory)."""
-
-    def __init__(self, name: str, db: MiniDb, dialect: str = "mysql") -> None:
-        super().__init__(name)
-        self.db = db
-        self.dialect = dialect_for(dialect)
-        self.convention = Convention(f"jdbc-{name.lower()}")
-        for rule in jdbc_rules(self):
-            self.add_rule(rule)
-
-    def add_jdbc_table(self, name: str, field_names: Sequence[str],
-                       field_types: Sequence[RelDataType],
-                       rows: Optional[List[tuple]] = None,
-                       statistic: Optional[Statistic] = None) -> JdbcTable:
-        """Create the table in the backend DB and expose it to Calcite."""
-        self.db.create_table(name, field_names, rows or [])
-        row_type = _F.struct(field_names, field_types)
-        if statistic is None:
-            statistic = Statistic(row_count=float(len(rows or [])))
-        table = JdbcTable(self.db, name, row_type, statistic)
-        self.add_table(table)
-        return table
 
 
 class JdbcQuery(RelNode):
@@ -227,35 +200,6 @@ def _partitioned_inner(rel: RelNode, keys: Sequence[int], partition_id: int,
     return None
 
 
-class JdbcToEnumerableConverterRule(ConverterRule):
-    """jdbc → enumerable: results iterate out of the backend."""
-
-    def __init__(self, schema: JdbcSchema) -> None:
-        super().__init__(JdbcQuery, schema.convention, Convention.ENUMERABLE,
-                         f"JdbcToEnumerableConverterRule({schema.name})")
-        self.schema = schema
-
-    def convert(self, rel: RelNode, call: RelOptRuleCall) -> Optional[RelNode]:
-        from ...core.rel import Converter
-        return Converter(call.convert_input(rel, RelTraitSet(self.schema.convention)),
-                         RelTraitSet(Convention.ENUMERABLE))
-
-
-class JdbcTableScanRule(ConverterRule):
-    """LogicalTableScan over a JDBC table → JdbcQuery leaf."""
-
-    def __init__(self, schema: JdbcSchema) -> None:
-        super().__init__(LogicalTableScan, Convention.NONE, schema.convention,
-                         f"JdbcTableScanRule({schema.name})")
-        self.schema = schema
-
-    def convert(self, rel: RelNode, call: RelOptRuleCall) -> Optional[RelNode]:
-        source = rel.table.source
-        if not isinstance(source, JdbcTable) or source.db is not self.schema.db:
-            return None
-        return JdbcQuery(self.schema, LogicalTableScan(rel.table))
-
-
 def _inner_top_ok(query: "JdbcQuery", *blocked) -> bool:
     """Guard against redundant pushdown variants.
 
@@ -284,120 +228,84 @@ def _pushable(condition: RexNode) -> bool:
     return not found[0]
 
 
-class JdbcFilterPushRule(RelOptRule):
-    """Absorb a Filter into the JDBC query (WHERE pushdown)."""
+class JdbcSchema(PushdownSchema):
+    """Schema factory for a JDBC source (Figure 3's schema factory).
 
-    def __init__(self, schema: JdbcSchema) -> None:
-        super().__init__(operand(Filter, any_operand(JdbcQuery)),
-                         f"JdbcFilterPushRule({schema.name})")
-        self.schema = schema
+    Pushed operators accumulate in one :class:`JdbcQuery`'s inner tree;
+    a join absorbs two queries against this same backend.
+    """
 
-    def matches(self, call: RelOptRuleCall) -> bool:
-        query = call.rel(1)
-        return (query.schema is self.schema
-                and _inner_top_ok(query, Project, Sort)
-                and _pushable(call.rel(0).condition))
+    query_class = JdbcQuery
+    capabilities = _JDBC_CAPABILITIES
 
-    def on_match(self, call: RelOptRuleCall) -> None:
-        filter_, query = call.rel(0), call.rel(1)
-        inner = LogicalFilter(query.inner, filter_.condition)
-        call.transform_to(JdbcQuery(self.schema, inner))
+    def __init__(self, name: str, db: MiniDb, dialect: str = "mysql") -> None:
+        super().__init__(name, Convention(f"jdbc-{name.lower()}"))
+        self.db = db
+        self.dialect = dialect_for(dialect)
 
+    def add_jdbc_table(self, name: str, field_names: Sequence[str],
+                       field_types: Sequence[RelDataType],
+                       rows: Optional[List[tuple]] = None,
+                       statistic: Optional[Statistic] = None) -> JdbcTable:
+        """Create the table in the backend DB and expose it to Calcite."""
+        self.db.create_table(name, field_names, rows or [])
+        row_type = _F.struct(field_names, field_types)
+        if statistic is None:
+            statistic = Statistic(row_count=float(len(rows or [])))
+        table = JdbcTable(self.db, name, row_type, statistic)
+        self.add_table(table)
+        return table
 
-class JdbcProjectPushRule(RelOptRule):
-    """Absorb a Project into the JDBC query (SELECT-list pushdown)."""
+    def query_for(self, scan: LogicalTableScan) -> Optional[JdbcQuery]:
+        source = scan.table.source
+        if not isinstance(source, JdbcTable) or source.db is not self.db:
+            return None
+        return JdbcQuery(self, LogicalTableScan(scan.table))
 
-    def __init__(self, schema: JdbcSchema) -> None:
-        super().__init__(operand(Project, any_operand(JdbcQuery)),
-                         f"JdbcProjectPushRule({schema.name})")
-        self.schema = schema
+    def owns(self, query: JdbcQuery) -> bool:
+        return query.schema is self
 
-    def matches(self, call: RelOptRuleCall) -> bool:
-        project, query = call.rel(0), call.rel(1)
-        return (query.schema is self.schema
-                and _inner_top_ok(query, Project, Sort)
+    def push_filter(self, filter_: Filter, query: JdbcQuery) -> Optional[JdbcQuery]:
+        if not (_inner_top_ok(query, Project, Sort)
+                and _pushable(filter_.condition)):
+            return None
+        return JdbcQuery(self, LogicalFilter(query.inner, filter_.condition))
+
+    def push_project(self, project: Project,
+                     query: JdbcQuery) -> Optional[JdbcQuery]:
+        if not (_inner_top_ok(query, Project, Sort)
                 and all(_pushable(p) and not contains_over(p)
-                        for p in project.projects))
+                        for p in project.projects)):
+            return None
+        return JdbcQuery(self, LogicalProject(query.inner, project.projects,
+                                              project.field_names))
 
-    def on_match(self, call: RelOptRuleCall) -> None:
-        project, query = call.rel(0), call.rel(1)
-        inner = LogicalProject(query.inner, project.projects, project.field_names)
-        call.transform_to(JdbcQuery(self.schema, inner))
-
-
-class JdbcSortPushRule(RelOptRule):
-    """Absorb a Sort/Limit into the JDBC query (ORDER BY/LIMIT pushdown)."""
-
-    def __init__(self, schema: JdbcSchema) -> None:
-        super().__init__(operand(Sort, any_operand(JdbcQuery)),
-                         f"JdbcSortPushRule({schema.name})")
-        self.schema = schema
-
-    def matches(self, call: RelOptRuleCall) -> bool:
-        query = call.rel(1)
-        return query.schema is self.schema and _inner_top_ok(query, Sort)
-
-    def on_match(self, call: RelOptRuleCall) -> None:
-        sort, query = call.rel(0), call.rel(1)
+    def push_sort(self, sort: Sort, query: JdbcQuery) -> Optional[JdbcQuery]:
+        if not _inner_top_ok(query, Sort):
+            return None
         inner = LogicalSort(query.inner, sort.collation, sort.offset, sort.fetch)
-        call.transform_to(JdbcQuery(
-            self.schema, inner,
-            RelTraitSet(self.schema.convention, sort.collation)))
+        return JdbcQuery(self, inner, RelTraitSet(self.convention, sort.collation))
 
+    push_limit = push_sort
 
-class JdbcAggregatePushRule(RelOptRule):
-    """Absorb an Aggregate into the JDBC query (GROUP BY pushdown)."""
-
-    def __init__(self, schema: JdbcSchema) -> None:
-        super().__init__(operand(Aggregate, any_operand(JdbcQuery)),
-                         f"JdbcAggregatePushRule({schema.name})")
-        self.schema = schema
-
-    def matches(self, call: RelOptRuleCall) -> bool:
-        agg, query = call.rel(0), call.rel(1)
-        if query.schema is not self.schema:
-            return False
-        if not _inner_top_ok(query, Aggregate, Sort):
-            return False
+    def push_aggregate(self, agg: Aggregate,
+                       query: JdbcQuery) -> Optional[JdbcQuery]:
         supported = {"COUNT", "SUM", "AVG", "MIN", "MAX"}
-        return all(c.op.name in supported and c.filter_arg is None
-                   for c in agg.agg_calls)
+        if not (_inner_top_ok(query, Aggregate, Sort)
+                and all(c.op.name in supported and c.filter_arg is None
+                        for c in agg.agg_calls)):
+            return None
+        return JdbcQuery(self, LogicalAggregate(query.inner, agg.group_set,
+                                                agg.agg_calls))
 
-    def on_match(self, call: RelOptRuleCall) -> None:
-        agg, query = call.rel(0), call.rel(1)
-        inner = LogicalAggregate(query.inner, agg.group_set, agg.agg_calls)
-        call.transform_to(JdbcQuery(self.schema, inner))
-
-
-class JdbcJoinPushRule(RelOptRule):
-    """Absorb a join of two queries against the *same* backend, so the
-    backend executes the join itself."""
-
-    def __init__(self, schema: JdbcSchema) -> None:
-        super().__init__(operand(Join, any_operand(JdbcQuery), any_operand(JdbcQuery)),
-                         f"JdbcJoinPushRule({schema.name})")
-        self.schema = schema
-
-    def matches(self, call: RelOptRuleCall) -> bool:
-        join, left, right = call.rel(0), call.rel(1), call.rel(2)
-        return (left.schema is self.schema and right.schema is self.schema
+    def push_join(self, join: Join, left: JdbcQuery,
+                  right: JdbcQuery) -> Optional[JdbcQuery]:
+        """Only a join of two queries against this same backend, which
+        then executes the join itself."""
+        if not (right.schema is self
                 and _inner_top_ok(left, Aggregate, Sort)
                 and _inner_top_ok(right, Aggregate, Sort)
-                and _pushable(join.condition))
-
-    def on_match(self, call: RelOptRuleCall) -> None:
-        join, left, right = call.rel(0), call.rel(1), call.rel(2)
-        inner = LogicalJoin(left.inner, right.inner, join.condition, join.join_type)
-        call.transform_to(JdbcQuery(self.schema, inner))
-
-
-def jdbc_rules(schema: JdbcSchema) -> List[RelOptRule]:
-    return [
-        JdbcTableScanRule(schema),
-        JdbcFilterPushRule(schema),
-        JdbcProjectPushRule(schema),
-        JdbcSortPushRule(schema),
-        JdbcAggregatePushRule(schema),
-        JdbcJoinPushRule(schema),
-        JdbcToEnumerableConverterRule(schema),
-    ]
+                and _pushable(join.condition)):
+            return None
+        return JdbcQuery(self, LogicalJoin(left.inner, right.inner,
+                                           join.condition, join.join_type))

@@ -51,7 +51,6 @@ from ..schema.core import Statistic
 from .capability import ScanCapabilities, partition_of
 
 _CAPABILITIES = ScanCapabilities(
-    supports_predicate_pushdown=False,
     supports_partitioned_scan=True,
     partition_scheme="hash-mod",
     supports_key_lookup=True,

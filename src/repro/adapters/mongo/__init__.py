@@ -1,7 +1,7 @@
 """MongoDB adapter + its simulated document store."""
 
-from .adapter import MONGO, MongoQuery, MongoSchema, MongoTable, mongo_rules
+from .adapter import MONGO, MongoQuery, MongoSchema, MongoTable
 from .store import MongoError, MongoStore
 
 __all__ = ["MONGO", "MongoError", "MongoQuery", "MongoSchema", "MongoStore",
-           "MongoTable", "mongo_rules"]
+           "MongoTable"]

@@ -12,7 +12,7 @@ find documents.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from ...core.cost import RelOptCost
 from ...core.rel import Filter, LogicalTableScan, RelNode
@@ -23,11 +23,11 @@ from ...core.rex import (
     RexNode,
     SqlKind,
 )
-from ...core.rule import ConverterRule, RelOptRule, RelOptRuleCall, any_operand, operand
 from ...core.traits import Convention, RelTraitSet
 from ...core.types import DEFAULT_TYPE_FACTORY, RelDataType
-from ...schema.core import Schema, Statistic, Table
+from ...schema.core import Statistic, Table
 from ..capability import ScanCapabilities, split_comparisons
+from ..pushdown import PushdownSchema
 from .store import MongoStore, render_find
 
 _F = DEFAULT_TYPE_FACTORY
@@ -38,7 +38,6 @@ MONGO = Convention("mongo")
 #: no partitioned scans — document values (dicts) are unhashable, so the
 #: canonical hash-mod partition function cannot apply to the _MAP column.
 _MONGO_CAPABILITIES = ScanCapabilities(
-    supports_predicate_pushdown=True,
     pushable_ops=frozenset({"filter"}),
 )
 
@@ -60,23 +59,6 @@ class MongoTable(Table):
 
     def capabilities(self) -> ScanCapabilities:
         return _MONGO_CAPABILITIES
-
-
-class MongoSchema(Schema):
-    def __init__(self, name: str, store: MongoStore) -> None:
-        super().__init__(name)
-        self.store = store
-        self.convention = MONGO
-        for rule in mongo_rules(self):
-            self.add_rule(rule)
-
-    def add_collection(self, collection: str,
-                       documents: Optional[List[dict]] = None) -> MongoTable:
-        if documents is not None:
-            self.store.add_collection(collection, documents)
-        table = MongoTable(self.store, collection)
-        self.add_table(table)
-        return table
 
 
 class MongoQuery(RelNode):
@@ -118,19 +100,6 @@ class MongoQuery(RelNode):
 
     def explain_terms(self):
         return [("find", self.find())]
-
-
-class MongoTableScanRule(ConverterRule):
-    def __init__(self, schema: MongoSchema) -> None:
-        super().__init__(LogicalTableScan, Convention.NONE, MONGO,
-                         f"MongoTableScanRule({schema.name})")
-        self.schema = schema
-
-    def convert(self, rel: RelNode, call: RelOptRuleCall) -> Optional[RelNode]:
-        source = rel.table.source
-        if not isinstance(source, MongoTable) or source.store is not self.schema.store:
-            return None
-        return MongoQuery(source)
 
 
 _OPS = {
@@ -181,44 +150,35 @@ def translate_filter(condition: RexNode) -> Optional[dict]:
     return doc
 
 
-class MongoFilterRule(RelOptRule):
-    """Push `_MAP[...]` comparisons down as a find() filter document."""
+class MongoSchema(PushdownSchema):
+    query_class = MongoQuery
+    capabilities = _MONGO_CAPABILITIES
 
-    def __init__(self, schema: MongoSchema) -> None:
-        super().__init__(operand(Filter, any_operand(MongoQuery)),
-                         f"MongoFilterRule({schema.name})")
-        self.schema = schema
+    def __init__(self, name: str, store: MongoStore) -> None:
+        super().__init__(name, MONGO)
+        self.store = store
 
-    def matches(self, call: RelOptRuleCall) -> bool:
-        query = call.rel(1)
-        if query.mongo_table.store is not self.schema.store:
-            return False
+    def add_collection(self, collection: str,
+                       documents: Optional[List[dict]] = None) -> MongoTable:
+        if documents is not None:
+            self.store.add_collection(collection, documents)
+        table = MongoTable(self.store, collection)
+        self.add_table(table)
+        return table
+
+    def query_for(self, scan: LogicalTableScan) -> Optional[MongoQuery]:
+        source = scan.table.source
+        if not isinstance(source, MongoTable) or source.store is not self.store:
+            return None
+        return MongoQuery(source)
+
+    def owns(self, query: MongoQuery) -> bool:
+        return query.mongo_table.store is self.store
+
+    def push_filter(self, filter_: Filter,
+                    query: MongoQuery) -> Optional[MongoQuery]:
+        """`_MAP[...]` comparisons become a find() filter document."""
         if query.filter_doc is not None:
-            return False
-        return translate_filter(call.rel(0).condition) is not None
-
-    def on_match(self, call: RelOptRuleCall) -> None:
-        filter_, query = call.rel(0), call.rel(1)
+            return None
         doc = translate_filter(filter_.condition)
-        assert doc is not None
-        call.transform_to(MongoQuery(query.mongo_table, doc))
-
-
-class MongoToEnumerableConverterRule(ConverterRule):
-    def __init__(self, schema: MongoSchema) -> None:
-        super().__init__(MongoQuery, MONGO, Convention.ENUMERABLE,
-                         f"MongoToEnumerableConverterRule({schema.name})")
-        self.schema = schema
-
-    def convert(self, rel: RelNode, call: RelOptRuleCall) -> Optional[RelNode]:
-        from ...core.rel import Converter
-        return Converter(call.convert_input(rel, RelTraitSet(MONGO)),
-                         RelTraitSet(Convention.ENUMERABLE))
-
-
-def mongo_rules(schema: MongoSchema) -> List[RelOptRule]:
-    return [
-        MongoTableScanRule(schema),
-        MongoFilterRule(schema),
-        MongoToEnumerableConverterRule(schema),
-    ]
+        return None if doc is None else MongoQuery(query.mongo_table, doc)

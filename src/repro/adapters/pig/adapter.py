@@ -34,7 +34,6 @@ from ..capability import ScanCapabilities
 #: all "push" in the sense of running inside the Pig engine.  No
 #: partitioned scans — script execution is one batch job.
 PIG_CAPABILITIES = ScanCapabilities(
-    supports_predicate_pushdown=True,
     pushable_ops=frozenset({"filter", "project", "join", "aggregate", "sort"}),
 )
 

@@ -43,7 +43,6 @@ _SPARK_TRAITS = RelTraitSet(SPARK)
 #: transformations.  It owns no tables, so partitioned *scans* are a
 #: property of the sources it reads, not of Spark itself.
 SPARK_CAPABILITIES = ScanCapabilities(
-    supports_predicate_pushdown=True,
     pushable_ops=frozenset({"filter", "project", "join", "aggregate"}),
 )
 
@@ -169,48 +168,32 @@ class SparkToEnumerableConverter(Converter):
         return RelOptCost(rows, rows * 0.1, rows * 1.0)
 
 
-class _SparkConverterRule(ConverterRule):
-    def __init__(self, logical_class, physical_class, name: str) -> None:
-        super().__init__(logical_class, Convention.NONE, SPARK, name)
-        self.physical_class = physical_class
+#: pushable op → the logical operator it converts, and its spark twin
+#: built over inputs already requested in the spark convention
+_SPARK_OPERATORS = {
+    "filter": (LogicalFilter, lambda rel, ins: SparkFilter(
+        ins[0], rel.condition, _SPARK_TRAITS)),
+    "project": (LogicalProject, lambda rel, ins: SparkProject(
+        ins[0], rel.projects, rel.field_names, _SPARK_TRAITS)),
+    "join": (LogicalJoin, lambda rel, ins: SparkJoin(
+        ins[0], ins[1], rel.condition, rel.join_type, _SPARK_TRAITS)),
+    "aggregate": (LogicalAggregate, lambda rel, ins: SparkAggregate(
+        ins[0], rel.group_set, rel.agg_calls, _SPARK_TRAITS)),
+}
 
 
-class SparkFilterRule(_SparkConverterRule):
-    def __init__(self) -> None:
-        super().__init__(LogicalFilter, SparkFilter, "SparkFilterRule")
+class SparkConverterRule(ConverterRule):
+    """Convert one declared logical operator into the spark convention."""
 
-    def convert(self, rel: RelNode, call: RelOptRuleCall) -> Optional[RelNode]:
-        return SparkFilter(call.convert_input(rel.input, _SPARK_TRAITS),
-                           rel.condition, _SPARK_TRAITS)
-
-
-class SparkProjectRule(_SparkConverterRule):
-    def __init__(self) -> None:
-        super().__init__(LogicalProject, SparkProject, "SparkProjectRule")
-
-    def convert(self, rel: RelNode, call: RelOptRuleCall) -> Optional[RelNode]:
-        return SparkProject(call.convert_input(rel.input, _SPARK_TRAITS),
-                            rel.projects, rel.field_names, _SPARK_TRAITS)
-
-
-class SparkJoinRule(_SparkConverterRule):
-    def __init__(self) -> None:
-        super().__init__(LogicalJoin, SparkJoin, "SparkJoinRule")
+    def __init__(self, op: str) -> None:
+        logical_class, self.build = _SPARK_OPERATORS[op]
+        super().__init__(logical_class, Convention.NONE, SPARK,
+                         f"Spark{op.capitalize()}Rule")
+        self.op = op
 
     def convert(self, rel: RelNode, call: RelOptRuleCall) -> Optional[RelNode]:
-        return SparkJoin(
-            call.convert_input(rel.left, _SPARK_TRAITS),
-            call.convert_input(rel.right, _SPARK_TRAITS),
-            rel.condition, rel.join_type, _SPARK_TRAITS)
-
-
-class SparkAggregateRule(_SparkConverterRule):
-    def __init__(self) -> None:
-        super().__init__(LogicalAggregate, SparkAggregate, "SparkAggregateRule")
-
-    def convert(self, rel: RelNode, call: RelOptRuleCall) -> Optional[RelNode]:
-        return SparkAggregate(call.convert_input(rel.input, _SPARK_TRAITS),
-                              rel.group_set, rel.agg_calls, _SPARK_TRAITS)
+        return self.build(rel, [call.convert_input(i, _SPARK_TRAITS)
+                                for i in rel.inputs])
 
 
 class SparkToEnumerableConverterRule(ConverterRule):
@@ -243,13 +226,11 @@ class EnumerableToSparkConverterRule(ConverterRule):
 
 
 def spark_rules(include_to_spark: bool = True) -> List:
-    rules = [
-        SparkFilterRule(),
-        SparkProjectRule(),
-        SparkJoinRule(),
-        SparkAggregateRule(),
-        SparkToEnumerableConverterRule(),
-    ]
+    """One converter rule per op ``SPARK_CAPABILITIES`` declares, plus
+    the converters between the enumerable and spark conventions."""
+    rules = [SparkConverterRule(op) for op in _SPARK_OPERATORS
+             if op in SPARK_CAPABILITIES.pushable_ops]
+    rules.append(SparkToEnumerableConverterRule())
     if include_to_spark:
         rules.append(EnumerableToSparkConverterRule())
     return rules

@@ -2,9 +2,10 @@
 
 Pushes filters, projections and — through Splunk's external-lookup
 capability — whole joins into the ``splunk`` calling convention.  The
-Figure 2 walk-through relies on the ``SplunkJoinRule`` here: a join of
-Orders (Splunk) with Products (jdbc-mysql) is rewritten into a Splunk
-``lookup`` stage so the join runs inside the Splunk engine.
+Figure 2 walk-through relies on the ``SplunkJoinRule`` generated from
+:meth:`SplunkSchema.push_join`: a join of Orders (Splunk) with Products
+(jdbc-mysql) is rewritten into a Splunk ``lookup`` stage so the join
+runs inside the Splunk engine.
 """
 
 from __future__ import annotations
@@ -19,15 +20,15 @@ from ...core.rel import (
     LogicalTableScan,
     Project,
     RelNode,
-    Sort,
+    TableScan,
 )
 from ...core.rex import RexNode
-from ...core.rule import ConverterRule, RelOptRule, RelOptRuleCall, any_operand, operand
 from ...core.traits import Convention, RelTraitSet
 from ...core.types import DEFAULT_TYPE_FACTORY, RelDataType
-from ...schema.core import Schema, Statistic, Table
-from ..capability import ScanCapabilities, split_comparisons
+from ...schema.core import Statistic, Table
+from ..capability import ScanCapabilities, kept_fields, split_comparisons
 from ..jdbc.adapter import JdbcQuery
+from ..pushdown import PushdownSchema
 from .store import SplunkStore
 
 _F = DEFAULT_TYPE_FACTORY
@@ -38,7 +39,6 @@ SPLUNK = Convention("splunk")
 #: stage) run inside Splunk; no partitioned scans — SPL search has no
 #: hash-mod shard predicate.
 _SPLUNK_CAPABILITIES = ScanCapabilities(
-    supports_predicate_pushdown=True,
     pushable_ops=frozenset({"filter", "project", "join"}),
 )
 
@@ -65,24 +65,6 @@ class SplunkTable(Table):
 
     def capabilities(self) -> ScanCapabilities:
         return _SPLUNK_CAPABILITIES
-
-
-class SplunkSchema(Schema):
-    def __init__(self, name: str, store: SplunkStore) -> None:
-        super().__init__(name)
-        self.store = store
-        self.convention = SPLUNK
-        for rule in splunk_rules(self):
-            self.add_rule(rule)
-
-    def add_splunk_table(self, index: str, field_names: Sequence[str],
-                         field_types: Sequence[RelDataType],
-                         events: Optional[List[dict]] = None) -> SplunkTable:
-        if events is not None:
-            self.store.add_index(index, events)
-        table = SplunkTable(self.store, index, field_names, field_types)
-        self.add_table(table)
-        return table
 
 
 class SplunkQuery(RelNode):
@@ -165,19 +147,6 @@ class SplunkQuery(RelNode):
         return [("spl", self.spl())]
 
 
-class SplunkTableScanRule(ConverterRule):
-    def __init__(self, schema: SplunkSchema) -> None:
-        super().__init__(LogicalTableScan, Convention.NONE, SPLUNK,
-                         f"SplunkTableScanRule({schema.name})")
-        self.schema = schema
-
-    def convert(self, rel: RelNode, call: RelOptRuleCall) -> Optional[RelNode]:
-        source = rel.table.source
-        if not isinstance(source, SplunkTable) or source.store is not self.schema.store:
-            return None
-        return SplunkQuery(rel, source)
-
-
 _SPL_OPS = {"=": "=", "<>": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 
 
@@ -195,134 +164,89 @@ def _extract_conditions(condition: RexNode,
             for c in pushed]
 
 
-class SplunkFilterRule(RelOptRule):
-    """Push a WHERE clause into the Splunk search string — the
-    "adapter-specific rule" of Figure 2."""
+class SplunkSchema(PushdownSchema):
+    query_class = SplunkQuery
+    capabilities = _SPLUNK_CAPABILITIES
+    #: a pushed join reaches a jdbc table through a registered lookup
+    join_right_class = JdbcQuery
 
-    def __init__(self, schema: SplunkSchema) -> None:
-        super().__init__(operand(Filter, any_operand(SplunkQuery)),
-                         f"SplunkFilterRule({schema.name})")
-        self.schema = schema
+    def __init__(self, name: str, store: SplunkStore) -> None:
+        super().__init__(name, SPLUNK)
+        self.store = store
 
-    def matches(self, call: RelOptRuleCall) -> bool:
-        query = call.rel(1)
-        if query.splunk_table.store is not self.schema.store:
-            return False
+    def add_splunk_table(self, index: str, field_names: Sequence[str],
+                         field_types: Sequence[RelDataType],
+                         events: Optional[List[dict]] = None) -> SplunkTable:
+        if events is not None:
+            self.store.add_index(index, events)
+        table = SplunkTable(self.store, index, field_names, field_types)
+        self.add_table(table)
+        return table
+
+    def query_for(self, scan: LogicalTableScan) -> Optional[SplunkQuery]:
+        source = scan.table.source
+        if not isinstance(source, SplunkTable) or source.store is not self.store:
+            return None
+        return SplunkQuery(scan, source)
+
+    def owns(self, query: SplunkQuery) -> bool:
+        return query.splunk_table.store is self.store
+
+    def push_filter(self, filter_: Filter,
+                    query: SplunkQuery) -> Optional[SplunkQuery]:
+        """A WHERE clause becomes search terms — the "adapter-specific
+        rule" of Figure 2."""
         if query.fields is not None or query.lookup is not None:
-            return False  # push filters before projections/lookups
-        return _extract_conditions(
-            call.rel(0).condition, query.row_type.field_names) is not None
+            return None  # push filters before projections/lookups
+        conditions = _extract_conditions(filter_.condition,
+                                         query.row_type.field_names)
+        if conditions is None:
+            return None
+        return SplunkQuery(query.table_rel, query.splunk_table,
+                           list(query.conditions) + conditions, query.lookup,
+                           query.fields)
 
-    def on_match(self, call: RelOptRuleCall) -> None:
-        filter_, query = call.rel(0), call.rel(1)
-        conditions = _extract_conditions(
-            filter_.condition, query.row_type.field_names)
-        assert conditions is not None
-        call.transform_to(SplunkQuery(
-            query.table_rel, query.splunk_table,
-            list(query.conditions) + conditions, query.lookup, query.fields))
-
-
-class SplunkProjectRule(RelOptRule):
-    """Push a pure-reference projection into an SPL ``fields`` stage."""
-
-    def __init__(self, schema: SplunkSchema) -> None:
-        super().__init__(operand(Project, any_operand(SplunkQuery)),
-                         f"SplunkProjectRule({schema.name})")
-        self.schema = schema
-
-    def matches(self, call: RelOptRuleCall) -> bool:
-        project, query = call.rel(0), call.rel(1)
-        if query.splunk_table.store is not self.schema.store:
-            return False
+    def push_project(self, project: Project,
+                     query: SplunkQuery) -> Optional[SplunkQuery]:
+        """A pure-reference projection becomes an SPL ``fields`` stage;
+        SPL fields cannot rename."""
         if query.fields is not None:
-            return False
-        perm = project.permutation()
-        if perm is None:
-            return False
-        # SPL fields cannot rename; require names to match
-        in_names = query.row_type.field_names
-        return all(project.field_names[i] == in_names[perm[i]] for i in perm)
+            return None
+        fields = kept_fields(project.projects, project.field_names,
+                             query.row_type.field_names)
+        if fields is None:
+            return None
+        return SplunkQuery(query.table_rel, query.splunk_table,
+                           query.conditions, query.lookup, fields)
 
-    def on_match(self, call: RelOptRuleCall) -> None:
-        project, query = call.rel(0), call.rel(1)
-        perm = project.permutation()
-        assert perm is not None
-        in_names = query.row_type.field_names
-        fields = [in_names[perm[i]] for i in range(len(project.projects))]
-        call.transform_to(SplunkQuery(
-            query.table_rel, query.splunk_table, query.conditions,
-            query.lookup, fields))
+    def push_join(self, join: Join, left: SplunkQuery,
+                  right: JdbcQuery) -> Optional[SplunkQuery]:
+        """A Splunk ⋈ JDBC equi-join becomes a lookup stage.
 
-
-class SplunkJoinRule(RelOptRule):
-    """Push a Splunk ⋈ JDBC equi-join into Splunk as a lookup stage.
-
-    This is the planner rule of Figure 2 that "pushes the join through
-    the splunk-to-spark converter, and the join is now in splunk
-    convention, running inside the Splunk engine" — Splunk reaches the
-    MySQL table via its ODBC lookup registration.
-    """
-
-    def __init__(self, schema: SplunkSchema) -> None:
-        super().__init__(
-            operand(Join, any_operand(SplunkQuery), any_operand(JdbcQuery)),
-            f"SplunkJoinRule({schema.name})")
-        self.schema = schema
-
-    def matches(self, call: RelOptRuleCall) -> bool:
-        join, left, right = call.rel(0), call.rel(1), call.rel(2)
+        This is the planner rule of Figure 2 that "pushes the join
+        through the splunk-to-spark converter, and the join is now in
+        splunk convention, running inside the Splunk engine" — Splunk
+        reaches the MySQL table via its ODBC lookup registration.
+        """
         if join.join_type is not JoinRelType.INNER:
-            return False
-        if left.splunk_table.store is not self.schema.store:
-            return False
+            return None
         if left.lookup is not None or left.fields is not None:
-            return False
+            return None
         # The JDBC side must be a bare table scan (a lookup table).
-        from ...core.rel import TableScan
         if not isinstance(right.inner, TableScan):
-            return False
+            return None
         table_name = right.inner.table.qualified_name[-1]
-        if table_name.lower() not in self.schema.store.lookups:
-            return False
+        if table_name.lower() not in self.store.lookups:
+            return None
         info = join.analyze_condition()
-        return info.is_equi and len(info.left_keys) == 1
-
-    def on_match(self, call: RelOptRuleCall) -> None:
-        join, left, right = call.rel(0), call.rel(1), call.rel(2)
-        info = join.analyze_condition()
-        left_names = left.row_type.field_names
+        if not (info.is_equi and len(info.left_keys) == 1):
+            return None
         right_fields = right.inner.row_type.fields
-        table_name = right.inner.table.qualified_name[-1]
         lookup = {
             "table": table_name.lower(),
-            "local": left_names[info.left_keys[0]],
+            "local": left.row_type.field_names[info.left_keys[0]],
             "remote": right_fields[info.right_keys[0]].name,
             "output": [(f.name, f.type) for f in right_fields],
         }
-        row_type = join.row_type
-        call.transform_to(SplunkQuery(
-            left.table_rel, left.splunk_table, left.conditions, lookup,
-            fields=None, row_type=row_type))
-
-
-class SplunkToEnumerableConverterRule(ConverterRule):
-    def __init__(self, schema: SplunkSchema) -> None:
-        super().__init__(SplunkQuery, SPLUNK, Convention.ENUMERABLE,
-                         f"SplunkToEnumerableConverterRule({schema.name})")
-        self.schema = schema
-
-    def convert(self, rel: RelNode, call: RelOptRuleCall) -> Optional[RelNode]:
-        from ...core.rel import Converter
-        return Converter(call.convert_input(rel, RelTraitSet(SPLUNK)),
-                         RelTraitSet(Convention.ENUMERABLE))
-
-
-def splunk_rules(schema: SplunkSchema) -> List[RelOptRule]:
-    return [
-        SplunkTableScanRule(schema),
-        SplunkFilterRule(schema),
-        SplunkProjectRule(schema),
-        SplunkJoinRule(schema),
-        SplunkToEnumerableConverterRule(schema),
-    ]
+        return SplunkQuery(left.table_rel, left.splunk_table, left.conditions,
+                           lookup, fields=None, row_type=join.row_type)
