@@ -155,6 +155,22 @@ GOLDEN_QUERIES = [
      "SELECT d.dname, COUNT(*) AS n, AVG(r.score) AS a FROM ev.ratings r "
      "JOIN hr.depts d ON r.deptno = d.deptno "
      "WHERE r.empid > 105 GROUP BY d.dname"),
+    ("bench_federated_join_agg_parallel", "vectorized-p2",
+     "SELECT d.dname, COUNT(*) AS n, AVG(r.score) AS a FROM ev.ratings r "
+     "JOIN hr.depts d ON r.deptno = d.deptno "
+     "WHERE r.empid > 105 GROUP BY d.dname"),
+    # ``evaluations_by_document`` (``federated_parallel``): jdbc joined to
+    # memory and grouped on the jdbc side's join key; both inputs are
+    # too large to broadcast, so at two workers both are served as
+    # co-partitioned shards.
+    ("bench_evaluations_by_document_vectorized", "vectorized",
+     "SELECT r.empid, COUNT(*) AS n, MAX(sa.units) AS y FROM ev.ratings r "
+     "JOIN s.sales sa ON r.empid = sa.saleId "
+     "WHERE r.rater > 0 GROUP BY r.empid"),
+    ("bench_evaluations_by_document_parallel", "vectorized-p2",
+     "SELECT r.empid, COUNT(*) AS n, MAX(sa.units) AS y FROM ev.ratings r "
+     "JOIN s.sales sa ON r.empid = sa.saleId "
+     "WHERE r.rater > 0 GROUP BY r.empid"),
     ("bench_jdbc_window_vectorized", "vectorized",
      "SELECT r.empid, r.rater, SUM(r.score) OVER "
      "(PARTITION BY r.deptno ORDER BY r.empid, r.rater) AS rs "
