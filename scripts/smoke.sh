@@ -132,3 +132,19 @@ emitted = metrics["runtime.execute.rows_emitted"]["value"]
 print("bench analytic_scan traced: rows_scanned", scanned,
       "rows_emitted", emitted)
 sys.exit(0 if (scanned, emitted) == (2400000, 574521) else 1)'
+
+# Shard-path gate: the traced `federated_parallel` run (its fixed 20
+# statements at the default seed) must scan, emit and shuffle exactly as
+# many rows as before shards were read as column chunks and jdbc shards
+# as flat, trimmed SQL, so a shard that drops or double-counts a chunk
+# fails here.
+python3 -m bench.run --workload federated_parallel --trace 1 | tail -n 1 \
+    | python3 -c '
+import json, sys
+metrics = json.load(sys.stdin)["metrics"]
+counts = tuple(metrics[name]["value"] for name in (
+    "runtime.execute.rows_scanned", "runtime.execute.rows_emitted",
+    "vectorized.parallel.rows_shuffled"))
+print("bench federated_parallel traced: rows_scanned, rows_emitted,"
+      " rows_shuffled", counts)
+sys.exit(0 if counts == (1400160, 778964, 55528) else 1)'

@@ -23,10 +23,11 @@ so a chaos-wrapped table plans identically to the healthy one —
 including partition pushdown and key lookups, which is the point: the
 fault surfaces *inside* the resilient execution paths, not at planning
 time.  Every access path (``scan``, ``scan_partition``, ``lookup``,
-``scan_columns``) is proxied explicitly and injectable; a columnar
-scan is injected at the exact row, cutting the chunk it falls in, and
-a table with ``latency_per_row`` serves no columnar path, so the
-engine reads it by rows and checks its deadline per row.
+``scan_columns``, whole or one shard) is proxied explicitly and
+injectable; a columnar read is injected at the exact row, cutting the
+chunk it falls in, and a table with ``latency_per_row`` serves no
+columnar path, so the engine reads it by rows and checks its deadline
+per row.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from typing import (Any, Callable, Iterable, Iterator, List, Optional,
                     Sequence, Tuple)
 
 from ..errors import TransientBackendError
-from ..schema.core import Table
+from ..schema.core import Shard, Table
 
 
 def _default_error(table: "ChaosTable", partition_id: Optional[int],
@@ -121,15 +122,18 @@ class ChaosTable(Table):
             self.scans_started += 1
         return self._inject(self.inner.lookup(column, value), None)
 
-    def scan_columns(self, batch_size: int
+    def scan_columns(self, batch_size: int, shard: Optional[Shard] = None
                      ) -> Optional[Iterator[Tuple[List[list], int]]]:
         # Latency is injected per row, and chunk-granular checks would
         # let a slow backend overrun its deadline by a whole chunk: a
         # slow table, like one with no columnar path, is read by rows.
         if self.latency_per_row:
             return None
-        chunks = self.inner.scan_columns(batch_size)
-        return None if chunks is None else self._inject_chunks(chunks)
+        chunks = self.inner.scan_columns(batch_size, shard)
+        if chunks is None:
+            return None
+        return self._inject_chunks(chunks,
+                                   None if shard is None else shard[0])
 
     def _inject(self, rows: Iterable[tuple],
                 partition_id: Optional[int]) -> Iterator[tuple]:
@@ -151,16 +155,22 @@ class ChaosTable(Table):
                 self.faults_injected += 1
             raise self.error_factory(self, partition_id, emitted)
 
-    def _inject_chunks(self, chunks: Iterable[Tuple[List[list], int]]
+    def _inject_chunks(self, chunks: Iterable[Tuple[List[list], int]],
+                       partition_id: Optional[int]
                        ) -> Iterator[Tuple[List[list], int]]:
-        """:meth:`_inject` for column chunks: the fault fires after
-        exactly ``fail_after_rows`` rows, cutting the chunk it falls in.
-        The scan counts as started when it is first read, as a row scan
+        """:meth:`_inject` for column chunks of a scan or of shard
+        ``partition_id``: the fault fires after exactly
+        ``fail_after_rows`` rows, cutting the chunk it falls in.  The
+        read counts as started when it is first read, as a row scan
         does when the engine opens it: a breaker that fails fast reads
-        neither."""
+        neither, and neither does a scheduler that only opens a shard
+        read to have the table build its partition assignment."""
         with self._lock:
-            self.scans_started += 1
-        fail_now = self._claim_fault(None)
+            if partition_id is None:
+                self.scans_started += 1
+            else:
+                self.partition_scans_started += 1
+        fail_now = self._claim_fault(partition_id)
         emitted = 0
         for columns, n in chunks:
             if fail_now and emitted + n > self.fail_after_rows:
@@ -170,13 +180,13 @@ class ChaosTable(Table):
                     emitted += head
                 with self._lock:
                     self.faults_injected += 1
-                raise self.error_factory(self, None, emitted)
+                raise self.error_factory(self, partition_id, emitted)
             emitted += n
             yield columns, n
         if fail_now:
             with self._lock:
                 self.faults_injected += 1
-            raise self.error_factory(self, None, emitted)
+            raise self.error_factory(self, partition_id, emitted)
 
     def __getattr__(self, name: str) -> Any:
         # Adapter-specific extras (insert, bucket probes, ...) proxy

@@ -9,12 +9,17 @@ besides the row-at-a-time scan:
 * ``supports_partitioned_scan`` with the canonical ``"hash-mod"``
   scheme, so the exchange-elision pass can hand each worker of a
   parallel plan its own shard directly from the adapter instead of
-  re-sharding a gathered stream.  A keyed ``scan_partition`` buckets
-  the table once per ``(n_partitions, keys)`` request shape and caches
-  the buckets: serving all N partitions costs one pass over the data,
-  like a real partitioned store, rather than N filtered rescans.  The
-  per-partition call counters make the adapter the test probe for "did
-  the planner actually push the partitioning down?".
+  re-sharding a gathered stream.  The table keeps one *partition
+  assignment* per ``(n_partitions, keys)`` request shape — for each
+  partition, the positions of its rows, computed with
+  :func:`~.capability.partition_of` over the columnar copy — so
+  serving all N partitions costs one pass over the data, like a real
+  partitioned store, rather than N filtered rescans.  A shard is read
+  as rows (``scan_partition``) or as column chunks
+  (``scan_columns(batch_size, shard)``), both from the assignment.
+  Opening a shard read builds the assignment before the first chunk is
+  taken, so a scheduler that opens one in its own process before
+  forking workers leaves every worker the assignment to inherit.
 * ``supports_key_lookup``: ``lookup(column, value)`` answers
   ``column = value`` from a hash index, so a point query reads the
   rows it returns instead of the whole table.  In-process rows make a
@@ -25,7 +30,7 @@ besides the row-at-a-time scan:
   tuples (the cost is the dict and one list per distinct key).
 * ``scan_columns(batch_size)``: the full scan as column chunks, for the
   vectorized engine.  The table keeps a columnar copy — one plain list
-  per column, built on the first columnar scan — and hands out slices
+  per column, built on the first columnar read — and hands out slices
   of it, so a batch scan copies each value reference once per chunk
   instead of pivoting row tuples into columns.  The copy holds
   references to the rows' own values: one pointer per cell, 8 bytes on
@@ -34,9 +39,9 @@ besides the row-at-a-time scan:
   engine never does.
 
 All three caches are dropped, never patched, on ``insert``: a reader
-that already holds a bucket, an index list or the columnar copy keeps
-reading lists nobody mutates — a scan sees the table as of its first
-chunk — and the next request rebuilds from the grown table.
+that already holds an assignment, an index list or the columnar copy
+keeps reading lists nobody mutates — a read sees the table as of its
+opening — and the next request rebuilds from the grown table.
 
 No predicate pushdown is declared: a key lookup is the one filter worth
 serving natively, and the row engine keeps evaluating everything else.
@@ -44,10 +49,11 @@ serving natively, and the row engine keeps evaluating everything else.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import (Any, Dict, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from ..schema.core import MemoryTable as BaseMemoryTable
-from ..schema.core import Statistic
+from ..schema.core import Shard, Statistic
 from .capability import ScanCapabilities, partition_of
 
 _CAPABILITIES = ScanCapabilities(
@@ -55,6 +61,36 @@ _CAPABILITIES = ScanCapabilities(
     partition_scheme="hash-mod",
     supports_key_lookup=True,
 )
+
+
+#: per partition, the positions of its rows in the columnar copy
+Assignment = List[Sequence[int]]
+
+
+def assign_partitions(columns: List[list], n: int, n_partitions: int,
+                      keys: Tuple[int, ...]) -> Assignment:
+    """Each row's partition under :func:`partition_of` on its ``keys``
+    columns; without keys, a stride (any disjoint cover will do)."""
+    if not keys:
+        return [range(p, n, n_partitions) for p in range(n_partitions)]
+    buckets: Assignment = [[] for _ in range(n_partitions)]
+    for i, values in enumerate(zip(*[columns[k] for k in keys])):
+        buckets[partition_of(values, n_partitions)].append(i)
+    return buckets
+
+
+def _chunks(columns: List[list], positions: Sequence[int],
+            batch_size: int) -> Iterator[Tuple[List[list], int]]:
+    """The rows at ``positions`` as ``(columns, n)`` chunks; a stride of
+    positions is sliced, any other list gathered."""
+    for lo in range(0, len(positions), batch_size):
+        part = positions[lo:lo + batch_size]
+        if isinstance(part, range):
+            cut = slice(part.start, part.stop, part.step)
+            yield [col[cut] for col in columns], len(part)
+        else:
+            yield ([list(map(col.__getitem__, part)) for col in columns],
+                   len(part))
 
 
 def _equals_nothing(value: Any) -> bool:
@@ -69,14 +105,13 @@ class MemoryTable(BaseMemoryTable):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        #: cached hash buckets per (n_partitions, keys) request shape
-        self._buckets: Dict[Tuple[int, Tuple[int, ...]], List[List[tuple]]] = {}
+        #: (columnar copy, assignment) per (n_partitions, keys) shape
+        self._partitions: Dict[Tuple[int, Tuple[int, ...]],
+                               Tuple[List[list], Assignment]] = {}
         #: cached hash index per column: key -> rows with that key
         self._indexes: Dict[int, Dict[Any, List[tuple]]] = {}
         #: the columnar copy as ``[(columns, n)]``, empty until first use
         self._columnar: List[Tuple[List[list], int]] = []
-        #: instrumentation: (partition_id, n_partitions, keys) per call
-        self.partition_scans: List[Tuple[int, int, Tuple[int, ...]]] = []
 
     def capabilities(self) -> ScanCapabilities:
         return _CAPABILITIES
@@ -85,12 +120,42 @@ class MemoryTable(BaseMemoryTable):
         super().insert(row)
         # Replace rather than clear: a cache built concurrently from the
         # old rows lands in the discarded container.
-        self._buckets = {}
+        self._partitions = {}
         self._indexes = {}
         self._columnar = []
 
-    def scan_columns(self, batch_size: int
+    def scan_columns(self, batch_size: int, shard: Optional[Shard] = None
                      ) -> Iterator[Tuple[List[list], int]]:
+        if shard is None:
+            columns, n = self._columns()
+            positions: Sequence[int] = range(n)
+        else:
+            partition_id, n_partitions, keys = shard
+            columns, assignment = self._assignment(n_partitions, tuple(keys))
+            positions = assignment[partition_id]
+        return _chunks(columns, positions, batch_size)
+
+    def scan_partition(self, partition_id: int, n_partitions: int,
+                       keys: Sequence[int] = ()) -> Iterable[tuple]:
+        _, assignment = self._assignment(n_partitions, tuple(keys))
+        # Rows are only ever appended, so positions in the copy the
+        # assignment was computed from still name the same rows.
+        return map(self.rows.__getitem__, assignment[partition_id])
+
+    def _assignment(self, n_partitions: int, keys: Tuple[int, ...]
+                   ) -> Tuple[List[list], Assignment]:
+        """The columnar copy and, per partition, the positions in it of
+        the partition's rows, in table order; built once per shape."""
+        shape = (n_partitions, keys)
+        cache = self._partitions
+        entry = cache.get(shape)
+        if entry is None:
+            columns, n = self._columns()
+            entry = cache[shape] = (
+                columns, assign_partitions(columns, n, n_partitions, keys))
+        return entry
+
+    def _columns(self) -> Tuple[List[list], int]:
         holder = self._columnar
         if not holder:
             rows = list(self.rows)  # one snapshot: columns stay aligned
@@ -99,27 +164,7 @@ class MemoryTable(BaseMemoryTable):
             else:
                 columns = [[] for _ in range(self.row_type.field_count)]
             holder.append((columns, len(rows)))
-        columns, n = holder[0]
-        for lo in range(0, n, batch_size):
-            hi = min(lo + batch_size, n)
-            yield [col[lo:hi] for col in columns], hi - lo
-
-    def scan_partition(self, partition_id: int, n_partitions: int,
-                       keys: Sequence[int] = ()) -> Iterable[tuple]:
-        keys = tuple(keys)
-        self.partition_scans.append((partition_id, n_partitions, keys))
-        if not keys:
-            # Stride slices are disjoint and free: no bucketing needed.
-            return iter(self.rows[partition_id::n_partitions])
-        shape = (n_partitions, keys)
-        cache = self._buckets
-        buckets = cache.get(shape)
-        if buckets is None:
-            buckets = [[] for _ in range(n_partitions)]
-            for row in self.rows:
-                buckets[partition_of([row[k] for k in keys], n_partitions)].append(row)
-            cache[shape] = buckets
-        return iter(buckets[partition_id])
+        return holder[0]
 
     def lookup(self, column: int, value: Any) -> Iterable[tuple]:
         """The rows whose ``column`` equals ``value`` under SQL ``=``, in

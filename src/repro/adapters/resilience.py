@@ -42,7 +42,7 @@ import threading
 import time
 from dataclasses import dataclass
 from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
-                    Tuple)
+                    Sequence, Tuple)
 
 from ..errors import (
     CONTROL_ERRORS,
@@ -158,6 +158,24 @@ class CircuitBreaker:
                     "trips": self.trips}
 
 
+class _JournaledBreaker(CircuitBreaker):
+    """A breaker that also appends each outcome it is charged to a
+    journal, as ``(backend id, scope, ok)``."""
+
+    def __init__(self, key: Tuple[int, str], journal: list, *args) -> None:
+        super().__init__(*args)
+        self._key = key
+        self._journal = journal
+
+    def record_failure(self) -> bool:
+        self._journal.append((*self._key, False))
+        return super().record_failure()
+
+    def record_success(self) -> None:
+        self._journal.append((*self._key, True))
+        super().record_success()
+
+
 class BreakerRegistry:
     """Per-backend circuit breakers, keyed by (backend object, scope).
 
@@ -166,27 +184,67 @@ class BreakerRegistry:
     The backend key is the adapter's table-source object — the thing
     whose health the breaker tracks; it is held strongly, which is
     fine because sources are owned by catalogs for the server's life.
+
+    A forked worker process charges a registry of its own
+    (:meth:`for_worker`), which journals every outcome; the journal
+    travels home with the worker's counters and :meth:`replay` charges
+    it to the statement's registry, so a shard failing in a worker opens
+    the same breaker a failure in the parent would.
     """
 
     def __init__(self, failure_threshold: int = 5,
                  recovery_timeout: float = 30.0,
-                 clock: Callable[[], float] = time.monotonic) -> None:
+                 clock: Callable[[], float] = time.monotonic,
+                 journal: Optional[list] = None) -> None:
         self.failure_threshold = failure_threshold
         self.recovery_timeout = recovery_timeout
         self._clock = clock
         self._lock = threading.Lock()
         self._breakers: Dict[Tuple[int, str], Tuple[Any, CircuitBreaker]] = {}
+        #: outcomes charged here, to ship home; None outside workers
+        self.journal = journal
+
+    def for_worker(self) -> "BreakerRegistry":
+        """A fresh, journaling registry with this one's settings, for a
+        forked worker (which must not touch locks it inherited)."""
+        return BreakerRegistry(self.failure_threshold, self.recovery_timeout,
+                               self._clock, journal=[])
 
     def breaker_for(self, backend: Any, scope: str = "scan") -> CircuitBreaker:
         key = (id(backend), scope)
         with self._lock:
             entry = self._breakers.get(key)
             if entry is None:
-                entry = (backend, CircuitBreaker(self.failure_threshold,
-                                                 self.recovery_timeout,
-                                                 self._clock))
+                args = (self.failure_threshold, self.recovery_timeout,
+                        self._clock)
+                breaker = (CircuitBreaker(*args) if self.journal is None
+                           else _JournaledBreaker(key, self.journal, *args))
+                entry = (backend, breaker)
                 self._breakers[key] = entry
             return entry[1]
+
+    def replay(self, outcomes: Sequence[Tuple[int, str, bool]]) -> None:
+        """Charge a worker's journaled ``"partition"``-scope outcomes to
+        this registry's breakers for the same backends — a journaling
+        registry passes them on instead.  A forked worker sees every
+        object its parent held at the parent's address, so the backend
+        id names the backend this registry holds; outcomes for backends
+        it holds no breaker for are dropped.  Trips are not counted
+        again: the worker counted its own."""
+        if self.journal is not None:
+            self.journal.extend(outcomes)
+            return
+        for backend_id, scope, ok in outcomes:
+            if scope != "partition":
+                continue
+            with self._lock:
+                entry = self._breakers.get((backend_id, scope))
+            if entry is None:
+                continue
+            if ok:
+                entry[1].record_success()
+            else:
+                entry[1].record_failure()
 
     def snapshot(self) -> Dict[str, Dict[str, Any]]:
         """Breaker states keyed by a human-readable backend label."""

@@ -53,6 +53,7 @@ from .core.rules import (
     reduce_expression_rules,
     standard_logical_rules,
 )
+from .adapters.pushdown import PushRule
 from .adapters.resilience import BreakerRegistry, ResilienceContext, RetryPolicy
 from .core.traits import Convention, RelCollation, RelDistribution, RelTraitSet
 from .core.volcano import CannotPlanError, VolcanoPlanner
@@ -259,15 +260,18 @@ class Planner:
         full rule set (including adapter conversion rules) to pick the
         cheapest physical plan.  A vectorized plan then has its join
         inputs narrowed to the fields read above them
-        (:mod:`repro.runtime.vectorized.trim`) and, with parallelism,
-        gets its exchanges.
+        (:mod:`repro.runtime.vectorized.trim`; inside the adapter's
+        query where its backend pushes projections) and, with
+        parallelism, gets its exchanges.
         """
         rel = self.rewrite_with_hep(rel)
         rel = self.apply_materializations(rel)
         rel = self.optimize_with_volcano(rel, required)
         if self.config.engine != "vectorized":
             return rel
-        rel = trim_fields(rel)
+        rel = trim_fields(rel, [
+            rule for rule in self.catalog.all_rules() + self.config.rules
+            if isinstance(rule, PushRule) and rule.op == "project"])
         if self.config.parallelism > 1:
             from .runtime.vectorized.parallel_rules import insert_exchanges
             rel = insert_exchanges(

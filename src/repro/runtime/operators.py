@@ -184,20 +184,31 @@ class ExecutionContext:
                         "breaker_trips", "shard_fallbacks",
                         "worker_crashes", "processes_spawned")
 
-    def child_stats(self) -> Dict[str, int]:
-        """The counters a worker process ships home in its STATS frame
-        (the subset that accumulates additively across processes)."""
+    def child_stats(self) -> Dict[str, Any]:
+        """What a worker process ships home in its STATS frame: the
+        counters that accumulate additively across processes, and its
+        breaker registry's journal of outcomes."""
         with self._shuffle_lock:
-            return {k: getattr(self, k) for k in self._CHILD_STAT_KEYS}
+            stats: Dict[str, Any] = {
+                k: getattr(self, k) for k in self._CHILD_STAT_KEYS}
+        breakers = self.resilience.breakers if self.resilience else None
+        if breakers is not None and breakers.journal:
+            stats["breaker_outcomes"] = list(breakers.journal)
+        return stats
 
-    def merge_child_stats(self, stats: Dict[str, int]) -> None:
+    def merge_child_stats(self, stats: Dict[str, Any]) -> None:
         """Fold a worker process's :meth:`child_stats` into this
-        (parent) context — called by the consumer draining its pipe."""
+        (parent) context — called by the consumer draining its pipe —
+        and replay its breaker outcomes into this context's registry."""
         with self._shuffle_lock:
             for key in self._CHILD_STAT_KEYS:
                 n = stats.get(key, 0)
                 if n:
                     setattr(self, key, getattr(self, key) + n)
+        outcomes = stats.get("breaker_outcomes")
+        breakers = self.resilience.breakers if self.resilience else None
+        if outcomes and breakers is not None:
+            breakers.replay(outcomes)
 
     def resilience_snapshot(self) -> Dict[str, int]:
         """The statement's resilience counters, for server stats."""

@@ -38,7 +38,7 @@ from .batch import (
     concat_batches,
 )
 from .exchange import Exchange, InjectedStream, SingletonExchange
-from .partitioned import PartitionedScan
+from .partitioned import PartitionedScan, PartitionedTableScan
 from .expr import Frame, Scalar, as_column, compile_rex
 from .nodes import (
     BatchToRow,
@@ -84,8 +84,9 @@ def execute_batches(rel: RelNode, ctx: Optional[ExecutionContext] = None,
         return _values(rel)
     if isinstance(rel, VectorizedWindow):
         return window_batches(rel, ctx, batch_size)
-    if isinstance(rel, InjectedStream):
-        # A partition stream the parallel scheduler feeds.
+    if isinstance(rel, (InjectedStream, PartitionedTableScan)):
+        # A partition stream the parallel scheduler feeds, or one shard
+        # an adapter serves.
         return rel.open(ctx, batch_size)
     if isinstance(rel, SingletonExchange):
         # Gather point of a parallel region: run the workers below.

@@ -334,6 +334,7 @@ def _build(rel: RelNode, ctx: ExecutionContext, region) -> List[RelNode]:
         # contribute nothing to ``rows_shuffled``).
         breaker = _partition_breaker(rel, ctx)
         if breaker is None or breaker.allow():
+            rel.prepare()  # here, before any worker starts or forks
             return [InjectedStream(rel.row_type, partial(_shard_stream, rel, p))
                     for p in range(rel.n_partitions)]
         # Partitioned serving is circuit-open for this backend: degrade

@@ -30,7 +30,10 @@ same parameters and retry policy, its own (fresh) breaker registry,
 threads, never grandchild processes), and its own counters, which it
 ships home in a STATS frame before end-of-stream so ``rows_scanned`` /
 ``rows_shuffled`` / retry counts fold transitively into the statement
-context.
+context.  Its breaker registry has the statement registry's settings
+and journals every outcome; the journal rides the same STATS frame and
+is replayed into the statement's registry, so a shard that keeps
+failing in a worker opens the parent's ``"partition"`` breaker.
 
 The resilience contract holds across the process boundary:
 
@@ -149,6 +152,7 @@ def _worker_main(tree: RelNode, routing: tuple, outbox: _PipeOutbox,
                  close_conns: Sequence, parameters: Sequence,
                  deadline_remaining: Optional[float],
                  policy: Optional[RetryPolicy],
+                 breakers: Optional[BreakerRegistry],
                  batch_size: int) -> None:
     """Entry point of one forked worker process."""
     # Close every inherited pipe end this worker does not own: EOF
@@ -158,7 +162,8 @@ def _worker_main(tree: RelNode, routing: tuple, outbox: _PipeOutbox,
     ctx = ExecutionContext(
         parameters=parameters,
         deadline=Deadline.after(deadline_remaining),
-        resilience=ResilienceContext(policy, BreakerRegistry()),
+        resilience=ResilienceContext(
+            policy, (breakers or BreakerRegistry()).for_worker()),
         batch_size=batch_size,
         workers="thread",  # nested regions fan out threads, not processes
     )
@@ -253,6 +258,7 @@ class ProcessRegion:
         remaining = deadline.remaining() if deadline is not None else None
         res = ctx.resilience
         policy = res.policy if res is not None else None
+        breakers = res.breakers if res is not None else None
         owned: List = []
         for idx, (tree, routing, outbox) in enumerate(self.workers):
             mine = outbox.conns + _tree_conns(tree)
@@ -261,7 +267,7 @@ class ProcessRegion:
             proc = self._mp.Process(
                 target=_worker_main,
                 args=(tree, routing, outbox, close, list(ctx.parameters),
-                      remaining, policy, batch_size),
+                      remaining, policy, breakers, batch_size),
                 daemon=True, name=f"repro-pworker-{idx}")
             self.procs.append(proc)
             proc.start()

@@ -11,6 +11,7 @@ exchange-insertion pass would otherwise stack a
 
 * an in-process table whose capability declares
   ``supports_partitioned_scan`` serves shard *i* of *N* through
+  ``Table.scan_columns(batch_size, (i, N, keys))`` or
   ``Table.scan_partition(i, N, keys)``;
 * an adapter query node that implements the ``can_partition`` /
   ``with_partition`` duck-type (e.g. the JDBC adapter) has the
@@ -36,6 +37,7 @@ from ...core.cost import RelOptCost
 from ...core.rel import Converter, RelNode, TableScan
 from ...core.rex import RexInputRef
 from ...core.traits import Convention, RelDistribution, RelTraitSet
+from .batch import DEFAULT_BATCH_SIZE, ColumnBatch, batches_from_rows
 from .nodes import BatchToRow, VectorizedFilter, VectorizedProject, VectorizedRel
 
 VECTORIZED = Convention.VECTORIZED
@@ -44,9 +46,11 @@ VECTORIZED = Convention.VECTORIZED
 class PartitionedTableScan(TableScan):
     """Scan one shard of a capability-declaring table.
 
-    A row-convention leaf (the executor's ``execute_rows`` probe picks
-    it up): the adapter's ``scan_partition`` is the iterator source,
-    so whatever the backend does — serve a cached bucket, filter
+    The vectorized executor reads the shard as column chunks
+    (:meth:`open`) from a table that serves them — a memory table
+    slices its partition assignment — and by rows otherwise: the
+    adapter's ``scan_partition`` is then the iterator source, so
+    whatever the backend does — serve a cached assignment, filter
     server-side — happens behind the minimal interface.
     """
 
@@ -70,6 +74,24 @@ class PartitionedTableScan(TableScan):
         return [("table", self.table.name),
                 ("partition", f"{self.partition_id}/{self.n_partitions}"),
                 ("keys", list(self.keys))]
+
+    def open(self, ctx, batch_size: int) -> Iterator[ColumnBatch]:
+        """The shard as column batches: column chunks where the table
+        serves them, its rows re-batched otherwise."""
+        chunks = self.table.source.scan_columns(
+            batch_size, (self.partition_id, self.n_partitions, self.keys))
+        if chunks is None:
+            return batches_from_rows(self.execute_rows(ctx),
+                                     self.row_type.field_count, batch_size)
+        return self._checked(chunks, ctx)
+
+    @staticmethod
+    def _checked(chunks, ctx) -> Iterator[ColumnBatch]:
+        # As :meth:`execute_rows`, per chunk instead of per row.
+        for columns, n in chunks:
+            ctx.checkpoint()
+            ctx.rows_scanned += n
+            yield ColumnBatch(columns, n)
 
     def execute_rows(self, ctx) -> Iterator[tuple]:
         # Cancellation/deadline checks only: *retry* of a failed shard
@@ -152,13 +174,30 @@ class PartitionedScan(VectorizedRel, RelNode):
         duck-typed ``backend_key()`` of their own.  None means "no
         stable identity": the scheduler skips breaker accounting but
         still retries."""
-        node: RelNode = self.input
-        while node.inputs:
-            node = node.inputs[0]
+        node = self._leaf()
         if isinstance(node, TableScan):
             return node.table.source
         key_fn = getattr(node, "backend_key", None)
         return key_fn() if callable(key_fn) else None
+
+    def prepare(self) -> None:
+        """Have the leaf table do its per-shape work now.
+
+        Opening a shard read makes a memory table build its partition
+        assignment; the read is dropped unread.  The scheduler calls
+        this before it starts workers, so forked workers inherit the
+        assignment instead of each building its own, and later
+        statements find it cached."""
+        node = self._leaf()
+        if isinstance(node, TableScan):
+            node.table.source.scan_columns(
+                DEFAULT_BATCH_SIZE, (0, self.n_partitions, self.keys))
+
+    def _leaf(self) -> RelNode:
+        node: RelNode = self.input
+        while node.inputs:
+            node = node.inputs[0]
+        return node
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,10 @@ class Statistic:
         self.collation = collation
 
 
+#: ``(partition_id, n_partitions, keys)``: one shard of a partitioned scan
+Shard = Tuple[int, int, Sequence[int]]
+
+
 class Table:
     """A queryable table exposed by an adapter.
 
@@ -62,11 +66,13 @@ class Table:
     def scan(self) -> Iterable[tuple]:
         raise NotImplementedError
 
-    def scan_columns(self, batch_size: int
+    def scan_columns(self, batch_size: int, shard: Optional[Shard] = None
                      ) -> Optional[Iterator[Tuple[List[list], int]]]:
         """The table as ``(columns, n)`` chunks of at most ``batch_size``
         rows, in :meth:`scan` order, or None when the table has no
-        columnar path (the default).
+        columnar path (the default).  With ``shard`` =
+        ``(partition_id, n_partitions, keys)``, only the rows
+        :meth:`scan_partition` serves for that shard, in its order.
 
         Each chunk is checked once for cancellation and deadline, so
         only tables that produce a chunk cheaply should serve one: a

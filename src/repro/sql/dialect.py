@@ -53,11 +53,11 @@ class MysqlDialect(SqlDialect):
     identifier_quote = "`"
 
     def limit_clause(self, offset, fetch) -> str:
-        if fetch is None and offset is None:
-            return ""
-        if offset is not None:
-            return f"LIMIT {offset}, {fetch if fetch is not None else 18446744073709551615}"
-        return f"LIMIT {fetch}"
+        # MySQL has no OFFSET without LIMIT; its documented stand-in for
+        # "all rows" is the largest unsigned BIGINT.
+        if offset is not None and fetch is None:
+            fetch = 18446744073709551615
+        return super().limit_clause(offset, fetch)
 
 
 class AnsiDialect(SqlDialect):

@@ -6,9 +6,10 @@ as a stand-alone system on top of any data management system with a SQL
 interface, but no optimizer."
 
 :class:`RelToSqlConverter` renders an operator tree as SQL text in a
-chosen dialect.  Operator trees nest as derived tables with generated
-aliases, with adjacent Project/Filter/Sort clauses fused into a single
-SELECT where SQL allows.
+chosen dialect.  A Filter/Project/Aggregate/Sort chain over a scan
+renders as one flat SELECT; derived tables, with generated aliases,
+open only where SQL's clause order forces one (see
+:meth:`RelToSqlConverter._select`).
 """
 
 from __future__ import annotations
@@ -43,6 +44,34 @@ from ..core.rex_eval import RexExecutionError
 from .dialect import SqlDialect, dialect_for
 
 
+class _Select:
+    """A SELECT statement assembled clause by clause."""
+
+    __slots__ = ("from_", "refs", "star", "computed", "where", "group", "tail")
+
+    def __init__(self, from_: str, refs: List[str], star: bool = True) -> None:
+        self.from_ = from_
+        #: the SQL text of each field of the current row
+        self.refs = refs
+        #: the current row is exactly the FROM item's columns
+        self.star = star
+        #: some field of the current row is an expression, not a column
+        self.computed = False
+        self.where: List[str] = []
+        #: GROUP BY items once an aggregate is set (``[]``: global)
+        self.group: Optional[List[str]] = None
+        #: ORDER BY and LIMIT text
+        self.tail = ""
+
+
+def _conjunct(condition: RexNode, text: str) -> str:
+    """``text`` safe to AND with another predicate: binary calls render
+    parenthesized already."""
+    if isinstance(condition, RexCall) and condition.op.syntax == "binary":
+        return text
+    return f"({text})"
+
+
 class RelToSqlConverter:
     """Renders relational expressions as SQL strings.
 
@@ -72,13 +101,12 @@ class RelToSqlConverter:
         return alias
 
     def _to_query(self, rel: RelNode) -> Tuple[str, List[str]]:
-        """Render ``rel`` as a complete SELECT statement."""
+        """Render ``rel`` as a complete statement."""
         d = self.dialect
         fields = list(rel.row_type.field_names)
 
         if isinstance(rel, TableScan):
-            name = ".".join(d.quote_identifier(p) for p in rel.table.qualified_name)
-            return f"SELECT * FROM {name}", fields
+            return f"SELECT * FROM {self._table_name(rel)}", fields
 
         if isinstance(rel, Values):
             if not rel.tuples:
@@ -91,23 +119,92 @@ class RelToSqlConverter:
                 for row in rel.tuples)
             return f"VALUES {rows}", fields
 
-        if isinstance(rel, Project):
-            from_sql, in_fields, where = self._from_with_filter(rel.input)
-            items = ", ".join(
-                f"{self._rex(p, in_fields)} AS {d.quote_identifier(n)}"
-                for p, n in zip(rel.projects, rel.field_names))
-            sql = f"SELECT {items} FROM {from_sql}"
-            if where:
-                sql += f" WHERE {where}"
-            return sql, fields
+        if isinstance(rel, (Union, Intersect, Minus)):
+            op = {"union": "UNION", "intersect": "INTERSECT", "minus": "EXCEPT"}[rel.set_kind]
+            if rel.all:
+                op += " ALL"
+            # Operands stay bare SELECTs (SQLite rejects parenthesized
+            # ones); one with ORDER BY/LIMIT is read as a derived table.
+            parts = []
+            for i in rel.inputs:
+                sel = self._select(i)
+                if sel.tail:
+                    sel = self._wrap(i, sel)
+                parts.append(self._render(sel, i.row_type.field_names))
+            return f" {op} ".join(parts), fields
+
+        return self._render(self._select(rel), fields), fields
+
+    def _select(self, rel: RelNode) -> "_Select":
+        """``rel`` as a SELECT still open to the clauses above it.
+
+        An operator joins the SELECT of its input when its clause is
+        evaluated after every clause already set there — WHERE after
+        FROM, GROUP BY after WHERE, ORDER BY/LIMIT after everything —
+        and wraps the input as a derived table otherwise: a filter or
+        aggregate over an aggregate or a computed projection, anything
+        over ORDER BY/LIMIT, and a computed projection over an
+        aggregate.  Join inputs and set operations are always derived
+        tables.  This is the clause ordering of Calcite's
+        ``SqlImplementor``."""
+        d = self.dialect
+        if isinstance(rel, TableScan):
+            table = f"{self._table_name(rel)} AS {self._next_alias()}"
+            return _Select(table, [d.quote_identifier(f)
+                                   for f in rel.row_type.field_names])
 
         if isinstance(rel, Filter):
-            from_sql, in_fields, where = self._from_with_filter(rel)
-            cols = ", ".join(d.quote_identifier(f) for f in in_fields)
-            sql = f"SELECT {cols} FROM {from_sql}"
-            if where:
-                sql += f" WHERE {where}"
-            return sql, fields
+            sel = self._select(rel.input)
+            if sel.computed or sel.group is not None or sel.tail:
+                sel = self._wrap(rel.input, sel)
+            text = self._rex_qualified(rel.condition, sel.refs)
+            sel.where.append(_conjunct(rel.condition, text))
+            return sel
+
+        if isinstance(rel, Project):
+            sel = self._select(rel.input)
+            pure = all(isinstance(p, RexInputRef) for p in rel.projects)
+            if sel.tail or (not pure and (sel.computed or sel.group is not None)):
+                sel = self._wrap(rel.input, sel)
+            sel.refs = [self._rex_qualified(p, sel.refs) for p in rel.projects]
+            sel.star = False
+            sel.computed = sel.computed or not pure
+            return sel
+
+        if isinstance(rel, Aggregate):
+            sel = self._select(rel.input)
+            if sel.computed or sel.group is not None or sel.tail:
+                sel = self._wrap(rel.input, sel)
+            group = [sel.refs[g] for g in rel.group_set]
+            calls = []
+            for call in rel.agg_calls:
+                args = ", ".join(sel.refs[a] for a in call.args) or "*"
+                if call.distinct:
+                    args = "DISTINCT " + args
+                fn = call.op.name if call.op.name != "$SUM0" else "SUM"
+                calls.append(f"{fn}({args})")
+            sel.group = group
+            sel.refs = group + calls
+            sel.star = False
+            return sel
+
+        if isinstance(rel, Sort):
+            sel = self._select(rel.input)
+            if sel.tail:
+                sel = self._wrap(rel.input, sel)
+            # Keys name the output columns, which ORDER BY resolves
+            # before input columns.
+            fields = rel.row_type.field_names
+            keys = ", ".join(
+                d.quote_identifier(fields[fc.field_index])
+                + (" DESC" if fc.descending else "")
+                for fc in rel.collation.field_collations)
+            clauses = [f"ORDER BY {keys}"] if keys else []
+            limit = d.limit_clause(rel.offset, rel.fetch)
+            if limit:
+                clauses.append(limit)
+            sel.tail = " ".join(clauses)
+            return sel
 
         if isinstance(rel, Join):
             left_sql, left_fields = self._to_query(rel.left)
@@ -127,78 +224,49 @@ class RelToSqlConverter:
             }[rel.join_type]
             condition = self._rex_qualified(rel.condition, combined)
             sel_fields = combined if rel.join_type.projects_right else combined[: len(left_fields)]
-            cols = ", ".join(
-                f"{q} AS {d.quote_identifier(n)}"
-                for q, n in zip(sel_fields, fields))
-            sql = (f"SELECT {cols} FROM ({left_sql}) AS {left_alias} "
-                   f"{join_kw} ({right_sql}) AS {right_alias} ON {condition}")
-            return sql, fields
+            return _Select(f"({left_sql}) AS {left_alias} "
+                           f"{join_kw} ({right_sql}) AS {right_alias} ON {condition}",
+                           sel_fields, star=False)
 
-        if isinstance(rel, Aggregate):
-            inner_sql, in_fields = self._to_query(rel.input)
-            alias = self._next_alias()
-            group_cols = [d.quote_identifier(in_fields[g]) for g in rel.group_set]
-            items = list(group_cols)
-            for call, out_name in zip(
-                    rel.agg_calls, fields[len(rel.group_set):]):
-                args = ", ".join(d.quote_identifier(in_fields[a]) for a in call.args) or "*"
-                if call.distinct:
-                    args = "DISTINCT " + args
-                fn = call.op.name if call.op.name != "$SUM0" else "SUM"
-                items.append(f"{fn}({args}) AS {d.quote_identifier(out_name)}")
-            sql = f"SELECT {', '.join(items)} FROM ({inner_sql}) AS {alias}"
-            if group_cols:
-                sql += " GROUP BY " + ", ".join(group_cols)
-            return sql, fields
-
-        if isinstance(rel, Sort):
-            inner_sql, in_fields = self._to_query(rel.input)
-            alias = self._next_alias()
-            sql = f"SELECT * FROM ({inner_sql}) AS {alias}"
-            if rel.collation.field_collations:
-                keys = ", ".join(
-                    d.quote_identifier(in_fields[fc.field_index])
-                    + (" DESC" if fc.descending else "")
-                    for fc in rel.collation.field_collations)
-                sql += f" ORDER BY {keys}"
-            clause = d.limit_clause(rel.offset, rel.fetch)
-            if clause:
-                sql += " " + clause
-            return sql, fields
-
-        if isinstance(rel, (Union, Intersect, Minus)):
-            op = {"union": "UNION", "intersect": "INTERSECT", "minus": "EXCEPT"}[rel.set_kind]
-            if rel.all:
-                op += " ALL"
-            parts = []
-            for i in rel.inputs:
-                part_sql, _ = self._to_query(i)
-                parts.append(f"({part_sql})")
-            return f" {op} ".join(parts), fields
-
-        # converters and other pass-throughs
-        if len(rel.inputs) == 1:
-            return self._to_query(rel.inputs[0])
+        if isinstance(rel, (Values, Union, Intersect, Minus)):
+            return self._derived(*self._to_query(rel))
+        if len(rel.inputs) == 1:  # converters and other pass-throughs
+            return self._select(rel.inputs[0])
         raise ValueError(f"cannot unparse {rel.rel_name} to SQL")
 
-    def _from_with_filter(self, rel: RelNode) -> Tuple[str, List[str], Optional[str]]:
-        """Render ``rel`` as a FROM item, fusing one Filter into WHERE."""
-        if isinstance(rel, Filter):
-            inner_sql, fields = self._to_query(rel.input)
-            alias = self._next_alias()
-            where = self._rex(rel.condition, fields)
-            return f"({inner_sql}) AS {alias}", fields, where
-        sql, fields = self._to_query(rel)
-        alias = self._next_alias()
-        return f"({sql}) AS {alias}", fields, None
+    def _wrap(self, rel: RelNode, sel: "_Select") -> "_Select":
+        """``sel`` closed and reopened as a derived table."""
+        fields = list(rel.row_type.field_names)
+        return self._derived(self._render(sel, fields), fields)
+
+    def _derived(self, sql: str, fields: List[str]) -> "_Select":
+        q = self.dialect.quote_identifier
+        return _Select(f"({sql}) AS {self._next_alias()}",
+                       [q(f) for f in fields])
+
+    def _render(self, sel: "_Select", fields: Sequence[str]) -> str:
+        q = self.dialect.quote_identifier
+        if sel.star:
+            items = "*"
+        else:
+            items = ", ".join(ref if ref == q(name) else f"{ref} AS {q(name)}"
+                              for ref, name in zip(sel.refs, fields))
+        sql = f"SELECT {items} FROM {sel.from_}"
+        if sel.where:
+            sql += " WHERE " + " AND ".join(sel.where)
+        if sel.group:
+            sql += " GROUP BY " + ", ".join(sel.group)
+        if sel.tail:
+            sql += " " + sel.tail
+        return sql
+
+    def _table_name(self, rel: TableScan) -> str:
+        return ".".join(self.dialect.quote_identifier(p)
+                        for p in rel.table.qualified_name)
 
     # ------------------------------------------------------------------
     # Rex rendering
     # ------------------------------------------------------------------
-    def _rex(self, node: RexNode, fields: List[str]) -> str:
-        refs = [self.dialect.quote_identifier(f) for f in fields]
-        return self._rex_qualified(node, refs)
-
     def _rex_qualified(self, node: RexNode, refs: List[str]) -> str:
         d = self.dialect
         if isinstance(node, RexLiteral):

@@ -122,6 +122,10 @@ class KamikazeTable(Table):
         return self._boom(
             self.inner.scan_partition(partition_id, n_partitions, keys))
 
+    def scan_columns(self, batch_size, shard=None):
+        chunks = self.inner.scan_columns(batch_size, shard)
+        return None if chunks is None else self._boom(chunks)
+
     def _boom(self, rows):
         if os.getpid() != self._parent:
             os.kill(os.getpid(), signal.SIGKILL)
@@ -175,6 +179,27 @@ class TestProcessEngagement:
         # the children's scan counters crossed the wire back home
         assert ctx.rows_scanned >= 1000  # the sales table's cardinality
         assert ctx.worker_crashes == 0
+        _await_no_children()
+
+    def test_partition_assignment_is_built_once_in_the_parent(
+            self, monkeypatch):
+        """The scheduler opens each memory shard in the parent before it
+        forks, so the table's partition assignment lives in the parent:
+        a second statement reuses it and builds nothing."""
+        from repro.adapters import memory
+        catalog = _make_catalog()
+        planner = Planner(FrameworkConfig(
+            catalog, engine="vectorized", parallelism=2, workers="process"))
+        first = planner.execute(GROUP_SQL)
+        assert first.context.processes_spawned > 0
+        table = catalog.find_table(["s", "t"])[0]
+        assert table._partitions  # held by the parent, not a worker
+
+        def rebuilt(*args):
+            raise AssertionError("partition assignment rebuilt")
+        monkeypatch.setattr(memory, "assign_partitions", rebuilt)
+        second = planner.execute(GROUP_SQL)
+        assert sorted(second.rows) == sorted(first.rows)
         _await_no_children()
 
     def test_serial_plans_do_not_fork(self):

@@ -310,10 +310,27 @@ class TestColumnarScans:
         from repro.schema.core import MemoryTable as RowOnlyTable
         _, slow = make_catalog(latency_per_row=0.001)
         assert slow.scan_columns(1024) is None
+        assert slow.scan_columns(1024, (0, 2, (1,))) is None
         row_only = ChaosTable(RowOnlyTable(
             "t", ["id"], [F.integer(False)], [(1,), (2,)]))
         assert row_only.scan_columns(1024) is None
+        assert row_only.scan_columns(1024, (0, 2, ())) is None
         assert slow.scans_started == row_only.scans_started == 0
+        assert slow.partition_scans_started == 0
+
+    def test_shard_chunks_are_injected_on_their_partition_only(self):
+        _, chaos = make_catalog(fail_after_rows=3, fail_times=-1,
+                                only_partition=1)
+        healthy = chaos.scan_columns(4, (0, 2, (1,)))
+        faulty = chaos.scan_columns(4, (1, 2, (1,)))
+        assert chaos.partition_scans_started == 0  # opened, not read
+        assert sum(n for _, n in healthy) == len(list(
+            chaos.inner.scan_partition(0, 2, (1,))))
+        assert next(faulty)[1] == 3  # the chunk the fault falls in, cut
+        with pytest.raises(TransientBackendError, match="shard 1"):
+            next(faulty)
+        assert chaos.partition_scans_started == 2
+        assert chaos.scans_started == 0 and chaos.faults_injected == 1
 
     def test_mid_chunk_failure_retries_with_replay_skip(self):
         catalog, chaos = make_catalog(n=self.N, fail_after_rows=1500,
@@ -406,6 +423,10 @@ class TestDeadlines:
 # Per-shard retry and the partition breaker fallback
 # ---------------------------------------------------------------------------
 
+def partition_breaker_open(planner) -> bool:
+    return planner.breakers.snapshot()["t/partition"]["state"] == "open"
+
+
 @pytest.mark.chaos
 @pytest.mark.parametrize("workers", WORKERS)
 class TestShardResilience:
@@ -463,6 +484,23 @@ class TestShardResilience:
             assert chaos.scans_started == 0
         assert_no_workers()
 
+    @pytest.mark.parametrize("parallelism", [2, 4])
+    def test_shards_are_read_as_column_chunks(self, parallelism, workers):
+        catalog, chaos = make_catalog(fail_after_rows=None)
+        rows_forbidden(chaos)
+
+        def no_row_shards(*args):
+            raise AssertionError("shard read by rows, not column chunks")
+        chaos.inner.scan_partition = no_row_shards
+        planner = planner_for(catalog, engine="vectorized",
+                              parallelism=parallelism, workers=workers)
+        result = planner.execute(GROUP_SQL)
+        assert sorted(result.rows) == expected_groups()
+        assert result.context.rows_scanned == N_ROWS
+        if workers == "thread":
+            assert chaos.partition_scans_started == parallelism
+        assert_no_workers()
+
     def test_open_partition_breaker_degrades_to_gather_then_shard(
             self, workers):
         catalog, chaos = make_catalog(
@@ -472,10 +510,9 @@ class TestShardResilience:
                               breaker_failure_threshold=1)
         with pytest.raises(TransientBackendError):
             planner.execute(GROUP_SQL)
-        if workers == "process":
-            # A forked worker charges its shard failures to its own
-            # fresh breaker registry, so open the statement's here.
-            planner.breakers.breaker_for(chaos, "partition").record_failure()
+        # Under process workers the shard failed in a forked worker,
+        # whose breaker outcomes came home with its counters.
+        assert partition_breaker_open(planner)
         # The "partition" breaker is now open; the next statement must
         # degrade to the serial-scan-then-reshard baseline and succeed
         # (the plain scan path is healthy).
