@@ -26,10 +26,13 @@ fi
 python -m pytest -x -q ${MARKER_ARGS[@]+"${MARKER_ARGS[@]}"}
 
 # Cross-engine gates: row and vectorized engines must agree everywhere,
-# and the vectorized engine must win the scan+filter+aggregate bench.
+# typed (numpy) column kernels must agree with the list kernels and the
+# row engine, and the vectorized engine must win the
+# scan+filter+aggregate bench.
 python -m pytest -q -m "$CROSS_ENGINE_MARKER" \
     tests/test_engine_differential.py \
     tests/test_vectorized_property.py \
+    tests/test_typed_kernels.py \
     benchmarks/bench_vectorized.py
 
 # Parallelism matrix: the multi-worker axis (parallelism 2, and 4 when

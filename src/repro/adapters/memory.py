@@ -29,14 +29,17 @@ besides the row-at-a-time scan:
   lookup of a column and holding references to the table's own row
   tuples (the cost is the dict and one list per distinct key).
 * ``scan_columns(batch_size)``: the full scan as column chunks, for the
-  vectorized engine.  The table keeps a columnar copy — one plain list
-  per column, built on the first columnar read — and hands out slices
-  of it, so a batch scan copies each value reference once per chunk
-  instead of pivoting row tuples into columns.  The copy holds
-  references to the rows' own values: one pointer per cell, 8 bytes on
-  64-bit CPython (4 MB for 100 000 rows of five columns).  No capability
-  flag declares it; the vectorized scan asks every table, and the row
-  engine never does.
+  vectorized engine.  The table keeps a columnar copy, built on the
+  first columnar read: a column whose values are all exact ints within
+  int64, or all exact floats, is one read-only numpy int64/float64 array
+  (:func:`repro.runtime.vectorized.typed.typed_column`, 8 bytes a cell
+  and no value objects of its own), any other column a list of
+  references to the rows' own values.  Chunks are slices of it (views
+  of an array), shard chunks ``take`` gathers of it, so a batch scan never
+  pivots row tuples into columns.  No capability flag declares it; the
+  vectorized scan asks every table, and the row engine never does, so
+  numpy is first imported when a vectorized plan reads a memory
+  table.
 
 All three caches are dropped, never patched, on ``insert``: a reader
 that already holds an assignment, an index list or the columnar copy
@@ -52,6 +55,7 @@ from __future__ import annotations
 from typing import (Any, Dict, Iterable, Iterator, List, Optional, Sequence,
                     Tuple)
 
+from ..runtime.vectorized.batch import gather_columns, pylist
 from ..schema.core import MemoryTable as BaseMemoryTable
 from ..schema.core import Shard, Statistic
 from .capability import ScanCapabilities, partition_of
@@ -67,20 +71,21 @@ _CAPABILITIES = ScanCapabilities(
 Assignment = List[Sequence[int]]
 
 
-def assign_partitions(columns: List[list], n: int, n_partitions: int,
+def assign_partitions(columns: List[Any], n: int, n_partitions: int,
                       keys: Tuple[int, ...]) -> Assignment:
     """Each row's partition under :func:`partition_of` on its ``keys``
-    columns; without keys, a stride (any disjoint cover will do)."""
+    columns, read as built-in values; without keys, a stride (any
+    disjoint cover will do)."""
     if not keys:
         return [range(p, n, n_partitions) for p in range(n_partitions)]
     buckets: Assignment = [[] for _ in range(n_partitions)]
-    for i, values in enumerate(zip(*[columns[k] for k in keys])):
+    for i, values in enumerate(zip(*[pylist(columns[k]) for k in keys])):
         buckets[partition_of(values, n_partitions)].append(i)
     return buckets
 
 
-def _chunks(columns: List[list], positions: Sequence[int],
-            batch_size: int) -> Iterator[Tuple[List[list], int]]:
+def _chunks(columns: List[Any], positions: Sequence[int],
+            batch_size: int) -> Iterator[Tuple[List[Any], int]]:
     """The rows at ``positions`` as ``(columns, n)`` chunks; a stride of
     positions is sliced, any other list gathered."""
     for lo in range(0, len(positions), batch_size):
@@ -89,8 +94,7 @@ def _chunks(columns: List[list], positions: Sequence[int],
             cut = slice(part.start, part.stop, part.step)
             yield [col[cut] for col in columns], len(part)
         else:
-            yield ([list(map(col.__getitem__, part)) for col in columns],
-                   len(part))
+            yield gather_columns(columns, part), len(part)
 
 
 def _equals_nothing(value: Any) -> bool:
@@ -107,11 +111,11 @@ class MemoryTable(BaseMemoryTable):
         super().__init__(*args, **kwargs)
         #: (columnar copy, assignment) per (n_partitions, keys) shape
         self._partitions: Dict[Tuple[int, Tuple[int, ...]],
-                               Tuple[List[list], Assignment]] = {}
+                               Tuple[List[Any], Assignment]] = {}
         #: cached hash index per column: key -> rows with that key
         self._indexes: Dict[int, Dict[Any, List[tuple]]] = {}
         #: the columnar copy as ``[(columns, n)]``, empty until first use
-        self._columnar: List[Tuple[List[list], int]] = []
+        self._columnar: List[Tuple[List[Any], int]] = []
 
     def capabilities(self) -> ScanCapabilities:
         return _CAPABILITIES
@@ -125,7 +129,7 @@ class MemoryTable(BaseMemoryTable):
         self._columnar = []
 
     def scan_columns(self, batch_size: int, shard: Optional[Shard] = None
-                     ) -> Iterator[Tuple[List[list], int]]:
+                     ) -> Iterator[Tuple[List[Any], int]]:
         if shard is None:
             columns, n = self._columns()
             positions: Sequence[int] = range(n)
@@ -143,7 +147,7 @@ class MemoryTable(BaseMemoryTable):
         return map(self.rows.__getitem__, assignment[partition_id])
 
     def _assignment(self, n_partitions: int, keys: Tuple[int, ...]
-                   ) -> Tuple[List[list], Assignment]:
+                   ) -> Tuple[List[Any], Assignment]:
         """The columnar copy and, per partition, the positions in it of
         the partition's rows, in table order; built once per shape."""
         shape = (n_partitions, keys)
@@ -155,12 +159,13 @@ class MemoryTable(BaseMemoryTable):
                 columns, assign_partitions(columns, n, n_partitions, keys))
         return entry
 
-    def _columns(self) -> Tuple[List[list], int]:
+    def _columns(self) -> Tuple[List[Any], int]:
         holder = self._columnar
         if not holder:
             rows = list(self.rows)  # one snapshot: columns stay aligned
             if rows:
-                columns = [list(col) for col in zip(*rows)]
+                from ..runtime.vectorized.typed import typed_column
+                columns = [typed_column(list(col)) for col in zip(*rows)]
             else:
                 columns = [[] for _ in range(self.row_type.field_count)]
             holder.append((columns, len(rows)))

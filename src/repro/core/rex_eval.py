@@ -54,6 +54,12 @@ def register_runtime_function(name: str, fn: Callable) -> None:
     FUNCTION_REGISTRY[name.upper()] = fn
 
 
+#: What a strict call's implementation raises on operands it cannot
+#: combine (a division by zero, ``'>'`` between an int and a str): both
+#: engines turn these into a :class:`RexExecutionError` naming the call.
+EVAL_ERRORS = (ArithmeticError, ValueError, TypeError)
+
+
 class EvalContext:
     """Execution-time bindings: dynamic parameters and correlation rows."""
 
@@ -180,7 +186,7 @@ def _evaluate_call(call: RexCall, row: Sequence[Any], context: EvalContext) -> A
             return None
         try:
             return _STRICT_IMPLS[kind](*values)
-        except (ArithmeticError, ValueError) as exc:
+        except EVAL_ERRORS as exc:
             raise RexExecutionError(f"{call.op.name}: {exc}") from exc
     if kind is SqlKind.IN:
         return _in(values[0], values[1:])
@@ -604,7 +610,7 @@ def _compile_strict(call: RexCall, fns: Sequence[Compiled]) -> Compiled:
                 return None
             try:
                 return impl(*vals)
-            except (ArithmeticError, ValueError) as exc:
+            except EVAL_ERRORS as exc:
                 raise RexExecutionError(f"{name}: {exc}") from exc
         return run_strict
 
@@ -620,7 +626,7 @@ def _compile_strict(call: RexCall, fns: Sequence[Compiled]) -> Compiled:
                     return None
                 try:
                     return impl(a, const)
-                except (ArithmeticError, ValueError) as exc:
+                except EVAL_ERRORS as exc:
                     raise RexExecutionError(f"{name}: {exc}") from exc
             return run_ref_const
         if isinstance(right, RexInputRef):
@@ -632,7 +638,7 @@ def _compile_strict(call: RexCall, fns: Sequence[Compiled]) -> Compiled:
                     return None
                 try:
                     return impl(a, b)
-                except (ArithmeticError, ValueError) as exc:
+                except EVAL_ERRORS as exc:
                     raise RexExecutionError(f"{name}: {exc}") from exc
             return run_ref_ref
         if isinstance(right, RexDynamicParam):
@@ -647,7 +653,7 @@ def _compile_strict(call: RexCall, fns: Sequence[Compiled]) -> Compiled:
                     return None
                 try:
                     return impl(a, b)
-                except (ArithmeticError, ValueError) as exc:
+                except EVAL_ERRORS as exc:
                     raise RexExecutionError(f"{name}: {exc}") from exc
             return run_ref_param
 
@@ -658,6 +664,6 @@ def _compile_strict(call: RexCall, fns: Sequence[Compiled]) -> Compiled:
             return None
         try:
             return impl(a, b)
-        except (ArithmeticError, ValueError) as exc:
+        except EVAL_ERRORS as exc:
             raise RexExecutionError(f"{name}: {exc}") from exc
     return run_binary

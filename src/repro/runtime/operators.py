@@ -901,17 +901,15 @@ def _apply_window_agg(over: RexOver, frame_rows: List[tuple],
         values = [1] * len(frame_rows)
     if kind is SqlKind.COUNT:
         return len(values)
-    if kind in (SqlKind.SUM, SqlKind.SUM0):
+    if kind in (SqlKind.SUM, SqlKind.SUM0, SqlKind.AVG):
         if not values:
             return 0 if kind is SqlKind.SUM0 else None
+        # A left fold from the first value, as every other SUM/AVG
+        # accumulates: sum() would start from 0 and turn -0.0 into 0.0.
         total = values[0]
         for v in values[1:]:
             total += v
-        return total
-    if kind is SqlKind.AVG:
-        if not values:
-            return None
-        return sum(values) / len(values)
+        return total / len(values) if kind is SqlKind.AVG else total
     if kind is SqlKind.MIN:
         return min(values) if values else None
     if kind is SqlKind.MAX:

@@ -11,6 +11,13 @@ Pipelining operators (scan / filter / project / the probe side of a
 hash join) stream batches; blocking operators (aggregate, sort, the
 set operations, the build side of a hash join) gather their input into
 one batch first.
+
+Over typed columns (:mod:`.typed`) the filter selects through a mask,
+the hash join on one int64 key probes a sorted build side, and
+single-key grouping and the COUNT/SUM/SUM0/AVG/MIN/MAX accumulators are
+array reductions; each is a branch of the operator's own function,
+taken only when its inputs are arrays, with the list branch kept for
+everything else.
 """
 
 from __future__ import annotations
@@ -36,6 +43,9 @@ from .batch import (
     ColumnBatch,
     batches_from_rows,
     concat_batches,
+    gather_columns,
+    is_array,
+    pylist,
 )
 from .exchange import Exchange, InjectedStream, SingletonExchange
 from .partitioned import PartitionedScan, PartitionedTableScan
@@ -152,8 +162,13 @@ def _filter(rel: VectorizedFilter, ctx: ExecutionContext,
             if verdict.value is True:
                 yield compacted
             continue
-        selection = list(compress(count(), map(is_, verdict, repeat(True))))
-        if selection:
+        if isinstance(verdict, list):
+            selection = list(compress(count(),
+                                      map(is_, verdict, repeat(True))))
+        else:  # a comparison's mask
+            from . import typed
+            selection = typed.true_positions(verdict)
+        if len(selection):
             yield compacted.with_selection(selection)
 
 
@@ -186,20 +201,18 @@ def _hash_join(rel: VectorizedHashJoin, ctx: ExecutionContext,
     left_keys, right_keys = info.left_keys, info.right_keys
     join_type = rel.join_type
 
-    # Build side: materialise the right input as columns + key index.
+    # Build side: materialise the right input as columns.  One int64
+    # key column is indexed by sorting it (typed.KeyIndex); anything
+    # else, and any probe batch whose key is not an int64 array too,
+    # goes through a dict from key to positions, built on first use.
     right = _gather_input(rel.right, ctx, batch_size)
     right_cols = right.columns
-    multi_key = len(right_keys) > 1
-    index: Dict[Any, List[int]] = {}
-    for j, key in enumerate(_join_keys(right_cols, right_keys)):
-        if key is None or (multi_key and None in key):
-            continue  # NULL keys never match
-        bucket = index.get(key)
-        if bucket is None:
-            index[key] = [j]
-        else:
-            bucket.append(j)
-    probe = index.get
+    typed_index = None
+    if len(right_keys) == 1 and right.num_rows:
+        from . import typed
+        if typed.is_typed(right_cols[right_keys[0]], typed.INT64):
+            typed_index = typed.KeyIndex(right_cols[right_keys[0]])
+    dict_index: Optional[Dict[Any, List[int]]] = None
 
     # Right positions some probe row matched (RIGHT/FULL only).
     right_matched: Optional[set] = None
@@ -211,40 +224,61 @@ def _hash_join(rel: VectorizedHashJoin, ctx: ExecutionContext,
         left = batch.compact()
         if left.num_rows == 0:
             continue
-        # A NULL key (or a tuple holding one) is never in the index.
-        matches = list(map(probe, _join_keys(left.columns, left_keys)))
-        if not join_type.projects_right:  # SEMI / ANTI: left columns only
-            want = join_type is JoinRelType.SEMI
-            selection = [i for i, m in enumerate(matches)
-                         if (m is not None) is want]
-            if selection:
-                yield left.with_selection(selection)
-            continue
-        padded = keep_unmatched and None in matches
+        probe_keys = left.columns[left_keys[0]]
+        if typed_index is not None and typed.is_typed(probe_keys,
+                                                      typed.INT64):
+            if not join_type.projects_right:  # SEMI / ANTI
+                _lo, counts = typed_index.counts(probe_keys)
+                want = join_type is JoinRelType.SEMI
+                selection = typed.true_positions((counts > 0) == want)
+                if len(selection):
+                    yield left.with_selection(selection)
+                continue
+            left_idx, right_idx, padded = typed_index.pairs(
+                probe_keys, keep_unmatched)
+            if not len(left_idx):
+                continue
+            if right_matched is not None:
+                right_matched.update(right_idx.tolist())
+        else:
+            if dict_index is None:
+                dict_index = _dict_index(right_cols, right_keys)
+            # A NULL key (or a tuple holding one) is never in the index.
+            matches = list(map(dict_index.get,
+                               _join_keys(left.columns, left_keys)))
+            if not join_type.projects_right:  # SEMI / ANTI
+                want = join_type is JoinRelType.SEMI
+                selection = [i for i, m in enumerate(matches)
+                             if (m is not None) is want]
+                if selection:
+                    yield left.with_selection(selection)
+                continue
+            padded = keep_unmatched and None in matches
+            if padded:
+                matches = [_UNMATCHED if m is None else m for m in matches]
+            left_idx = [i for i, m in enumerate(matches) if m is not None
+                        for _ in m]
+            if not left_idx:
+                continue
+            right_idx = [j for m in matches if m is not None for j in m]
+            if right_matched is not None:
+                right_matched.update(right_idx)
+        out_cols = gather_columns(left.columns, left_idx)
         if padded:
-            matches = [_UNMATCHED if m is None else m for m in matches]
-        left_idx = [i for i, m in enumerate(matches) if m is not None
-                    for _ in m]
-        if not left_idx:
-            continue
-        right_idx = [j for m in matches if m is not None for j in m]
-        if right_matched is not None:
-            right_matched.update(right_idx)
-        out_cols = [_gather(col, left_idx) for col in left.columns]
-        if padded:
-            out_cols.extend([None if j is None else col[j] for j in right_idx]
+            out_cols.extend(_gather_padded(col, right_idx)
                             for col in right_cols)
         else:
-            out_cols.extend(_gather(col, right_idx) for col in right_cols)
+            out_cols.extend(gather_columns(right_cols, right_idx))
         yield ColumnBatch(out_cols, len(left_idx))
 
     if right_matched is not None:
+        right_matched.discard(-1)  # a typed probe's padding marker
         unmatched = [j for j in range(right.num_rows)
                      if j not in right_matched]
         if unmatched:
             n_left_fields = rel.left.row_type.field_count
             out_cols = [[None] * len(unmatched) for _ in range(n_left_fields)]
-            out_cols.extend(_gather(col, unmatched) for col in right_cols)
+            out_cols.extend(gather_columns(right_cols, unmatched))
             yield ColumnBatch(out_cols, len(unmatched))
 
 
@@ -252,16 +286,38 @@ def _hash_join(rel: VectorizedHashJoin, ctx: ExecutionContext,
 _UNMATCHED = (None,)
 
 
-def _join_keys(columns: List[list], keys: List[int]):
-    """Per-row join keys: the key column itself for one key, tuples
-    for several."""
+def _dict_index(columns: List[Any], keys: List[int]) -> Dict[Any, List[int]]:
+    """Key -> build positions holding it, in build order; NULL keys
+    (and key tuples holding one) are left out, as they never match."""
+    multi_key = len(keys) > 1
+    index: Dict[Any, List[int]] = {}
+    for j, key in enumerate(_join_keys(columns, keys)):
+        if key is None or (multi_key and None in key):
+            continue
+        bucket = index.get(key)
+        if bucket is None:
+            index[key] = [j]
+        else:
+            bucket.append(j)
+    return index
+
+
+def _join_keys(columns: List[Any], keys: List[int]):
+    """Per-row join keys as built-in values: the key column itself for
+    one key, tuples for several."""
     if len(keys) == 1:
-        return columns[keys[0]]
-    return zip(*[columns[k] for k in keys])
+        return pylist(columns[keys[0]])
+    return zip(*[pylist(columns[k]) for k in keys])
 
 
-def _gather(column: list, positions: List[int]) -> list:
-    return list(map(column.__getitem__, positions))
+def _gather_padded(column: Any, positions: Any) -> list:
+    """``column`` at ``positions``, None at an unmatched probe row's
+    padding (None in a list of positions, -1 in an index array)."""
+    if isinstance(positions, list):
+        column = pylist(column)
+        return [None if j is None else column[j] for j in positions]
+    from . import typed
+    return typed.take_padded(column, positions)
 
 
 # -- aggregation --------------------------------------------------------------
@@ -276,18 +332,29 @@ def _fast_path(call: AggregateCall) -> bool:
             and call.filter_arg is None and len(call.args) <= 1)
 
 
-def _accumulate_fast(call: AggregateCall, column: Optional[list],
-                     group_ids: List[int], n_groups: int) -> List[Any]:
+def _accumulate_fast(call: AggregateCall, column: Optional[Any],
+                     group_ids: Any, n_groups: int) -> List[Any]:
     """Columnar accumulation for one aggregate call across all groups.
 
-    Accumulation order is row order within each group — identical to the
-    row engine, so float sums agree bit-for-bit.
+    Over a typed column (or COUNT(*)) with typed group ids this is an
+    array reduction (:func:`.typed.accumulate`), which declines where
+    int64 could overflow or float order would matter; otherwise it is
+    the loop below.  Either way accumulation order is row order within
+    each group — identical to the row engine, so float sums agree
+    bit-for-bit.
     """
     kind = call.op.kind
+    if is_array(group_ids) and (column is None or is_array(column)):
+        from . import typed
+        out = typed.accumulate(kind, column, group_ids, n_groups)
+        if out is not None:
+            return out
+    group_ids = pylist(group_ids)
     if column is None:
         # COUNT(*): group ids are numbered in first-seen order, which is
         # also the order Counter keeps them in.
         return list(Counter(group_ids).values())
+    column = pylist(column)
     counts = [0] * n_groups
     if kind is SqlKind.COUNT:
         for g, v in zip(group_ids, column):
@@ -339,11 +406,24 @@ def _aggregate(rel: VectorizedAggregate, ctx: ExecutionContext,
     # Group identification: ids in first-seen order, matching the row
     # engine's OrderedDict iteration.
     key_cols = [batch.columns[g] for g in group_set]
-    if not key_cols:
-        group_ids: List[int] = [0] * n
-        result_cols: List[List[Any]] = []
+    typed_groups = None
+    if key_cols and all(map(is_array, key_cols)):
+        from . import typed
+        typed_groups = typed.group_ids(key_cols)
+    group_ids: Any
+    if typed_groups is not None:
+        group_ids, n_groups, firsts = typed_groups
+        result_cols: List[Any] = [col.take(firsts).tolist()
+                                  for col in key_cols]
+    elif not key_cols:
+        group_ids = [0] * n
+        if any(is_array(batch.columns[c.args[0]]) for c in rel.agg_calls
+               if c.args):
+            from . import typed
+            group_ids = typed.zeros(n)
+        result_cols = []
     elif len(key_cols) == 1:
-        col = key_cols[0]
+        col = pylist(key_cols[0])
         # dict.fromkeys and the map run in C; a key equal to an earlier
         # one (1 and 1.0) joins its group, as a dict lookup does.
         gid = dict(zip(dict.fromkeys(col), count()))
@@ -352,13 +432,14 @@ def _aggregate(rel: VectorizedAggregate, ctx: ExecutionContext,
     else:
         group_ids = [0] * n
         groups: Dict[tuple, int] = {}
-        for i, key in enumerate(zip(*key_cols)):
+        for i, key in enumerate(zip(*map(pylist, key_cols))):
             g = groups.get(key)
             if g is None:
                 g = groups[key] = len(groups)
             group_ids[i] = g
         result_cols = [list(c) for c in zip(*groups)]
-    n_groups = len(result_cols[0]) if result_cols else 1
+    if typed_groups is None:
+        n_groups = len(result_cols[0]) if result_cols else 1
 
     rows: Optional[List[tuple]] = None  # lazily built for generic calls
     for call in rel.agg_calls:
@@ -372,8 +453,8 @@ def _aggregate(rel: VectorizedAggregate, ctx: ExecutionContext,
             if rows is None:
                 rows = batch.to_rows()
             accs = [_Accumulator(call) for _ in range(n_groups)]
-            for i, row in enumerate(rows):
-                accs[group_ids[i]].add(row)
+            for i, g in enumerate(pylist(group_ids)):
+                accs[g].add(rows[i])
             result_cols.append([a.result() for a in accs])
 
     yield ColumnBatch(result_cols, n_groups)
@@ -458,12 +539,11 @@ def _union(rel: VectorizedUnion, ctx: ExecutionContext,
     field_count = rel.row_type.field_count
     for i in rel.inputs:
         for batch in execute_batches(i, ctx, batch_size):
-            out: List[tuple] = []
-            for row in batch.to_rows():
-                if row not in seen:
-                    seen.add(row)
-                    out.append(row)
+            # dict.fromkeys keeps each batch's first of equal rows, in order
+            out = [row for row in dict.fromkeys(batch.iter_rows())
+                   if row not in seen]
             if out:
+                seen.update(out)
                 yield ColumnBatch.from_rows(out, field_count)
 
 

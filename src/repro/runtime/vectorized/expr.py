@@ -17,6 +17,13 @@ Literals and dynamic parameters compile to :class:`Scalar` values that
 never materialise a column; binary kernels specialise on the
 scalar/column shape of each operand.
 
+A column is a list or a typed int64/float64 array (:mod:`.typed`).  A
+comparison of a typed column with a scalar or column of its own kind is
+one numpy comparison yielding a bool mask; every other kernel walks
+built-in values, so it turns an array operand into a list first
+(:func:`_values`), and the list kernel stays the one definition of the
+call's semantics.
+
 Compiled closures are **late bound**: a dynamic parameter (``?``)
 compiles to a lookup into the executing frame's
 ``ctx.parameters``, never to the value that happened to be bound at
@@ -60,11 +67,12 @@ from ...core.rex_eval import (
     _item,
     EvalContext,
     FUNCTION_REGISTRY,
+    EVAL_ERRORS,
     RexExecutionError,
     cast_value,
     compile as compile_row_rex,
 )
-from .batch import ColumnBatch
+from .batch import ColumnBatch, gather_columns, pylist
 
 
 class Scalar:
@@ -76,7 +84,8 @@ class Scalar:
         self.value = value
 
 
-Vector = Union[Scalar, list]
+#: a Scalar, a list, or an array (a typed column or a comparison's mask)
+Vector = Union[Scalar, list, Any]
 
 
 class Frame:
@@ -102,18 +111,29 @@ class Frame:
 
     def rows(self) -> List[tuple]:
         if self._rows is None:
-            self._rows = list(zip(*self.columns)) if self.num_rows else []
+            self._rows = (list(zip(*map(pylist, self.columns)))
+                          if self.num_rows else [])
         return self._rows
 
 
 CompiledExpr = Callable[[Frame], Vector]
 
 
-def as_column(vec: Vector, n: int) -> list:
-    """Broadcast a scalar into a column (only at true column boundaries)."""
+def as_column(vec: Vector, n: int) -> Any:
+    """Broadcast a scalar into a column (only at true column boundaries);
+    a typed array stays one, a comparison's mask becomes a list."""
     if isinstance(vec, Scalar):
         return [vec.value] * n
-    return vec
+    if isinstance(vec, list):
+        return vec
+    from . import typed
+    return typed.as_column(vec)
+
+
+def _values(vec: Vector) -> Union[Scalar, list]:
+    """A vector the per-value kernels can walk: an array as a list of
+    built-in values, anything else as it is."""
+    return vec if isinstance(vec, Scalar) else pylist(vec)
 
 
 def compile_rex(node: RexNode) -> CompiledExpr:
@@ -227,7 +247,7 @@ def _wrap_errors(fn: Callable, name: str) -> Callable:
     def safe(a: Any, b: Any) -> Any:
         try:
             return fn(a, b)
-        except (ArithmeticError, ValueError) as exc:
+        except EVAL_ERRORS as exc:
             raise RexExecutionError(f"{name}: {exc}") from exc
     return safe
 
@@ -238,7 +258,7 @@ def _strict_scalar(fn: Callable, name: str) -> Callable:
             return None
         try:
             return fn(v)
-        except (ArithmeticError, ValueError) as exc:
+        except EVAL_ERRORS as exc:
             raise RexExecutionError(f"{name}: {exc}") from exc
     return safe
 
@@ -249,7 +269,7 @@ def _strict_nary(fn: Callable, name: str) -> Callable:
             return None
         try:
             return fn(*vals)
-        except (ArithmeticError, ValueError) as exc:
+        except EVAL_ERRORS as exc:
             raise RexExecutionError(f"{name}: {exc}") from exc
     return safe
 
@@ -279,8 +299,7 @@ class _GatherColumns:
     def __getitem__(self, k: int) -> list:
         col = self._cache.get(k)
         if col is None:
-            base_col = self._base[k]
-            col = [base_col[j] for j in self._indices]
+            col = gather_columns([self._base[k]], self._indices)[0]
             self._cache[k] = col
         return col
 
@@ -312,7 +331,7 @@ def _map_unary(operand: CompiledExpr, fn: Callable,
         inner = fn
         fn = lambda v: None if v is None else inner(v)
     def run(frame: Frame) -> Vector:
-        vec = operand(frame)
+        vec = _values(operand(frame))
         if isinstance(vec, Scalar):
             if frame.num_rows == 0:
                 return []  # the row engine never evaluates over no rows
@@ -332,6 +351,8 @@ def _map_binary(left: CompiledExpr, right: CompiledExpr,
 def _apply_binary(fn: Callable, a: Vector, b: Vector, n: int) -> Vector:
     """``fn`` over two evaluated operands, specialised on their
     scalar/column shapes."""
+    a = _values(a)
+    b = _values(b)
     a_scalar = isinstance(a, Scalar)
     b_scalar = isinstance(b, Scalar)
     if a_scalar and b_scalar:
@@ -351,18 +372,28 @@ def _strict_binary(left: CompiledExpr, right: CompiledExpr, fn: Callable,
                    name: str) -> CompiledExpr:
     """A binary ``_STRICT_IMPLS`` call.
 
-    A column against a non-NULL scalar — nearly every filter predicate —
-    or against another column calls ``fn`` straight from one
-    comprehension, with the NULL test inline.  Scalar pairs, NULL
-    scalars and any arithmetic or value error go through the checked
-    kernel, which raises the same :class:`RexExecutionError` as the row
-    engine.
+    A comparison with a typed column on one side and a scalar or column
+    of the same kind on the other is one numpy comparison (a bool mask).
+    Otherwise a column against a non-NULL scalar — nearly every filter
+    predicate — or against another column calls ``fn`` straight from
+    one comprehension, with the NULL test inline.  Scalar pairs, NULL
+    scalars and any arithmetic, value or type error go through the
+    checked kernel, which raises the same :class:`RexExecutionError` as
+    the row engine.
     """
     checked = _wrap_errors(fn, name)
     strict = lambda a, b: None if (a is None or b is None) else checked(a, b)
     def run(frame: Frame) -> Vector:
         a = left(frame)
         b = right(frame)
+        if not isinstance(a, (Scalar, list)) or \
+                not isinstance(b, (Scalar, list)):
+            from . import typed
+            mask = typed.compare(fn, a, b)
+            if mask is not None:
+                return mask
+            a = _values(a)
+            b = _values(b)
         try:
             if isinstance(b, Scalar):
                 s = b.value
@@ -375,7 +406,7 @@ def _strict_binary(left: CompiledExpr, right: CompiledExpr, fn: Callable,
             else:
                 return [None if (x is None or y is None) else fn(x, y)
                         for x, y in zip(a, b)]
-        except (ArithmeticError, ValueError):
+        except EVAL_ERRORS:
             pass  # re-run checked, for the error the row engine raises
         return _apply_binary(strict, a, b, frame.num_rows)
     return run
@@ -385,7 +416,7 @@ def _map_nary(operands: List[CompiledExpr], fn: Callable) -> CompiledExpr:
     """Elementwise n-ary kernel; ``fn`` receives the value tuple and is
     responsible for its own NULL handling."""
     def run(frame: Frame) -> Vector:
-        vecs = [op(frame) for op in operands]
+        vecs = [_values(op(frame)) for op in operands]
         if all(isinstance(v, Scalar) for v in vecs):
             if frame.num_rows == 0:
                 return []  # the row engine never evaluates over no rows
@@ -410,7 +441,7 @@ def _compile_and(operands: List[CompiledExpr]) -> CompiledExpr:
         for op in operands:
             if not active:
                 break
-            vec = _eval_subset(op, frame, active)
+            vec = _values(_eval_subset(op, frame, active))
             if isinstance(vec, Scalar):
                 v = vec.value
                 if v is False:
@@ -449,7 +480,7 @@ def _compile_or(operands: List[CompiledExpr]) -> CompiledExpr:
         for op in operands:
             if not active:
                 break
-            vec = _eval_subset(op, frame, active)
+            vec = _values(_eval_subset(op, frame, active))
             if isinstance(vec, Scalar):
                 v = vec.value
                 if v is True:
@@ -502,7 +533,7 @@ def _compile_case(operands: List[CompiledExpr]) -> CompiledExpr:
         for cond, val in pairs:
             if not undecided:
                 break
-            cond_vec = _eval_subset(cond, frame, undecided)
+            cond_vec = _values(_eval_subset(cond, frame, undecided))
             if isinstance(cond_vec, Scalar):
                 matched = undecided if cond_vec.value is True else []
                 undecided = [] if cond_vec.value is True else undecided
@@ -512,9 +543,9 @@ def _compile_case(operands: List[CompiledExpr]) -> CompiledExpr:
                 undecided = [i for pos, i in enumerate(undecided)
                              if cond_vec[pos] is not True]
             if matched:
-                _scatter(_eval_subset(val, frame, matched), matched, out)
+                _scatter(_values(_eval_subset(val, frame, matched)), matched, out)
         if default is not None and undecided:
-            _scatter(_eval_subset(default, frame, undecided), undecided, out)
+            _scatter(_values(_eval_subset(default, frame, undecided)), undecided, out)
         return out
     return run
 
@@ -529,7 +560,7 @@ def _compile_coalesce(operands: List[CompiledExpr]) -> CompiledExpr:
         for op in operands:
             if not pending:
                 break
-            vec = _eval_subset(op, frame, pending)
+            vec = _values(_eval_subset(op, frame, pending))
             if isinstance(vec, Scalar):
                 if vec.value is not None:
                     for i in pending:
@@ -552,8 +583,8 @@ def _compile_in(operands: List[CompiledExpr], negate: bool) -> CompiledExpr:
     value_expr, candidate_exprs = operands[0], operands[1:]
     def run(frame: Frame) -> Vector:
         n = frame.num_rows
-        value_col = as_column(value_expr(frame), n)
-        vecs = [c(frame) for c in candidate_exprs]
+        value_col = _values(as_column(value_expr(frame), n))
+        vecs = [_values(c(frame)) for c in candidate_exprs]
         if all(isinstance(v, Scalar) for v in vecs):
             # The common `col IN (literals…)` shape: one candidate list
             # shared by every row instead of K broadcast columns.
@@ -570,16 +601,14 @@ def _compile_in(operands: List[CompiledExpr], negate: bool) -> CompiledExpr:
 
 
 def _compile_between(operands: List[CompiledExpr]) -> CompiledExpr:
-    value_expr, lo_expr, hi_expr = operands
     def between(a: Any, lo: Any, hi: Any) -> Any:
         if a is None or lo is None or hi is None:
             return None
         return lo <= a <= hi
     def run(frame: Frame) -> Vector:
         n = frame.num_rows
-        value_col = as_column(value_expr(frame), n)
-        lo_col = as_column(lo_expr(frame), n)
-        hi_col = as_column(hi_expr(frame), n)
+        value_col, lo_col, hi_col = (_values(as_column(e(frame), n))
+                                     for e in operands)
         return [between(a, lo, hi)
                 for a, lo, hi in zip(value_col, lo_col, hi_col)]
     return run

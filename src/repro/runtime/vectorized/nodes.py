@@ -77,8 +77,11 @@ class VectorizedRel:
         return execute_batches(self, ctx, batch_size)
 
     def execute_rows(self, ctx):
-        for batch in self.execute_batches(ctx):
-            yield from batch.to_rows()
+        from .batch import RowStream
+        return RowStream.of(self._batch_stream(ctx))
+
+    def _batch_stream(self, ctx):
+        yield from self.execute_batches(ctx)
 
     def _discounted(self, cost: RelOptCost) -> RelOptCost:
         return RelOptCost(cost.rows, cost.cpu * VECTOR_CPU_FACTOR, cost.io)
@@ -190,9 +193,12 @@ class BatchToRow(Converter):
         return _bridge_cost(self, mq)
 
     def execute_rows(self, ctx):
+        from .batch import RowStream
+        return RowStream.of(self._batch_stream(ctx))
+
+    def _batch_stream(self, ctx):
         from .executor import execute_batches
-        for batch in execute_batches(self.input, ctx):
-            yield from batch.to_rows()
+        yield from execute_batches(self.input, ctx)
 
 
 # ---------------------------------------------------------------------------

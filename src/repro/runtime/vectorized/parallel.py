@@ -68,7 +68,7 @@ from typing import Iterator, List, Optional, Sequence
 from ...adapters.resilience import backoff_sleep, handle_scan_failure
 from ...core.rel import RelNode
 from ..operators import ExecutionContext, row_sort_key
-from .batch import ColumnBatch, batches_from_rows
+from .batch import ColumnBatch, batches_from_rows, pylist
 from .exchange import (
     BroadcastExchange,
     Exchange,
@@ -267,7 +267,7 @@ def _route(stream: Iterator[ColumnBatch], routing: tuple, outbox,
             if n == 0:
                 continue
             ctx.add_shuffled(n)
-            key_cols = [batch.columns[k] for k in arg]
+            key_cols = [pylist(batch.columns[k]) for k in arg]
             buckets: List[List[int]] = [[] for _ in range(n_out)]
             for i in range(n):
                 h = hash(tuple(col[i] for col in key_cols))

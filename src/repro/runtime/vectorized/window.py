@@ -18,6 +18,11 @@ resetting at run boundaries:
   the first order key.  Accumulation order is partition order, so
   float results agree with the row engine bit for bit.
 
+Over typed columns (:mod:`.typed`) — one PARTITION BY key or none,
+and every ORDER BY key — the ordering is one stable ``lexsort`` instead,
+and the running COUNT/SUM/SUM0/AVG kernel a ``cumsum`` that restarts at
+each run; every other kernel walks built-in values.
+
 Semantics — NULL ordering, tie handling, frame clamping, NULL-skipping
 accumulation — deliberately mirror the row engine so the two engines
 stay differentially testable against each other.
@@ -37,7 +42,7 @@ from ...core.rel import LogicalWindow, RelNode, Window
 from ...core.rex import RANKING_KINDS, RexOver, SqlKind
 from ...core.rex_eval import EvalContext, compile as compile_row_rex
 from ..operators import ExecutionContext, window_runs
-from .batch import ColumnBatch
+from .batch import ColumnBatch, is_array, pylist
 from .expr import Frame, as_column, compile_rex
 from .nodes import _VEC_TRAITS, VECTORIZED, VectorizedRel
 from ...core.rule import ConverterRule, RelOptRuleCall
@@ -107,39 +112,59 @@ def window_batches(rel: VectorizedWindow, ctx: ExecutionContext,
     yield ColumnBatch(columns, n)
 
 
-def _column(expr: Any, frame: Frame) -> list:
+def _column(expr: Any, frame: Frame) -> Any:
     return as_column(compile_rex(expr)(frame), frame.num_rows)
 
 
 def eval_over_column(over: RexOver, frame: Frame,
-                     eval_ctx: EvalContext) -> List[Any]:
-    """One window expression over a whole (compact) frame → one column."""
+                     eval_ctx: EvalContext) -> Any:
+    """One window expression over a whole (compact) frame → one column
+    (an array when the typed running kernel computed it)."""
     n = frame.num_rows
     key_cols = [_column(k, frame) for k in over.partition_keys]
-    keys = (None if not key_cols else key_cols[0] if len(key_cols) == 1
-            else list(zip(*key_cols)))
     order_cols = [_column(k, frame) for k, _desc in over.order_keys]
     arg_cols = [_column(o, frame) for o in over.operands]
+    kind = over.op.kind
+    running = (over.rows
+               and over.lower.bound_kind == "UNBOUNDED_PRECEDING"
+               and over.upper.bound_kind == "CURRENT_ROW")
+    typed_runs = None
+    if len(key_cols) <= 1 and any(map(is_array, key_cols + order_cols)):
+        from . import typed
+        typed_runs = typed.window_runs(key_cols[0] if key_cols else None,
+                                       order_cols,
+                                       [desc for _k, desc in over.order_keys])
+    if typed_runs is not None:
+        ordered, bounds = typed_runs
+        if running:
+            out = typed.running_kernel(kind, ordered, bounds,
+                                       arg_cols[0] if arg_cols else None)
+            if out is not None:
+                return out
+        ordered, bounds = ordered.tolist(), bounds.tolist()
+    key_cols = [pylist(c) for c in key_cols]
+    order_cols = [pylist(c) for c in order_cols]
+    arg_cols = [pylist(c) for c in arg_cols]
+    if typed_runs is None:
+        keys = (None if not key_cols else key_cols[0] if len(key_cols) == 1
+                else list(zip(*key_cols)))
+        ordered, bounds = window_runs(n, keys, order_cols, over.order_keys)
     range_offsets = None
     if not over.rows:
         # RANGE offsets are evaluated against the current row (they are
         # almost always literals, but mirror the row engine regardless).
         range_offsets = (
-            _column(over.lower.offset, frame)
+            pylist(_column(over.lower.offset, frame))
             if over.lower.offset is not None else None,
-            _column(over.upper.offset, frame)
+            pylist(_column(over.upper.offset, frame))
             if over.upper.offset is not None else None)
-    ordered, bounds = window_runs(n, keys, order_cols, over.order_keys)
     runs = list(zip(bounds, bounds[1:]))
     results: List[Any] = [None] * n
-    kind = over.op.kind
     if kind in RANKING_KINDS:
         _ranking_kernel(kind, ordered, runs, order_cols, results)
     elif kind in (SqlKind.LAG, SqlKind.LEAD):
         _lag_lead_kernel(kind, ordered, runs, arg_cols, results)
-    elif (over.rows
-            and over.lower.bound_kind == "UNBOUNDED_PRECEDING"
-            and over.upper.bound_kind == "CURRENT_ROW"):
+    elif running:
         arg_col = arg_cols[0] if arg_cols else None  # None: COUNT(*)
         _running_kernel(kind, ordered, runs, arg_col, results)
     else:
@@ -273,15 +298,13 @@ def _running_kernel(kind: SqlKind, ordered: List[int], runs: Runs,
 def _finish_agg(kind: SqlKind, values: List[Any]) -> Any:
     if kind is SqlKind.COUNT:
         return len(values)
-    if kind in (SqlKind.SUM, SqlKind.SUM0):
+    if kind in (SqlKind.SUM, SqlKind.SUM0, SqlKind.AVG):
         if not values:
             return 0 if kind is SqlKind.SUM0 else None
-        total = values[0]
+        total = values[0]  # a left fold, as the row engine's
         for v in values[1:]:
             total += v
-        return total
-    if kind is SqlKind.AVG:
-        return sum(values) / len(values) if values else None
+        return total / len(values) if kind is SqlKind.AVG else total
     if kind is SqlKind.MIN:
         return min(values) if values else None
     return max(values) if values else None  # MAX

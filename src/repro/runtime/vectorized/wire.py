@@ -14,6 +14,9 @@ Design points:
 * **Typed column encodings.**  Homogeneous int64/float64 columns are
   packed through :mod:`array` (``'q'``/``'d'``, host byte order — the
   wire never leaves the machine); nullable variants add a null bitmap.
+  A typed array column (:mod:`.typed`) is written as its own buffer
+  (``tobytes()``, after a ``take`` through the selection), with no
+  per-value pass, and decodes to the same list a list column would.
   String columns pack per-value byte lengths plus one UTF-8 blob.
 * **A compact tagged encoding for everything else.**  Mixed columns
   (int-and-float, bools, bytes, out-of-range ints, adapter values like
@@ -41,7 +44,7 @@ import struct
 from array import array
 from typing import List, Optional, Sequence
 
-from .batch import ColumnBatch
+from .batch import ColumnBatch, pylist
 
 #: Frame magic byte + format version (bumped on layout changes).
 MAGIC = 0xCB
@@ -77,11 +80,15 @@ _V_BYTES = 6   # u32 length + raw bytes
 _V_PICKLE = 7  # u32 length + pickle (exotic scalars only)
 
 
-def _selected(col: Sequence, selection: Optional[List[int]]) -> list:
-    """The live values of one column (selection applied)."""
+def _selected(col: Sequence, selection: Optional[Sequence[int]]) -> list:
+    """The live values of one list column (selection applied)."""
     if selection is None:
         return col if isinstance(col, list) else list(col)
-    return [col[i] for i in selection]
+    return list(map(col.__getitem__, pylist(selection)))
+
+
+#: array dtype kind -> the column tag its buffer is written under
+_ARRAY_TAGS = {"i": _COL_INT, "f": _COL_FLOAT}
 
 
 def _null_bitmap(values: list) -> bytes:
@@ -160,10 +167,16 @@ def encode_batch(batch: ColumnBatch) -> bytes:
     n = batch.num_rows if selection is None else len(selection)
     out = bytearray(_HEADER.pack(MAGIC, VERSION, batch.field_count, n))
     for col in batch.columns:
-        values = _selected(col, selection)
         if n == 0:
             out.append(_COL_EMPTY)
             continue
+        if not isinstance(col, list):  # a typed int64/float64 array
+            live = col if selection is None else col.take(selection)
+            out.append(_ARRAY_TAGS[col.dtype.kind])
+            out += _U32.pack(live.nbytes)
+            out += live.tobytes()
+            continue
+        values = _selected(col, selection)
         tag = _classify(values)
         out.append(tag)
         body = bytearray()

@@ -206,6 +206,14 @@ class Parser:
         return SqlSelect(select_list, from_clause, where, group_by, having,
                          distinct=distinct, stream=stream)
 
+    def _row_count(self, clause: str) -> int:
+        """The unsigned integer literal a LIMIT/OFFSET/FETCH clause takes."""
+        tok = self.next()
+        if tok.kind != "NUMBER" or not tok.value.isdigit():
+            raise SqlParseError(
+                f"{clause} expects an integer, found {tok} at {tok.pos}")
+        return int(tok.value)
+
     def _parse_order_limit(self, query: SqlQuery) -> SqlQuery:
         order_by: List[SqlOrderItem] = []
         if self.accept_keyword("ORDER"):
@@ -216,15 +224,15 @@ class Parser:
         offset: Optional[int] = None
         fetch: Optional[int] = None
         if self.accept_keyword("LIMIT"):
-            fetch = int(self.next().value)
+            fetch = self._row_count("LIMIT")
         if self.accept_keyword("OFFSET"):
-            offset = int(self.next().value)
+            offset = self._row_count("OFFSET")
             self.accept_keyword("ROWS")
             self.accept_keyword("ROW")
         if self.accept_keyword("FETCH"):
             if not self.accept_keyword("FIRST"):
                 self.expect_keyword("NEXT")
-            fetch = int(self.next().value)
+            fetch = self._row_count("FETCH")
             self.accept_keyword("ROWS")
             self.accept_keyword("ROW")
             self.expect_keyword("ONLY")

@@ -37,6 +37,7 @@ from repro.errors import (
 from repro.core.types import DEFAULT_TYPE_FACTORY as F
 from repro.framework import FrameworkConfig, Planner
 from repro.runtime.operators import ExecutionContext
+from repro.runtime.vectorized.batch import pylist
 from repro.runtime.vectorized.parallel import Region, region_for
 from repro.runtime.vectorized.parallel_process import (
     ProcessRegion,
@@ -301,7 +302,7 @@ class TestColumnarScans:
         chunks = chaos.scan_columns(4)
         assert next(chunks)[1] == 4
         columns, n = next(chunks)  # the chunk the fault falls in, cut
-        assert n == 2 and columns[0] == [4, 5]
+        assert n == 2 and pylist(columns[0]) == [4, 5]
         with pytest.raises(TransientBackendError):
             next(chunks)
         assert chaos.faults_injected == 1

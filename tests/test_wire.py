@@ -163,6 +163,56 @@ class TestWireEdges:
         assert struct.unpack_from("<BBHI", frame, 0) == (MAGIC, VERSION, 2, 1)
 
 
+class TestArrayColumns:
+    """A typed int64/float64 array column (a memory table's columnar
+    copy, and what operators gather from it) is written as its buffer:
+    the same frame its values make as a list, with no per-value pass,
+    and it decodes to the list of built-in values the kernels accept."""
+
+    @given(st.lists(ints64, min_size=1, max_size=40),
+           st.lists(floats, min_size=1, max_size=40), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_arrays_frame_as_their_lists_do(self, ints, reals, data):
+        from repro.runtime.vectorized.typed import typed_column
+        n = min(len(ints), len(reals))
+        ints, reals = ints[:n], reals[:n]
+        arrays = ColumnBatch([typed_column(ints), typed_column(reals)], n)
+        lists = ColumnBatch([ints, reals], n)
+        sel = data.draw(st.lists(st.integers(0, n - 1), max_size=n,
+                                 unique=True).map(sorted))
+        for batch, twin in ((arrays, lists),
+                            (arrays.with_selection(sel),
+                             lists.with_selection(sel))):
+            frame = encode_batch(batch)
+            assert frame == encode_batch(twin)
+            decoded = decode_batch(frame)
+            assert all(isinstance(c, list) for c in decoded.columns)
+            assert decoded.to_rows() == twin.compact().to_rows()
+            assert {type(v) for row in decoded.to_rows() for v in row} <= \
+                {int, float}
+
+    def test_an_index_array_selection(self):
+        import numpy as np
+        from repro.runtime.vectorized.typed import typed_column
+        batch = ColumnBatch([typed_column([5, 6, 7, 8]), ["a", "b", "c", "d"]],
+                            4, selection=np.array([1, 3]))
+        assert decode_batch(encode_batch(batch)).to_rows() == \
+            [(6, "b"), (8, "d")]
+
+    def test_arrays_skip_the_classifying_pass(self, monkeypatch):
+        from repro.runtime.vectorized import wire
+        from repro.runtime.vectorized.typed import typed_column
+        batch = ColumnBatch([typed_column([1, 2]), typed_column([0.5, -0.0])],
+                            2)
+        expected = encode_batch(batch)
+
+        def no_classify(values):
+            raise AssertionError("array column classified value by value")
+        monkeypatch.setattr(wire, "_classify", no_classify)
+        assert encode_batch(batch) == expected
+        assert decode_batch(expected).to_rows() == [(1, 0.5), (2, -0.0)]
+
+
 class TestMalformedFrames:
     """A pipe hands the decoder whatever bytes arrived: every malformed
     frame must fail with the one typed error, never a bare struct,
