@@ -14,12 +14,15 @@ besides the row-at-a-time scan:
   partition, the positions of its rows, computed with
   :func:`~.capability.partition_of` over the columnar copy — so
   serving all N partitions costs one pass over the data, like a real
-  partitioned store, rather than N filtered rescans.  A shard is read
-  as rows (``scan_partition``) or as column chunks
-  (``scan_columns(batch_size, shard)``), both from the assignment.
-  Opening a shard read builds the assignment before the first chunk is
-  taken, so a scheduler that opens one in its own process before
-  forking workers leaves every worker the assignment to inherit.
+  partitioned store, rather than N filtered rescans.  With the
+  assignment the table gathers each partition's columns from the
+  columnar copy once, so a shard is read as rows (``scan_partition``,
+  through the positions) or as column chunks
+  (``scan_columns(batch_size, shard)``, slices of its own columns, as
+  cheap per row as the full scan's).  Opening a shard read builds both
+  before the first chunk is taken, so a scheduler that opens one in its
+  own process before forking workers leaves every worker them to
+  inherit.
 * ``supports_key_lookup``: ``lookup(column, value)`` answers
   ``column = value`` from a hash index, so a point query reads the
   rows it returns instead of the whole table.  In-process rows make a
@@ -31,12 +34,11 @@ besides the row-at-a-time scan:
 * ``scan_columns(batch_size)``: the full scan as column chunks, for the
   vectorized engine.  The table keeps a columnar copy, built on the
   first columnar read: a column whose values are all exact ints within
-  int64, or all exact floats, is one read-only numpy int64/float64 array
+  int64 is one read-only numpy int64 array
   (:func:`repro.runtime.vectorized.typed.typed_column`, 8 bytes a cell
   and no value objects of its own), any other column a list of
   references to the rows' own values.  Chunks are slices of it (views
-  of an array), shard chunks ``take`` gathers of it, so a batch scan never
-  pivots row tuples into columns.  No capability flag declares it; the
+  of an array), so a batch scan never pivots row tuples into columns.  No capability flag declares it; the
   vectorized scan asks every table, and the row engine never does, so
   numpy is first imported when a vectorized plan reads a memory
   table.
@@ -84,17 +86,12 @@ def assign_partitions(columns: List[Any], n: int, n_partitions: int,
     return buckets
 
 
-def _chunks(columns: List[Any], positions: Sequence[int],
+def _chunks(columns: List[Any], n: int,
             batch_size: int) -> Iterator[Tuple[List[Any], int]]:
-    """The rows at ``positions`` as ``(columns, n)`` chunks; a stride of
-    positions is sliced, any other list gathered."""
-    for lo in range(0, len(positions), batch_size):
-        part = positions[lo:lo + batch_size]
-        if isinstance(part, range):
-            cut = slice(part.start, part.stop, part.step)
-            yield [col[cut] for col in columns], len(part)
-        else:
-            yield gather_columns(columns, part), len(part)
+    """``n`` rows of ``columns`` as ``(columns, rows)`` chunks of slices."""
+    for lo in range(0, n, batch_size):
+        yield ([col[lo:lo + batch_size] for col in columns],
+               min(batch_size, n - lo))
 
 
 def _equals_nothing(value: Any) -> bool:
@@ -109,9 +106,10 @@ class MemoryTable(BaseMemoryTable):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        #: (columnar copy, assignment) per (n_partitions, keys) shape
+        #: (assignment, each partition's columns) per
+        #: (n_partitions, keys) shape
         self._partitions: Dict[Tuple[int, Tuple[int, ...]],
-                               Tuple[List[Any], Assignment]] = {}
+                               Tuple[Assignment, List[List[Any]]]] = {}
         #: cached hash index per column: key -> rows with that key
         self._indexes: Dict[int, Dict[Any, List[tuple]]] = {}
         #: the columnar copy as ``[(columns, n)]``, empty until first use
@@ -132,31 +130,34 @@ class MemoryTable(BaseMemoryTable):
                      ) -> Iterator[Tuple[List[Any], int]]:
         if shard is None:
             columns, n = self._columns()
-            positions: Sequence[int] = range(n)
         else:
             partition_id, n_partitions, keys = shard
-            columns, assignment = self._assignment(n_partitions, tuple(keys))
-            positions = assignment[partition_id]
-        return _chunks(columns, positions, batch_size)
+            assignment, shards = self._assignment(n_partitions, tuple(keys))
+            columns = shards[partition_id]
+            n = len(assignment[partition_id])
+        return _chunks(columns, n, batch_size)
 
     def scan_partition(self, partition_id: int, n_partitions: int,
                        keys: Sequence[int] = ()) -> Iterable[tuple]:
-        _, assignment = self._assignment(n_partitions, tuple(keys))
+        assignment, _ = self._assignment(n_partitions, tuple(keys))
         # Rows are only ever appended, so positions in the copy the
         # assignment was computed from still name the same rows.
         return map(self.rows.__getitem__, assignment[partition_id])
 
     def _assignment(self, n_partitions: int, keys: Tuple[int, ...]
-                   ) -> Tuple[List[Any], Assignment]:
-        """The columnar copy and, per partition, the positions in it of
-        the partition's rows, in table order; built once per shape."""
+                   ) -> Tuple[Assignment, List[List[Any]]]:
+        """Per partition, the positions in the columnar copy of the
+        partition's rows, in table order, and those rows' columns
+        gathered from the copy; built once per shape."""
         shape = (n_partitions, keys)
         cache = self._partitions
         entry = cache.get(shape)
         if entry is None:
             columns, n = self._columns()
-            entry = cache[shape] = (
-                columns, assign_partitions(columns, n, n_partitions, keys))
+            assignment = assign_partitions(columns, n, n_partitions, keys)
+            entry = cache[shape] = (assignment, [
+                gather_columns(columns, positions)
+                for positions in assignment])
         return entry
 
     def _columns(self) -> Tuple[List[Any], int]:

@@ -3,9 +3,8 @@
 A :class:`ColumnBatch` holds a horizontal slice of a relation as
 columns, one per field, plus an optional *selection vector* — the live
 row positions, a list or an index array.  A column is a list of Python
-values or, for an exact-int or exact-float column read from a memory
-table and what operators derive from one, a typed int64/float64 array
-(:mod:`.typed`); batch code never imports numpy, and reads an array
+values or, for an exact-int column read from a memory table and what
+operators derive from one, a typed int64 array (:mod:`.typed`); batch code never imports numpy, and reads an array
 column only through :mod:`.typed` or ``tolist()``.  Filters mark rows
 dead by shrinking the selection vector instead of copying any column
 data, and a projection of plain column references passes the vector

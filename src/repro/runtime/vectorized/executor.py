@@ -12,12 +12,12 @@ hash join) stream batches; blocking operators (aggregate, sort, the
 set operations, the build side of a hash join) gather their input into
 one batch first.
 
-Over typed columns (:mod:`.typed`) the filter selects through a mask,
-the hash join on one int64 key probes a sorted build side, and
-single-key grouping and the COUNT/SUM/SUM0/AVG/MIN/MAX accumulators are
+Over typed (int64) columns (:mod:`.typed`) the filter selects through
+a mask, the inner hash join on one int64 key probes a sorted build
+side, and grouping and the COUNT/SUM/SUM0/AVG/MIN/MAX accumulators are
 array reductions; each is a branch of the operator's own function,
-taken only when its inputs are arrays, with the list branch kept for
-everything else.
+taken only when its inputs are arrays, with the list branch kept as the
+path for every other column.
 """
 
 from __future__ import annotations
@@ -201,17 +201,18 @@ def _hash_join(rel: VectorizedHashJoin, ctx: ExecutionContext,
     left_keys, right_keys = info.left_keys, info.right_keys
     join_type = rel.join_type
 
-    # Build side: materialise the right input as columns.  One int64
-    # key column is indexed by sorting it (typed.KeyIndex); anything
-    # else, and any probe batch whose key is not an int64 array too,
-    # goes through a dict from key to positions, built on first use.
+    # Build side: materialise the right input as columns.  For an inner
+    # join on one int64 key column the key is indexed by sorting it
+    # (typed.KeyIndex); anything else, and any probe batch whose key is
+    # not an int64 array too, goes through a dict from key to positions,
+    # built on first use.
     right = _gather_input(rel.right, ctx, batch_size)
     right_cols = right.columns
     typed_index = None
-    if len(right_keys) == 1 and right.num_rows:
+    if join_type is JoinRelType.INNER and len(right_keys) == 1 \
+            and is_array(right_cols[right_keys[0]]):
         from . import typed
-        if typed.is_typed(right_cols[right_keys[0]], typed.INT64):
-            typed_index = typed.KeyIndex(right_cols[right_keys[0]])
+        typed_index = typed.KeyIndex(right_cols[right_keys[0]])
     dict_index: Optional[Dict[Any, List[int]]] = None
 
     # Right positions some probe row matched (RIGHT/FULL only).
@@ -224,55 +225,45 @@ def _hash_join(rel: VectorizedHashJoin, ctx: ExecutionContext,
         left = batch.compact()
         if left.num_rows == 0:
             continue
-        probe_keys = left.columns[left_keys[0]]
-        if typed_index is not None and typed.is_typed(probe_keys,
-                                                      typed.INT64):
-            if not join_type.projects_right:  # SEMI / ANTI
-                _lo, counts = typed_index.counts(probe_keys)
-                want = join_type is JoinRelType.SEMI
-                selection = typed.true_positions((counts > 0) == want)
-                if len(selection):
-                    yield left.with_selection(selection)
-                continue
-            left_idx, right_idx, padded = typed_index.pairs(
-                probe_keys, keep_unmatched)
-            if not len(left_idx):
-                continue
-            if right_matched is not None:
-                right_matched.update(right_idx.tolist())
-        else:
-            if dict_index is None:
-                dict_index = _dict_index(right_cols, right_keys)
-            # A NULL key (or a tuple holding one) is never in the index.
-            matches = list(map(dict_index.get,
-                               _join_keys(left.columns, left_keys)))
-            if not join_type.projects_right:  # SEMI / ANTI
-                want = join_type is JoinRelType.SEMI
-                selection = [i for i, m in enumerate(matches)
-                             if (m is not None) is want]
-                if selection:
-                    yield left.with_selection(selection)
-                continue
-            padded = keep_unmatched and None in matches
-            if padded:
-                matches = [_UNMATCHED if m is None else m for m in matches]
-            left_idx = [i for i, m in enumerate(matches) if m is not None
-                        for _ in m]
-            if not left_idx:
-                continue
-            right_idx = [j for m in matches if m is not None for j in m]
-            if right_matched is not None:
-                right_matched.update(right_idx)
+        if typed_index is not None and is_array(left.columns[left_keys[0]]):
+            left_idx, right_idx = typed_index.pairs(
+                left.columns[left_keys[0]])
+            if len(left_idx):
+                yield ColumnBatch(gather_columns(left.columns, left_idx)
+                                  + gather_columns(right_cols, right_idx),
+                                  len(left_idx))
+            continue
+        if dict_index is None:
+            dict_index = _dict_index(right_cols, right_keys)
+        # A NULL key (or a tuple holding one) is never in the index.
+        matches = list(map(dict_index.get,
+                           _join_keys(left.columns, left_keys)))
+        if not join_type.projects_right:  # SEMI / ANTI: left columns only
+            want = join_type is JoinRelType.SEMI
+            selection = [i for i, m in enumerate(matches)
+                         if (m is not None) is want]
+            if selection:
+                yield left.with_selection(selection)
+            continue
+        padded = keep_unmatched and None in matches
+        if padded:
+            matches = [_UNMATCHED if m is None else m for m in matches]
+        left_idx = [i for i, m in enumerate(matches) if m is not None
+                    for _ in m]
+        if not left_idx:
+            continue
+        right_idx = [j for m in matches if m is not None for j in m]
+        if right_matched is not None:
+            right_matched.update(right_idx)
         out_cols = gather_columns(left.columns, left_idx)
         if padded:
-            out_cols.extend(_gather_padded(col, right_idx)
-                            for col in right_cols)
+            out_cols.extend([None if j is None else col[j] for j in right_idx]
+                            for col in map(pylist, right_cols))
         else:
             out_cols.extend(gather_columns(right_cols, right_idx))
         yield ColumnBatch(out_cols, len(left_idx))
 
     if right_matched is not None:
-        right_matched.discard(-1)  # a typed probe's padding marker
         unmatched = [j for j in range(right.num_rows)
                      if j not in right_matched]
         if unmatched:
@@ -310,16 +301,6 @@ def _join_keys(columns: List[Any], keys: List[int]):
     return zip(*[pylist(columns[k]) for k in keys])
 
 
-def _gather_padded(column: Any, positions: Any) -> list:
-    """``column`` at ``positions``, None at an unmatched probe row's
-    padding (None in a list of positions, -1 in an index array)."""
-    if isinstance(positions, list):
-        column = pylist(column)
-        return [None if j is None else column[j] for j in positions]
-    from . import typed
-    return typed.take_padded(column, positions)
-
-
 # -- aggregation --------------------------------------------------------------
 
 #: Aggregate kinds with a columnar accumulation fast path.
@@ -338,8 +319,7 @@ def _accumulate_fast(call: AggregateCall, column: Optional[Any],
 
     Over a typed column (or COUNT(*)) with typed group ids this is an
     array reduction (:func:`.typed.accumulate`), which declines where
-    int64 could overflow or float order would matter; otherwise it is
-    the loop below.  Either way accumulation order is row order within
+    int64 could overflow; otherwise it is the loop below.  Either way accumulation order is row order within
     each group — identical to the row engine, so float sums agree
     bit-for-bit.
     """

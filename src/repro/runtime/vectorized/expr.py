@@ -17,9 +17,9 @@ Literals and dynamic parameters compile to :class:`Scalar` values that
 never materialise a column; binary kernels specialise on the
 scalar/column shape of each operand.
 
-A column is a list or a typed int64/float64 array (:mod:`.typed`).  A
-comparison of a typed column with a scalar or column of its own kind is
-one numpy comparison yielding a bool mask; every other kernel walks
+A column is a list or a typed int64 array (:mod:`.typed`).  A
+comparison of a typed column with an int scalar or another typed column
+is one numpy comparison yielding a bool mask; every other kernel walks
 built-in values, so it turns an array operand into a list first
 (:func:`_values`), and the list kernel stays the one definition of the
 call's semantics.

@@ -1,12 +1,15 @@
-"""Typed numeric columns and the numpy kernels that read them.
+"""Typed integer columns and the numpy kernels that read them.
 
-A *typed column* is a one-dimensional, read-only numpy array of dtype
-int64 or float64.  A memory table's columnar copy holds a column as one
-when every value in it is an exact ``int`` within int64, or every value
-an exact ``float`` (:func:`typed_column`); a column holding a string, a
-bool, a NULL, a mix of types or an int beyond int64 stays a list.
-Chunks and shard reads of the copy are slices or ``take`` gathers of the
-array, and so are the columns operators gather from them.
+A *typed column* is a one-dimensional, read-only numpy int64 array.  A
+memory table's columnar copy holds a column as one when every value in
+it is an exact ``int`` within int64 (:func:`typed_column`); a column
+holding a float, a string, a bool, a NULL, a mix of types or an int
+beyond int64 stays a list, and so every float column does: float
+grouping, dedup and joins see the table's own objects (a shared NaN
+groups with itself, as in the row engine) and float sums stay the list
+kernels' left folds.  Chunks and shard reads of the copy are slices or
+``take`` gathers of the array, and so are the columns operators gather
+from them.
 
 This is the only module that imports numpy.  Everything else reaches it
 through a function-level import, made only once a column actually is an
@@ -15,27 +18,19 @@ numpy loaded; the first import happens when a memory table builds its
 columnar copy for a vectorized scan.
 
 Each kernel here is the typed branch of an operator whose list branch
-stays the single definition of its SQL semantics (see the callers in
-:mod:`.expr`, :mod:`.executor` and :mod:`.window`).  Where numpy could
-disagree with Python arithmetic the kernel declines by returning
-``None`` and the caller takes its list branch instead:
+stays the path for every other column (see the callers in :mod:`.expr`,
+:mod:`.executor` and :mod:`.window`).  Where numpy could disagree with
+Python arithmetic the kernel declines by returning ``None`` and the
+caller takes its list branch instead:
 
 * int64 sums are taken only when no partial sum can leave int64, so
   nothing ever wraps;
-* float sums accumulate one value at a time in row order (``ufunc.at``,
-  ``accumulate``), never pairwise (``sum``, ``reduceat``), so they agree
-  with Python's left fold bit for bit, starting from ``-0.0``, the
-  additive identity that keeps a lone ``-0.0`` negative;
-* integer totals become Python ints before AVG divides them, and a
-  windowed AVG divides in float64 only where both operands are exact;
-* NaN keys, NaN order keys and float MIN/MAX over NaN or zeros of both
-  signs are left to the list branch, whose outcome depends on identity
-  and encounter order;
-* comparisons and join keys are typed only between operands of one
-  kind: ``1`` against ``1.0`` is compared and matched by Python.
+* integer totals become Python ints before AVG divides them;
+* comparisons and join keys are typed only between int64 operands:
+  ``1`` against ``1.0`` is compared and matched by Python.
 
-Values leave through ``tolist()``, which yields built-in ``int`` and
-``float`` objects, never numpy scalars.
+Values leave through ``tolist()``, which yields built-in ``int``
+objects, never numpy scalars.
 """
 
 from __future__ import annotations
@@ -49,41 +44,32 @@ from ...core.rex import SqlKind
 from .expr import Scalar
 
 INT64 = np.dtype(np.int64)
-FLOAT64 = np.dtype(np.float64)
 _INT64_MAX = 2 ** 63 - 1
 _INT64_MIN = -(2 ** 63)
-#: largest magnitude up to which every integer is exact in float64
-_EXACT_FLOAT_INT = 2 ** 53
 
 
 def typed_column(values: list) -> Any:
-    """``values`` as a read-only int64 or float64 array when every value
-    is an exact ``int`` within int64 or every value an exact ``float``;
-    the list itself otherwise (empty lists included)."""
-    kinds = set(map(type, values))
-    if kinds == {int}:
-        try:
-            array = np.array(values, dtype=INT64)
-        except OverflowError:
-            return values
-    elif kinds == {float}:
-        array = np.array(values, dtype=FLOAT64)
-    else:
+    """``values`` as a read-only int64 array when every value is an
+    exact ``int`` within int64; the list itself otherwise (empty lists
+    included)."""
+    if not values or set(map(type, values)) != {int}:
+        return values
+    try:
+        array = np.array(values, dtype=INT64)
+    except OverflowError:
         return values
     array.flags.writeable = False
     return array
 
 
 def as_column(vector: Any) -> Any:
-    """An array result as a batch column: int64/float64 arrays as they
-    are, any other array (a comparison's bool mask) as built-in values."""
-    return vector if vector.dtype in (INT64, FLOAT64) else vector.tolist()
+    """An array result as a batch column: an int64 array as it is, any
+    other array (a comparison's bool mask) as built-in values."""
+    return vector if vector.dtype == INT64 else vector.tolist()
 
 
-def is_typed(column: Any, dtype: np.dtype = None) -> bool:
-    return isinstance(column, np.ndarray) and (
-        column.dtype in (INT64, FLOAT64) if dtype is None
-        else column.dtype == dtype)
+def is_typed(column: Any) -> bool:
+    return isinstance(column, np.ndarray) and column.dtype == INT64
 
 
 # ---------------------------------------------------------------------------
@@ -107,21 +93,10 @@ def gather(columns: Sequence[Any], positions: Any) -> List[Any]:
     return out
 
 
-def take_padded(column: Any, index: np.ndarray) -> list:
-    """``column`` at ``index`` as built-in values, None where the index
-    is -1 (an outer join's unmatched row)."""
-    listed = index.tolist()
-    if isinstance(column, np.ndarray):
-        column = column.tolist()
-    return [None if j < 0 else column[j] for j in listed]
-
-
 def concat(parts: List[Any]) -> Any:
     """One column from the same column of several batches: an array
-    when every part is an array of one dtype, built-in values
-    otherwise."""
-    if all(isinstance(p, np.ndarray) for p in parts) and \
-            len({p.dtype for p in parts}) == 1:
+    when every part is an array, built-in values otherwise."""
+    if all(isinstance(p, np.ndarray) for p in parts):
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
     out: list = []
     for part in parts:
@@ -150,33 +125,25 @@ _COMPARE = {
 }
 
 
-def _operand(vector: Any, dtype: np.dtype) -> Any:
-    """``vector`` as an operand of a ``dtype`` comparison, or None when
-    it is not one of that kind (a NULL, a bool, a str, the other
-    numeric kind, an int beyond int64, a list)."""
+def _operand(vector: Any) -> Any:
+    """``vector`` as an operand of an int64 comparison, or None when it
+    is not one (a NULL, a bool, a str, a float, an int beyond int64, a
+    list)."""
     if isinstance(vector, Scalar):
         value = vector.value
-        if dtype == INT64:
-            ok = type(value) is int and _INT64_MIN <= value <= _INT64_MAX
-        else:
-            ok = type(value) is float
+        ok = type(value) is int and _INT64_MIN <= value <= _INT64_MAX
         return value if ok else None
-    if isinstance(vector, np.ndarray) and vector.dtype == dtype:
-        return vector
-    return None
+    return vector if is_typed(vector) else None
 
 
 def compare(fn: Any, a: Any, b: Any) -> Optional[np.ndarray]:
-    """The bool mask of comparison ``fn`` over a typed column and a
-    scalar or column of the same kind; None for anything else."""
+    """The bool mask of comparison ``fn`` over an int64 column and an
+    int scalar or int64 column; None for anything else."""
     ufunc = _COMPARE.get(fn)
     if ufunc is None:
         return None
-    array = a if isinstance(a, np.ndarray) else b
-    if array.dtype not in (INT64, FLOAT64):
-        return None
-    x = _operand(a, array.dtype)
-    y = _operand(b, array.dtype)
+    x = _operand(a)
+    y = _operand(b)
     if x is None or y is None:
         return None
     return ufunc(x, y)
@@ -190,12 +157,11 @@ def _dense_codes(column: np.ndarray) -> Tuple[np.ndarray, int]:
     """Each value's rank among the column's distinct values, and the
     number of distinct values."""
     n = len(column)
-    if column.dtype == INT64:
-        lo, hi = int(column.min()), int(column.max())
-        if hi - lo <= 2 * n + 1024:
-            offsets = column - lo  # within [0, hi - lo]: never wraps
-            rank = np.cumsum(np.bincount(offsets) > 0) - 1
-            return rank[offsets], int(rank[-1]) + 1
+    lo, hi = int(column.min()), int(column.max())
+    if hi - lo <= 2 * n + 1024:
+        offsets = column - lo  # within [0, hi - lo]: never wraps
+        rank = np.cumsum(np.bincount(offsets) > 0) - 1
+        return rank[offsets], int(rank[-1]) + 1
     distinct, codes = np.unique(column, return_inverse=True)
     return codes.reshape(-1), len(distinct)
 
@@ -205,13 +171,11 @@ def group_ids(columns: Sequence[Any]
     """``(ids, k, firsts)`` for grouping on typed key columns: each row's
     group numbered in first-seen order (the order a dict over the key
     tuples keeps), the group count, and each group's first row.  None
-    when a dict must group them (a list column, or NaN, which a dict
-    groups by identity)."""
-    if not columns or not all(is_typed(c) for c in columns):
+    when a dict must group them (a list column, or no rows)."""
+    if not columns or not all(map(is_typed, columns)):
         return None
     n = len(columns[0])
-    if not n or any(c.dtype == FLOAT64 and np.isnan(c).any()
-                    for c in columns):
+    if not n:
         return None
     codes, k = _dense_codes(columns[0])
     for column in columns[1:]:
@@ -233,37 +197,12 @@ def zeros(n: int) -> np.ndarray:
 
 
 def _sum_fits(column: np.ndarray, terms: int) -> bool:
-    """True when no sum of ``terms`` values of an int64 column can
-    leave int64 (``terms`` times the largest magnitude fits)."""
+    """True when no sum of ``terms`` values of the column can leave
+    int64 (``terms`` times the largest magnitude fits)."""
     if not len(column):
         return True
     biggest = max(-int(column.min()), int(column.max()))
     return biggest * terms <= _INT64_MAX
-
-
-def _orderable(column: np.ndarray) -> bool:
-    """True when MIN/MAX over the column cannot depend on which of two
-    values that compare equal (or unordered) comes first: no NaN, and
-    no zeros of both signs."""
-    if column.dtype == INT64:
-        return True
-    if np.isnan(column).any():
-        return False
-    signs = np.signbit(column[column == 0])
-    return not (signs.any() and not signs.all())
-
-
-def _group_sums(column: np.ndarray, ids: np.ndarray,
-                k: int) -> Optional[np.ndarray]:
-    if column.dtype == INT64:
-        if not _sum_fits(column, len(column)):
-            return None
-        totals = np.zeros(k, dtype=INT64)
-    else:
-        totals = np.full(k, -0.0)
-    with np.errstate(all="ignore"):  # inf and NaN, as Python's floats
-        np.add.at(totals, ids, column)  # one value at a time, in row order
-    return totals
 
 
 def accumulate(kind: SqlKind, column: Any, ids: np.ndarray,
@@ -276,20 +215,16 @@ def accumulate(kind: SqlKind, column: Any, ids: np.ndarray,
     if column is None or kind is SqlKind.COUNT:
         return np.bincount(ids, minlength=k).tolist()
     if kind in (SqlKind.SUM, SqlKind.SUM0, SqlKind.AVG):
-        totals = _group_sums(column, ids, k)
-        if totals is None:
+        if not _sum_fits(column, len(column)):
             return None
+        totals = np.zeros(k, dtype=INT64)
+        np.add.at(totals, ids, column)
         if kind is not SqlKind.AVG:
             return totals.tolist()
         counts = np.bincount(ids, minlength=k).tolist()
         return [t / c for t, c in zip(totals.tolist(), counts)]
-    if not _orderable(column):
-        return None
-    if column.dtype == INT64:
-        fill = _INT64_MAX if kind is SqlKind.MIN else _INT64_MIN
-    else:
-        fill = np.inf if kind is SqlKind.MIN else -np.inf
-    best = np.full(k, fill, dtype=column.dtype)
+    fill = _INT64_MAX if kind is SqlKind.MIN else _INT64_MIN
+    best = np.full(k, fill, dtype=INT64)
     (np.minimum if kind is SqlKind.MIN else np.maximum).at(best, ids, column)
     return best.tolist()
 
@@ -299,52 +234,31 @@ def accumulate(kind: SqlKind, column: Any, ids: np.ndarray,
 # ---------------------------------------------------------------------------
 
 class KeyIndex:
-    """The build side of an equi-join on one int64 key: its positions
-    stably sorted by key, so each key's matches are one slice of them,
-    in build order."""
+    """The build side of an inner equi-join on one int64 key: its
+    positions stably sorted by key, so each key's matches are one slice
+    of them, in build order."""
 
     def __init__(self, keys: np.ndarray) -> None:
         self.order = np.argsort(keys, kind="stable")
         self.sorted = keys.take(self.order)
 
-    def counts(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Per probe key, the start of its matches in the sorted build
-        keys and how many there are."""
+    def pairs(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(left, right)``: every (probe row, build row) match, probe
+        rows in order and each row's matches in build order, as a dict
+        of position lists yields them."""
         lo = np.searchsorted(self.sorted, keys, side="left")
-        hi = np.searchsorted(self.sorted, keys, side="right")
-        return lo, hi - lo
-
-    def pairs(self, keys: np.ndarray, pad: bool
-              ) -> Tuple[np.ndarray, np.ndarray, bool]:
-        """``(left, right, padded)``: every (probe row, build row) match,
-        probe rows in order and each row's matches in build order, as a
-        dict of position lists yields them.  With ``pad`` an unmatched
-        probe row is kept once with build row -1, and ``padded`` says
-        whether any was."""
-        lo, counts = self.counts(keys)
-        unmatched = counts == 0
-        padded = bool(pad and unmatched.any())
-        if padded:
-            counts = np.where(unmatched, 1, counts)
+        counts = np.searchsorted(self.sorted, keys, side="right") - lo
         left = np.repeat(np.arange(len(keys)), counts)
         ends = np.cumsum(counts)
         # offset of each output row within its probe row's matches
         within = np.arange(len(left)) - np.repeat(ends - counts, counts)
-        right = self.order.take(np.repeat(lo, counts) + within,
-                                mode="clip")
-        if padded:
-            right[np.repeat(unmatched, counts)] = -1
-        return left, right, padded
+        right = self.order.take(np.repeat(lo, counts) + within)
+        return left, right
 
 
 # ---------------------------------------------------------------------------
 # Windows
 # ---------------------------------------------------------------------------
-
-def _descending(column: np.ndarray) -> np.ndarray:
-    # ~x = -x - 1 reverses int64 order without overflowing at the minimum
-    return ~column if column.dtype == INT64 else -column
-
 
 def window_runs(partition: Any, order_cols: Sequence[Any],
                 descending: Sequence[bool]
@@ -354,13 +268,12 @@ def window_runs(partition: Any, order_cols: Sequence[Any],
     partition number (first-seen order) and then the ORDER BY keys,
     which orders peers by input position exactly as the successive
     stable sorts do.  None unless the one PARTITION BY column (or none)
-    and every ORDER BY column is typed and free of NaN."""
+    and every ORDER BY column is typed."""
     columns = list(order_cols) + ([] if partition is None else [partition])
-    if not columns or not all(is_typed(c) for c in columns):
+    if not columns or not all(map(is_typed, columns)):
         return None
-    if any(c.dtype == FLOAT64 and np.isnan(c).any() for c in columns):
-        return None
-    keys = [_descending(c) if desc else c
+    # ~x = -x - 1 reverses int64 order without overflowing at the minimum
+    keys = [~c if desc else c
             for c, desc in zip(order_cols, descending)][::-1]
     n = len(columns[0])
     if partition is None:
@@ -373,64 +286,19 @@ def window_runs(partition: Any, order_cols: Sequence[Any],
     return np.lexsort(keys), bounds
 
 
-def _run_cumsum(values: np.ndarray, starts: np.ndarray,
-                lengths: np.ndarray) -> np.ndarray:
-    """Running float sums that restart at each run, each the left fold
-    of its run's values in order: one ``accumulate`` per run when runs
-    are few, else one vectorized step per position within a run."""
-    out = values.copy()
-    longest = int(lengths.max())
-    if len(starts) <= longest:
-        for start, length in zip(starts.tolist(), lengths.tolist()):
-            np.add.accumulate(values[start:start + length],
-                              out=out[start:start + length])
-        return out
-    by_length = np.argsort(-lengths, kind="stable")
-    run_starts = starts.take(by_length)
-    # longer[k]: how many runs are longer than k, a prefix of run_starts
-    longer = np.searchsorted(-lengths.take(by_length), -np.arange(longest),
-                             side="left")
-    for k in range(1, longest):
-        at = run_starts[:longer[k]] + k
-        out[at] = out[at - 1] + values[at]
-    return out
-
-
-def running_kernel(kind: SqlKind, ordered: np.ndarray, bounds: np.ndarray,
-                   column: Any) -> Optional[np.ndarray]:
-    """``ROWS UNBOUNDED PRECEDING .. CURRENT ROW`` COUNT/SUM/SUM0/AVG
-    over a typed column (None: COUNT(*)) in row positions; None to
-    decline (MIN/MAX, a list column, a sum that could leave int64, an
-    AVG whose integer total could exceed float64's exact range)."""
+def running_sum(ordered: np.ndarray, bounds: np.ndarray,
+                column: Any) -> Optional[np.ndarray]:
+    """``SUM(column) OVER (.. ROWS UNBOUNDED PRECEDING .. CURRENT ROW)``
+    over a typed column, in row positions: one ``cumsum`` that restarts
+    at each run; None to decline (a list column, or a sum that could
+    leave int64)."""
     n = len(ordered)
-    if not n or kind not in (SqlKind.COUNT, SqlKind.SUM, SqlKind.SUM0,
-                             SqlKind.AVG) or not (column is None
-                                                  or is_typed(column)):
+    if not n or not is_typed(column) or not _sum_fits(column, n):
         return None
-    starts = bounds[:-1]
-    lengths = np.diff(bounds)
-    starts, lengths = starts[lengths > 0], lengths[lengths > 0]
-    # 1-based position of each ordered row within its run
-    position = np.arange(1, n + 1) - np.repeat(starts, lengths)
-    if column is None or kind is SqlKind.COUNT:
-        result = position
-    else:
-        values = column.take(ordered)
-        if column.dtype == INT64:
-            biggest = max(-int(column.min()), int(column.max()))
-            if biggest * n > _INT64_MAX or (
-                    kind is SqlKind.AVG
-                    and biggest * int(lengths.max()) > _EXACT_FLOAT_INT):
-                return None
-            running = np.cumsum(values)
-            base = running.take(starts) - values.take(starts)
-            result = running - np.repeat(base, lengths)
-        else:
-            with np.errstate(all="ignore"):  # inf and NaN, as in Python
-                result = _run_cumsum(values, starts, lengths)
-        if kind is SqlKind.AVG:
-            with np.errstate(all="ignore"):
-                result = result / position
-    out = np.empty(n, dtype=result.dtype)
-    out[ordered] = result
+    starts = bounds[:-1]  # every run holds at least one row
+    values = column.take(ordered)
+    running = np.cumsum(values)
+    base = running.take(starts) - values.take(starts)
+    out = np.empty(n, dtype=INT64)
+    out[ordered] = running - np.repeat(base, np.diff(bounds))
     return out

@@ -20,8 +20,8 @@ resetting at run boundaries:
 
 Over typed columns (:mod:`.typed`) — one PARTITION BY key or none,
 and every ORDER BY key — the ordering is one stable ``lexsort`` instead,
-and the running COUNT/SUM/SUM0/AVG kernel a ``cumsum`` that restarts at
-each run; every other kernel walks built-in values.
+and a running SUM/SUM0 over a typed column a ``cumsum`` that restarts
+at each run; every other kernel walks built-in values.
 
 Semantics — NULL ordering, tie handling, frame clamping, NULL-skipping
 accumulation — deliberately mirror the row engine so the two engines
@@ -119,7 +119,7 @@ def _column(expr: Any, frame: Frame) -> Any:
 def eval_over_column(over: RexOver, frame: Frame,
                      eval_ctx: EvalContext) -> Any:
     """One window expression over a whole (compact) frame → one column
-    (an array when the typed running kernel computed it)."""
+    (an array when the typed running sum computed it)."""
     n = frame.num_rows
     key_cols = [_column(k, frame) for k in over.partition_keys]
     order_cols = [_column(k, frame) for k, _desc in over.order_keys]
@@ -136,9 +136,8 @@ def eval_over_column(over: RexOver, frame: Frame,
                                        [desc for _k, desc in over.order_keys])
     if typed_runs is not None:
         ordered, bounds = typed_runs
-        if running:
-            out = typed.running_kernel(kind, ordered, bounds,
-                                       arg_cols[0] if arg_cols else None)
+        if running and kind in (SqlKind.SUM, SqlKind.SUM0):
+            out = typed.running_sum(ordered, bounds, arg_cols[0])
             if out is not None:
                 return out
         ordered, bounds = ordered.tolist(), bounds.tolist()

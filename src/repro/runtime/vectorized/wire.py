@@ -14,7 +14,7 @@ Design points:
 * **Typed column encodings.**  Homogeneous int64/float64 columns are
   packed through :mod:`array` (``'q'``/``'d'``, host byte order — the
   wire never leaves the machine); nullable variants add a null bitmap.
-  A typed array column (:mod:`.typed`) is written as its own buffer
+  A typed int64 array column (:mod:`.typed`) is written as its own buffer
   (``tobytes()``, after a ``take`` through the selection), with no
   per-value pass, and decodes to the same list a list column would.
   String columns pack per-value byte lengths plus one UTF-8 blob.
@@ -85,10 +85,6 @@ def _selected(col: Sequence, selection: Optional[Sequence[int]]) -> list:
     if selection is None:
         return col if isinstance(col, list) else list(col)
     return list(map(col.__getitem__, pylist(selection)))
-
-
-#: array dtype kind -> the column tag its buffer is written under
-_ARRAY_TAGS = {"i": _COL_INT, "f": _COL_FLOAT}
 
 
 def _null_bitmap(values: list) -> bytes:
@@ -170,9 +166,9 @@ def encode_batch(batch: ColumnBatch) -> bytes:
         if n == 0:
             out.append(_COL_EMPTY)
             continue
-        if not isinstance(col, list):  # a typed int64/float64 array
+        if not isinstance(col, list):  # a typed int64 array
             live = col if selection is None else col.take(selection)
-            out.append(_ARRAY_TAGS[col.dtype.kind])
+            out.append(_COL_INT)
             out += _U32.pack(live.nbytes)
             out += live.tobytes()
             continue

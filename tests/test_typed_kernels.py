@@ -1,9 +1,10 @@
 """Typed numeric columns against the row engine and the list kernels.
 
-A memory table holds an all-int (within int64) or all-float column as a
-numpy array, and the vectorized filter, hash join, aggregate and window
-read those arrays directly (:mod:`repro.runtime.vectorized.typed`).
-Every statement here runs three ways over the same rows:
+A memory table holds an all-int (within int64) column as a numpy int64
+array, and the vectorized filter, inner hash join, aggregate and window
+read those arrays directly (:mod:`repro.runtime.vectorized.typed`);
+every other column, floats included, stays a list.  Every statement
+here runs three ways over the same rows:
 
 * on the vectorized engine over typed columns;
 * on the vectorized engine with typed copies switched off, so every
@@ -136,8 +137,9 @@ class TestSums:
     @given(keyed_rows(tricky_floats))
     @settings(max_examples=60, deadline=None)
     def test_float_sums_and_averages_bit_for_bit(self, rows):
-        """Float sums are left folds in row order: the same bits as the
-        row engine's accumulators, never a pairwise sum."""
+        """Float columns stay lists, and their sums are left folds in
+        row order: the same bits as the row engine's accumulators, never
+        a pairwise sum, beside typed int group and order keys."""
         tables = {"t": (["g", "o", "v"], ["int", "int", "real"], rows)}
         for sql in AGGREGATES:
             run_three_ways(tables, sql)
@@ -206,19 +208,55 @@ class TestComparisonsAndJoins:
                                "(SELECT 1 FROM t.r r WHERE r.k = l.k)")
 
     def test_int_and_float_join_keys_take_the_list_path(self):
-        """1 = 1.0 in SQL and in a dict: the int64/float64 pair is not
-        one typed kind, so the probe goes through the dict."""
+        """1 = 1.0 in SQL and in a dict: a float column stays a list, so
+        the probe against the int64 side goes through the dict."""
         tables = {"i": (["k"], ["int"], [(1,), (2,), (3,)]),
                   "f": (["k"], ["real"], [(1.0,), (2.5,), (3.0,)])}
         catalog = make_catalog(tables)
         for table in ("I", "F"):
             assert column_kinds(catalog.root.subschema("t").tables[table]) \
-                == ["int64" if table == "I" else "float64"]
+                == ["int64" if table == "I" else "list"]
         out = run_three_ways(tables, "SELECT i.k, f.k FROM t.i i "
                                      "JOIN t.f f ON i.k = f.k")
         assert sorted(out) == [(1, 1.0), (3, 3.0)]
         assert [type(v) for row in sorted(out) for v in row] == \
             [int, float, int, float]
+
+
+class TestSharedNaN:
+    """A float column stays a list, so grouping, dedup and join keys see
+    the table's own objects: a NaN shared by several rows is one key to
+    a dict (identity before equality) on both engines."""
+
+    NAN = math.nan
+
+    def tables(self):
+        nan = self.NAN
+        return {"f": (["o", "v"], ["int", "real"],
+                      [(0, nan), (1, nan), (2, 1.5), (3, nan)]),
+                "g": (["w", "v"], ["int", "real"], [(10, nan), (11, 1.5)])}
+
+    def test_the_float_column_stays_a_list_of_the_rows_objects(self):
+        table = make_catalog(self.tables()).root.subschema("t").tables["F"]
+        assert column_kinds(table) == ["int64", "list"]
+        assert all(v is self.NAN for v in table._columns()[0][1]
+                   if v != v)
+
+    @pytest.mark.parametrize("sql, expected", [
+        ("SELECT v, COUNT(*) FROM t.f GROUP BY v", [("nan", 3), (1.5, 1)]),
+        ("SELECT DISTINCT v FROM t.f", [("nan",), (1.5,)]),
+        ("SELECT v FROM t.f UNION SELECT v FROM t.g", [("nan",), (1.5,)]),
+        ("SELECT f.o, g.w FROM t.f f JOIN t.g g ON f.v = g.v",
+         [(0, 10), (1, 10), (2, 11), (3, 10)]),
+    ])
+    def test_a_shared_nan_is_one_key_on_both_engines(self, sql, expected):
+        def shown(rows):
+            return sorted((tuple("nan" if v != v else v for v in row)
+                           for row in rows), key=repr)
+        for engine in ("row", "vectorized"):
+            rows = planner_for(make_catalog(self.tables()),
+                               engine=engine).execute(sql).rows
+            assert shown(rows) == sorted(expected, key=repr), (engine, sql)
 
 
 class TestShapes:
@@ -245,7 +283,7 @@ class TestShapes:
                          "int"], rows)}
         catalog = make_catalog(tables)
         table = catalog.root.subschema("t").tables["T"]
-        assert column_kinds(table) == ["int64", "float64", "list", "list",
+        assert column_kinds(table) == ["int64", "list", "list", "list",
                                        "list", "list", "list", "int64"]
         for c in table._columns()[0]:
             if is_array(c):

@@ -164,8 +164,8 @@ class TestWireEdges:
 
 
 class TestArrayColumns:
-    """A typed int64/float64 array column (a memory table's columnar
-    copy, and what operators gather from it) is written as its buffer:
+    """A typed int64 array column (a memory table's columnar copy, and
+    what operators gather from it) is written as its buffer:
     the same frame its values make as a list, with no per-value pass,
     and it decodes to the list of built-in values the kernels accept."""
 
@@ -176,7 +176,10 @@ class TestArrayColumns:
         from repro.runtime.vectorized.typed import typed_column
         n = min(len(ints), len(reals))
         ints, reals = ints[:n], reals[:n]
+        # a float column stays a list beside the array
         arrays = ColumnBatch([typed_column(ints), typed_column(reals)], n)
+        assert not isinstance(arrays.columns[0], list)
+        assert arrays.columns[1] is reals
         lists = ColumnBatch([ints, reals], n)
         sel = data.draw(st.lists(st.integers(0, n - 1), max_size=n,
                                  unique=True).map(sorted))
@@ -202,15 +205,16 @@ class TestArrayColumns:
     def test_arrays_skip_the_classifying_pass(self, monkeypatch):
         from repro.runtime.vectorized import wire
         from repro.runtime.vectorized.typed import typed_column
-        batch = ColumnBatch([typed_column([1, 2]), typed_column([0.5, -0.0])],
-                            2)
+        batch = ColumnBatch([typed_column([1, 2]),
+                             typed_column([-2 ** 63, 2 ** 63 - 1])], 2)
         expected = encode_batch(batch)
 
         def no_classify(values):
             raise AssertionError("array column classified value by value")
         monkeypatch.setattr(wire, "_classify", no_classify)
         assert encode_batch(batch) == expected
-        assert decode_batch(expected).to_rows() == [(1, 0.5), (2, -0.0)]
+        assert decode_batch(expected).to_rows() == [(1, -2 ** 63),
+                                                    (2, 2 ** 63 - 1)]
 
 
 class TestMalformedFrames:
