@@ -19,7 +19,8 @@ besides the row-at-a-time scan:
   columnar copy once, so a shard is read as rows (``scan_partition``,
   through the positions) or as column chunks
   (``scan_columns(batch_size, shard)``, slices of its own columns, as
-  cheap per row as the full scan's).  Opening a shard read builds both
+  cheap per row as the full scan's; the price is one more copy of the
+  columnar copy per shape).  Opening a shard read builds both
   before the first chunk is taken, so a scheduler that opens one in its
   own process before forking workers leaves every worker them to
   inherit.
