@@ -134,6 +134,14 @@ GOLDEN_QUERIES = [
     ("window_vectorized", "vectorized",
      "SELECT empid, deptno, "
      "RANK() OVER (PARTITION BY deptno ORDER BY sal DESC) FROM hr.emps"),
+    # Joins the batch hash join cannot run: a theta condition, and an
+    # equi condition with a residual under an outer join.
+    ("theta_join_vectorized", "vectorized",
+     "SELECT e.name, d.dname FROM hr.emps e JOIN hr.depts d "
+     "ON e.deptno < d.deptno"),
+    ("residual_left_join_vectorized", "vectorized",
+     "SELECT e.name, d.dname FROM hr.emps e LEFT JOIN hr.depts d "
+     "ON e.deptno = d.deptno AND e.sal > d.deptno * 200"),
     # Distinct UNION with a computed input column: no elision possible
     # on that input, so it hash-exchanges on the full row and dedups
     # per worker instead of gathering below the union.
