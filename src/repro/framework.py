@@ -20,8 +20,9 @@ Two built-in execution engines are available, selected by
 The switch only changes the *required trait* handed to the Volcano
 planner and the converter rules registered with it; everything above
 (parsing, logical rewriting, materialized views, adapter pushdown) is
-shared.  Adapters that only produce rows still compose with the
-vectorized engine through the row↔batch converter bridges, and a
+shared.  Each engine plans with its own converter rules only: rows
+enter a vectorized plan at adapter leaves, through the row→batch
+bridge (``RowToBatch``), and a
 vectorized plan root is executed through the same
 :func:`repro.runtime.operators.execute` entry point (every vectorized
 operator exposes ``execute_rows``), so :class:`Result` is
@@ -345,10 +346,10 @@ class Planner:
         rules = standard_logical_rules()
         if self.config.join_reorder:
             rules += join_reorder_rules()
-        rules += enumerable_rules()
         if self.config.engine == "vectorized":
             rules += vectorized_rules()
         else:
+            rules += enumerable_rules()
             rules.append(EnumerableKeyLookupRule())
         rules += self.catalog.all_rules()
         rules += self.config.rules

@@ -5,7 +5,7 @@ A sibling of the enumerable runtime: relational operators execute over
 tuple iterators, and row expressions are compiled once per operator and
 evaluated over whole columns.  ``Convention.VECTORIZED`` marks plans in
 this engine; :func:`vectorized_rules` contributes the converter rules
-and the row↔batch bridges that let it federate with adapters that only
+and the row→batch bridge that lets it federate with adapters that only
 produce rows.
 """
 
@@ -29,7 +29,6 @@ from .parallel_rules import insert_exchanges
 from .wire import decode_batch, encode_batch
 from .nodes import (
     VECTORIZED,
-    BatchToRow,
     RowToBatch,
     VectorizedAggregate,
     VectorizedFilter,
@@ -39,6 +38,7 @@ from .nodes import (
     VectorizedProject,
     VectorizedSort,
     VectorizedTableScan,
+    VectorizedThetaJoin,
     VectorizedUnion,
     VectorizedValues,
     vectorized_rules,
@@ -48,7 +48,6 @@ from .window import VectorizedWindow, VectorizedWindowRule
 __all__ = [
     "DEFAULT_BATCH_SIZE",
     "VECTORIZED",
-    "BatchToRow",
     "BroadcastExchange",
     "ColumnBatch",
     "Exchange",
@@ -66,6 +65,7 @@ __all__ = [
     "VectorizedProject",
     "VectorizedSort",
     "VectorizedTableScan",
+    "VectorizedThetaJoin",
     "VectorizedUnion",
     "VectorizedValues",
     "VectorizedWindow",

@@ -35,6 +35,7 @@ from ..operators import (
     ExecutionContext,
     _Accumulator,
     _execute,
+    _join as row_join,
     row_sort_key,
     sort_rows,
 )
@@ -51,7 +52,6 @@ from .exchange import Exchange, InjectedStream, SingletonExchange
 from .partitioned import PartitionedScan, PartitionedTableScan
 from .expr import Frame, Scalar, as_column, compile_rex
 from .nodes import (
-    BatchToRow,
     RowToBatch,
     VectorizedAggregate,
     VectorizedFilter,
@@ -61,6 +61,7 @@ from .nodes import (
     VectorizedProject,
     VectorizedSort,
     VectorizedTableScan,
+    VectorizedThetaJoin,
     VectorizedUnion,
     VectorizedValues,
 )
@@ -80,6 +81,10 @@ def execute_batches(rel: RelNode, ctx: Optional[ExecutionContext] = None,
         return _project(rel, ctx, batch_size)
     if isinstance(rel, VectorizedHashJoin):
         return _hash_join(rel, ctx, batch_size)
+    if isinstance(rel, VectorizedThetaJoin):
+        # The row engine's join over the inputs' rows, rebatched.
+        return batches_from_rows(row_join(rel, ctx),
+                                 rel.row_type.field_count, batch_size)
     if isinstance(rel, VectorizedAggregate):
         return _aggregate(rel, ctx, batch_size)
     if isinstance(rel, VectorizedSort):
@@ -102,11 +107,10 @@ def execute_batches(rel: RelNode, ctx: Optional[ExecutionContext] = None,
         # Gather point of a parallel region: run the workers below.
         from .parallel import gather_batches
         return gather_batches(rel, ctx, batch_size)
-    if isinstance(rel, (Exchange, PartitionedScan, BatchToRow)):
+    if isinstance(rel, (Exchange, PartitionedScan)):
         # Any other exchange (or a partitioned scan's unpartitioned
         # template) reached serially is a no-op: distribution is
         # placement, and one stream is every placement at once.
-        # Re-entered from batch context, the row detour is one too.
         return execute_batches(rel.input, ctx, batch_size)
     if isinstance(rel, RowToBatch):
         # Engine bridge: pull rows from the row runtime and re-batch.

@@ -5,15 +5,11 @@ operators, but executing batch-at-a-time over :class:`ColumnBatch`
 instead of tuple-at-a-time over iterators.  Expressions are compiled
 once per operator (:mod:`.expr`) and evaluated over whole columns.
 
-Two converters glue the conventions together:
-
-* :class:`RowToBatch` (enumerable → vectorized) chunks any row-producing
-  subtree — including adapter plans that only speak rows — into batches,
-  so every backend composes with the columnar engine.
-* :class:`BatchToRow` (vectorized → enumerable) flattens batches back
-  into tuples, so a vectorized subtree can feed row-only operators
-  (windows, correlates) and so a vectorized plan root can be executed by
-  the row runtime unchanged.
+Rows enter a vectorized plan only at adapter leaves: an adapter's
+converter hands its rows to the enumerable convention, and
+:class:`RowToBatch` chunks them into batches.  The vectorized planner
+registers no ``Enumerable*`` operator rule, so the engines are never
+spliced together inside one plan.
 
 Every vectorized node also implements ``execute_rows``, which the row
 interpreter (:func:`repro.runtime.operators.execute`) probes first —
@@ -117,8 +113,7 @@ class VectorizedProject(VectorizedRel, Project):
 
 
 class VectorizedHashJoin(VectorizedRel, Join):
-    """Hash join over key columns (equi joins only; the planner falls
-    back to the row engine for theta joins)."""
+    """Hash join over key columns (equi joins without a residual)."""
 
     def compute_self_cost(self, mq) -> RelOptCost:
         rows = mq.row_count(self)
@@ -127,6 +122,13 @@ class VectorizedHashJoin(VectorizedRel, Join):
         memory = right * mq.average_row_size(self.right)
         return RelOptCost(rows, (left + right) * VECTOR_CPU_FACTOR,
                           memory * 0.01)
+
+
+class VectorizedThetaJoin(VectorizedRel, Join):
+    """Any join the hash join declines: a theta or cross condition, or
+    equi keys with a residual.  It runs the row engine's own join over
+    its inputs' rows and rebatches the output, so these joins keep one
+    definition; it is costed as that row join."""
 
 
 class VectorizedAggregate(VectorizedRel, Aggregate):
@@ -160,17 +162,6 @@ class VectorizedValues(VectorizedRel, Values):
     pass
 
 
-def _bridge_cost(bridge: Converter, mq) -> RelOptCost:
-    """Engine bridges repackage rows in a single pass (chunking into or
-    flattening out of batches); costing them like a full per-row
-    operator — the generic Converter default — double-charged every
-    adapter subtree (adapter converter + bridge) and priced vectorized
-    federated plans out of the running.  The rows component is zero for
-    the same reason: a bridge adds no cardinality of its own."""
-    rows = mq.row_count(bridge.input)
-    return RelOptCost(0.0, rows * VECTOR_CPU_FACTOR, 0.0)
-
-
 class RowToBatch(VectorizedRel, Converter):
     """enumerable → vectorized: chunk a row iterator into batches."""
 
@@ -179,30 +170,18 @@ class RowToBatch(VectorizedRel, Converter):
         super().__init__(input_, out_traits or _VEC_TRAITS)
 
     def compute_self_cost(self, mq) -> RelOptCost:
-        return _bridge_cost(self, mq)
-
-
-class BatchToRow(Converter):
-    """vectorized → enumerable: flatten batches back into row tuples."""
-
-    def __init__(self, input_: RelNode,
-                 out_traits: Optional[RelTraitSet] = None) -> None:
-        super().__init__(input_, out_traits or RelTraitSet(ENUMERABLE))
-
-    def compute_self_cost(self, mq) -> RelOptCost:
-        return _bridge_cost(self, mq)
-
-    def execute_rows(self, ctx):
-        from .batch import RowStream
-        return RowStream.of(self._batch_stream(ctx))
-
-    def _batch_stream(self, ctx):
-        from .executor import execute_batches
-        yield from execute_batches(self.input, ctx)
+        """One pass that repackages rows: costing it like a full per-row
+        operator — the generic Converter default — double-charged every
+        adapter subtree (adapter converter + bridge) and priced
+        vectorized federated plans out of the running.  The rows
+        component is zero for the same reason: a bridge adds no
+        cardinality of its own."""
+        rows = mq.row_count(self.input)
+        return RelOptCost(0.0, rows * VECTOR_CPU_FACTOR, 0.0)
 
 
 # ---------------------------------------------------------------------------
-# Converter rules: logical → vectorized, plus the two engine bridges
+# Converter rules: logical → vectorized, plus the row→batch bridge
 # ---------------------------------------------------------------------------
 
 def _vec_input(call: RelOptRuleCall, rel: RelNode) -> RelNode:
@@ -242,8 +221,8 @@ class VectorizedProjectRule(ConverterRule):
 
 
 class VectorizedJoinRule(ConverterRule):
-    """Equi joins become batch hash joins; theta joins stay row-based
-    (the BatchToRow/RowToBatch bridges splice the engines together)."""
+    """Equi joins become batch hash joins; every other join a
+    :class:`VectorizedThetaJoin`."""
 
     def __init__(self) -> None:
         super().__init__(LogicalJoin, Convention.NONE, VECTORIZED,
@@ -251,11 +230,10 @@ class VectorizedJoinRule(ConverterRule):
 
     def convert(self, rel: RelNode, call: RelOptRuleCall) -> Optional[RelNode]:
         info = rel.analyze_condition()
-        if not info.left_keys or info.non_equi:
-            return None
-        return VectorizedHashJoin(
-            _vec_input(call, rel.left), _vec_input(call, rel.right),
-            rel.condition, rel.join_type, _VEC_TRAITS)
+        join = (VectorizedHashJoin if info.left_keys and not info.non_equi
+                else VectorizedThetaJoin)
+        return join(_vec_input(call, rel.left), _vec_input(call, rel.right),
+                    rel.condition, rel.join_type, _VEC_TRAITS)
 
 
 class VectorizedAggregateRule(ConverterRule):
@@ -319,36 +297,23 @@ class VectorizedValuesRule(ConverterRule):
 
 
 class RowToBatchRule(ConverterRule):
-    """Lift any enumerable (row-producing) expression into batches.
+    """Lift an enumerable (row-producing) expression into batches.
 
-    This is the universal fallback that lets adapters without a
-    vectorized implementation participate in a vectorized plan.
+    Under the vectorized rule set only adapters' converters produce
+    enumerable expressions, so this is where an adapter without a
+    vectorized implementation joins a vectorized plan.
     """
 
     def __init__(self) -> None:
         super().__init__(RelNode, ENUMERABLE, VECTORIZED, "RowToBatchRule")
 
     def convert(self, rel: RelNode, call: RelOptRuleCall) -> Optional[RelNode]:
-        if isinstance(rel, BatchToRow):
-            return None  # its set already has a vectorized member
         return RowToBatch(call.convert_input(rel, RelTraitSet(ENUMERABLE)))
 
 
-class BatchToRowRule(ConverterRule):
-    """Flatten any vectorized expression back into an enumerable one."""
-
-    def __init__(self) -> None:
-        super().__init__(RelNode, VECTORIZED, ENUMERABLE, "BatchToRowRule")
-
-    def convert(self, rel: RelNode, call: RelOptRuleCall) -> Optional[RelNode]:
-        if isinstance(rel, RowToBatch):
-            return None  # its set already has an enumerable member
-        return BatchToRow(call.convert_input(rel, _VEC_TRAITS))
-
-
 def vectorized_rules() -> List[ConverterRule]:
-    """Converter rules from the logical (and row) conventions into the
-    vectorized convention, plus the batch→row fallback bridge."""
+    """Converter rules from the logical convention, and from adapters'
+    row output, into the vectorized convention."""
     from .window import VectorizedWindowRule  # deferred: window imports nodes
     return [
         VectorizedTableScanRule(),
@@ -363,5 +328,4 @@ def vectorized_rules() -> List[ConverterRule]:
         VectorizedMinusRule(),
         VectorizedValuesRule(),
         RowToBatchRule(),
-        BatchToRowRule(),
     ]

@@ -38,7 +38,7 @@ from ...core.rel import Converter, RelNode, TableScan
 from ...core.rex import RexInputRef
 from ...core.traits import Convention, RelDistribution, RelTraitSet
 from .batch import DEFAULT_BATCH_SIZE, ColumnBatch, batches_from_rows
-from .nodes import BatchToRow, VectorizedFilter, VectorizedProject, VectorizedRel
+from .nodes import VectorizedFilter, VectorizedProject, VectorizedRel
 
 VECTORIZED = Convention.VECTORIZED
 
@@ -230,7 +230,7 @@ def _partition_builder(rel: RelNode, keys: Tuple[int, ...],
         if sub is None:
             return None
         return lambda pid: rel.copy(inputs=[sub(pid)])
-    if isinstance(rel, Converter) and not isinstance(rel, BatchToRow):
+    if isinstance(rel, Converter):
         # RowToBatch and adapter converters preserve columns 1:1.
         sub = _partition_builder(rel.input, keys, n)
         if sub is None:

@@ -48,8 +48,8 @@ from .nodes import _VEC_TRAITS, VECTORIZED, VectorizedRel
 from ...core.rule import ConverterRule, RelOptRuleCall
 from ...core.traits import Convention
 
-#: Window function kinds the vectorized kernels implement.  Anything
-#: else (e.g. COLLECT OVER) stays on the row engine via the bridges.
+#: Window function kinds the vectorized kernels implement: the kinds the
+#: row engine implements too.
 SUPPORTED_WINDOW_KINDS = RANKING_KINDS | {
     SqlKind.LAG, SqlKind.LEAD,
     SqlKind.COUNT, SqlKind.SUM, SqlKind.SUM0, SqlKind.AVG,
