@@ -850,6 +850,9 @@ def _frame_rows(over: RexOver, ordered: List[int], pos: int,
         return list(ordered)
     key = compile_rex(over.order_keys[0][0])
     current = key(rows[ordered[pos]], eval_ctx)
+    if current is None:
+        return null_key_range_frame(
+            over, ordered, lambda i: key(rows[i], eval_ctx) is None)
     lo_val, hi_val = None, current
     if over.lower.bound_kind == "PRECEDING" and over.lower.offset is not None:
         delta = compile_rex(over.lower.offset)(rows[ordered[pos]], eval_ctx)
@@ -872,6 +875,20 @@ def _frame_rows(over: RexOver, ordered: List[int], pos: int,
             continue
         out.append(i)
     return out
+
+
+def null_key_range_frame(over: RexOver, ordered: List[int],
+                         key_is_null: Callable[[int], bool]) -> List[int]:
+    """The RANGE frame, in both engines, of a row whose first ORDER BY
+    key is NULL, over its partition's rows in window order.  A NULL has
+    no value to offset from: an offset or CURRENT ROW bound stops at
+    the edge of the row's NULL peers (contiguous, since NULLs sort
+    largest), an UNBOUNDED bound at the edge of the partition."""
+    peers = [p for p, i in enumerate(ordered) if key_is_null(i)]
+    lo = 0 if over.lower.bound_kind == "UNBOUNDED_PRECEDING" else peers[0]
+    hi = (len(ordered) if over.upper.bound_kind == "UNBOUNDED_FOLLOWING"
+          else peers[-1] + 1)
+    return ordered[lo:hi]
 
 
 def _row_bound(bound, pos: int, n: int, eval_ctx: EvalContext,

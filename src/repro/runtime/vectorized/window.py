@@ -41,7 +41,7 @@ from ...core.cost import RelOptCost
 from ...core.rel import LogicalWindow, RelNode, Window
 from ...core.rex import RANKING_KINDS, RexOver, SqlKind
 from ...core.rex_eval import EvalContext, compile as compile_row_rex
-from ..operators import ExecutionContext, window_runs
+from ..operators import ExecutionContext, null_key_range_frame, window_runs
 from .batch import ColumnBatch, is_array, pylist
 from .expr import Frame, as_column, compile_rex
 from .nodes import _VEC_TRAITS, VECTORIZED, VectorizedRel
@@ -325,12 +325,15 @@ def _bound_pos(bound: Any, pos: int, n: int, eval_ctx: EvalContext) -> int:
 def _range_frame(over: RexOver, ordered: List[int], pos: int,
                  order_cols: List[list], range_offsets) -> List[int]:
     """RANGE frame over the first order key, mirroring the row engine
-    (rows whose key is NULL never join a bounded RANGE frame)."""
+    (rows whose key is NULL never join a non-NULL row's frame)."""
     if not order_cols:
         return list(ordered)
     key_col = order_cols[0]
     row_idx = ordered[pos]
     current = key_col[row_idx]
+    if current is None:
+        return null_key_range_frame(over, ordered,
+                                    lambda i: key_col[i] is None)
     lo_off_col, hi_off_col = range_offsets
     lo_val: Any = None
     hi_val: Any = current

@@ -139,6 +139,25 @@ def build_sales_catalog() -> Catalog:
     return catalog
 
 
+def build_hr_catalog() -> Catalog:
+    """Employees and departments with NULL join keys, NULL salaries and
+    a department nobody works in: inputs for the joins the batch hash
+    join declines (theta, cross, and equi keys with a residual)."""
+    catalog = Catalog()
+    hr = Schema("hr")
+    catalog.add_schema(hr)
+    hr.add_table(MemoryTable(
+        "emps", ["empid", "deptno", "sal"],
+        [F.integer(False), F.integer(), F.integer()],
+        [(100 + i, None if i == 5 else 10 * (1 + i % 4),
+          None if i % 5 == 0 else 5000 + 250 * i) for i in range(12)]))
+    hr.add_table(MemoryTable(
+        "depts", ["deptno", "dname"], [F.integer(), F.varchar()],
+        [(10, "Sales"), (20, "Marketing"), (30, "HR"), (50, "Empty"),
+         (None, "Limbo")]))
+    return catalog
+
+
 #: (case id, catalog builder, SQL, ordered?).  ``ordered`` requests an
 #: order-sensitive comparison and is only set where the ORDER BY keys
 #: are unique (ties may legitimately order differently between engines).
@@ -289,11 +308,31 @@ CASES = [
      "SELECT productId FROM s.products "
      "EXCEPT SELECT productId FROM s.sales WHERE units > 15",
      False),
+    # -- joins the batch hash join declines (VectorizedThetaJoin) ------
+    ("join_theta", build_hr_catalog,
+     "SELECT e.empid, d.dname FROM hr.emps e JOIN hr.depts d "
+     "ON e.deptno < d.deptno",
+     False),
+    ("join_theta_filtered", build_hr_catalog,
+     # The filter is pushed below the join, into the emps input.
+     "SELECT e.empid, d.dname FROM hr.emps e JOIN hr.depts d "
+     "ON e.deptno < d.deptno WHERE e.sal > 6000",
+     False),
+    ("join_cross", build_hr_catalog,
+     "SELECT e.empid, d.dname FROM hr.emps e, hr.depts d",
+     False),
+] + [
+    (f"join_residual_{kind.lower()}", build_hr_catalog,
+     f"SELECT e.empid, d.dname FROM hr.emps e {kind} JOIN hr.depts d "
+     "ON e.deptno = d.deptno AND e.sal > d.deptno * 200",
+     False)
+    for kind in ("LEFT", "RIGHT", "FULL")
 ]
 
-#: The window/set-op subset additionally runs on both worker backends.
+#: The window, set-op and join subsets additionally run on both worker
+#: backends.
 _WORKER_AXIS_CASES = [c for c in CASES
-                      if c[0].startswith(("win_", "setop_"))]
+                      if c[0].startswith(("win_", "setop_", "join_"))]
 
 
 _CATALOG_CACHE = {}
@@ -382,9 +421,10 @@ def test_parallel_agrees_with_serial_and_row(builder, sql, ordered,
      for case_id, b, sql, ordered in _WORKER_AXIS_CASES])
 def test_window_and_setop_worker_backends_agree(builder, sql, ordered,
                                                 parallelism, workers):
-    """Windows and distinct set operations must be exact on both worker
-    backends: thread partitions share batches in-process, process
-    partitions cross the columnar wire format."""
+    """Windows, distinct set operations and the joins the hash join
+    declines must be exact on both worker backends: thread partitions
+    share batches in-process, process partitions cross the columnar
+    wire format."""
     row_planner, _vec = _planners(builder)
     par_planner = _parallel_planner(builder, parallelism, workers=workers)
     row_result = row_planner.execute(sql)
@@ -392,6 +432,44 @@ def test_window_and_setop_worker_backends_agree(builder, sql, ordered,
     assert row_result.columns == par_result.columns
     assert sorted(par_result.rows, key=repr) == \
         sorted(row_result.rows, key=repr)
+
+
+def _residual_semi_join(catalog, join_type):
+    """``emps`` SEMI/ANTI-joined to ``depts`` on equal keys plus a
+    residual; SQL has no syntax for either join, so it is built."""
+    from repro.core import rex
+    from repro.core.builder import RelBuilder
+    b = RelBuilder(catalog)
+    b.scan("hr", "emps")
+    b.scan("hr", "depts")
+    condition = b.and_(
+        b.equals(b.field2(0, "deptno"), b.field2(1, "deptno")),
+        b.greater_than(b.field2(0, "sal"),
+                       b.call(rex.TIMES, b.field2(1, "deptno"),
+                              b.literal(200))))
+    return b.join(join_type, condition).build()
+
+
+@pytest.mark.parametrize("parallelism,workers", [
+    pytest.param(1, "thread", id="p1"),
+    pytest.param(2, "thread", id="p2-thread",
+                 marks=pytest.mark.parallel),
+    pytest.param(2, "process", id="p2-process",
+                 marks=pytest.mark.parallel),
+])
+@pytest.mark.parametrize("join_type", ["SEMI", "ANTI"])
+def test_residual_semi_and_anti_joins_agree(join_type, parallelism, workers):
+    from repro.core.rel import JoinRelType
+    join_type = JoinRelType[join_type]
+    row_planner, vec_planner = _planners(build_hr_catalog)
+    planner = (vec_planner if parallelism == 1 else _parallel_planner(
+        build_hr_catalog, parallelism, workers=workers))
+    catalog = row_planner.catalog
+    expected = row_planner.execute(_residual_semi_join(catalog, join_type))
+    result = planner.execute(_residual_semi_join(catalog, join_type))
+    assert "VectorizedThetaJoin" in result.explain()
+    assert expected.rows  # both kinds keep some employees
+    assert sorted(result.rows, key=repr) == sorted(expected.rows, key=repr)
 
 
 @pytest.mark.parallel
@@ -550,3 +628,42 @@ def test_vectorized_plans_actually_vectorize():
 def test_engine_config_is_validated():
     with pytest.raises(ValueError, match="unknown engine"):
         Planner(FrameworkConfig(Catalog(), engine="turbo"))
+
+
+# -- RANGE offset frames over NULL ORDER BY keys, against sqlite --------------
+
+_RANGE_ROWS = [(1, 10, 5000), (2, 10, None), (3, 10, 5050), (4, 10, None),
+               (5, 10, 5200), (6, 20, 5000), (7, 20, None), (8, 20, 5000),
+               (9, 30, None), (10, 30, 7000)]
+
+
+@pytest.mark.parametrize("frame", [
+    "RANGE BETWEEN 100 PRECEDING AND CURRENT ROW",
+    "RANGE BETWEEN CURRENT ROW AND 100 FOLLOWING",
+    "RANGE BETWEEN 100 PRECEDING AND 200 FOLLOWING",
+])
+@pytest.mark.parametrize("engine", ["row", "vectorized"])
+def test_range_offset_frame_over_null_keys_matches_sqlite(engine, frame):
+    """A NULL ORDER BY value has no value to offset from: its frame is
+    its NULL peers (SUM NULL, COUNT(*) the number of NULL peers), as
+    sqlite has it; a non-NULL row's frame holds no NULL."""
+    import sqlite3
+    from repro import connect
+    catalog = Catalog()
+    hr = Schema("hr")
+    catalog.add_schema(hr)
+    hr.add_table(MemoryTable(
+        "emps", ["empid", "deptno", "sal"],
+        [F.integer(False), F.integer(False), F.integer()], _RANGE_ROWS))
+    sql = (f"SELECT empid, SUM(sal) OVER (ORDER BY sal {frame}), "
+           f"COUNT(*) OVER (ORDER BY sal {frame}), "
+           f"COUNT(*) OVER (PARTITION BY deptno ORDER BY sal {frame}) "
+           f"FROM hr.emps")
+    got = connect(catalog, engine=engine).execute(sql).fetchall()
+    referee = sqlite3.connect(":memory:")
+    referee.execute("CREATE TABLE emps (empid INTEGER, deptno INTEGER, "
+                    "sal INTEGER)")
+    referee.executemany("INSERT INTO emps VALUES (?, ?, ?)", _RANGE_ROWS)
+    expected = referee.execute(sql.replace("hr.emps", "emps")).fetchall()
+    assert sorted(got) == sorted(expected)
+    assert (2, None, 4, 2) in got  # the four NULLs; two in dept 10
