@@ -79,20 +79,6 @@ class JdbcTable(Table):
             self.db.rows_read += 1
             yield tuple(row)
 
-    def scan_partition(self, partition_id, n_partitions, keys=()):
-        """Server-side shard: the backend filters the partition predicate.
-
-        Hashes all columns when no keys are requested — still a
-        disjoint cover (duplicate rows travel together), and unlike a
-        stride it needs no row numbering from the backend.
-        """
-        names = list(self.row_type.field_names)
-        cols = ", ".join(names[k] for k in keys) if keys else ", ".join(names)
-        sql = (f"SELECT * FROM {self.name} "
-               f"WHERE MOD(HASH({cols}), {n_partitions}) = {partition_id}")
-        _, rows = self.db.execute(sql)
-        return iter(rows)
-
 
 class JdbcQuery(RelNode):
     """A leaf operator standing for a query shipped to the backend.

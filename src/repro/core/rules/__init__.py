@@ -19,7 +19,6 @@ its logical twin already derived, once per convention.
 """
 
 from .aggregate_rules import (
-    AggregateJoinTransposeRule,
     AggregateProjectMergeRule,
     AggregateRemoveRule,
     AggregateUnionAggregateRule,
@@ -31,17 +30,13 @@ from .filter_rules import (
     FilterProjectTransposeRule,
     FilterSetOpTransposeRule,
     FilterSimplifyRule,
-    FilterSortTransposeRule,
     JoinConditionPushRule,
 )
 from .join_rules import (
     JoinAssociateRule,
     JoinCommuteRule,
-    JoinExtractFilterRule,
-    JoinToCorrelateRule,
 )
 from .project_rules import (
-    ProjectFilterTransposeRule,
     ProjectJoinTransposeRule,
     ProjectMergeRule,
     ProjectRemoveRule,
@@ -125,7 +120,6 @@ def standard_logical_rules():
 
 __all__ = [
     "AggregateEmptyRule",
-    "AggregateJoinTransposeRule",
     "AggregateProjectMergeRule",
     "AggregateRemoveRule",
     "AggregateUnionAggregateRule",
@@ -137,16 +131,12 @@ __all__ = [
     "FilterProjectTransposeRule",
     "FilterSetOpTransposeRule",
     "FilterSimplifyRule",
-    "FilterSortTransposeRule",
     "JoinAssociateRule",
     "JoinCommuteRule",
     "JoinConditionPushRule",
-    "JoinExtractFilterRule",
     "JoinLeftEmptyRule",
     "JoinRightEmptyRule",
-    "JoinToCorrelateRule",
     "ProjectEmptyRule",
-    "ProjectFilterTransposeRule",
     "ProjectJoinTransposeRule",
     "ProjectMergeRule",
     "ProjectRemoveRule",

@@ -2,19 +2,14 @@
 
 from __future__ import annotations
 
-from typing import List, Optional
-
 from ..rel import (
     Aggregate,
-    AggregateCall,
-    Join,
-    JoinRelType,
     LogicalAggregate,
     LogicalProject,
     Project,
     Union,
 )
-from ..rex import RexInputRef, RexNode
+from ..rex import RexInputRef
 from ..rule import RelOptRule, RelOptRuleCall, any_logical, logical
 
 
@@ -119,43 +114,3 @@ class AggregateUnionAggregateRule(RelOptRule):
         if not changed:
             return
         call.transform_to(agg.copy(inputs=[union.copy(inputs=new_inputs)]))
-
-
-class AggregateJoinTransposeRule(RelOptRule):
-    """Push a grouped COUNT/SUM-free aggregate below an inner join when
-    all keys and arguments come from one side (a pragmatic subset of
-    Calcite's rule that is sufficient for rollup-style plans)."""
-
-    def __init__(self) -> None:
-        super().__init__(logical(Aggregate, any_logical(Join)),
-                         "AggregateJoinTransposeRule")
-
-    def matches(self, call: RelOptRuleCall) -> bool:
-        agg, join = call.rel(0), call.rel(1)
-        if join.join_type is not JoinRelType.INNER:
-            return False
-        if agg.agg_calls:
-            return False  # only DISTINCT pushes safely without rescaling
-        n_left = join.left.row_type.field_count
-        keys = set(agg.group_set)
-        info = join.analyze_condition()
-        if not info.is_equi or not info.left_keys:
-            return False
-        # all group keys on the left side, join keys included
-        return (all(k < n_left for k in keys)
-                and set(info.left_keys) <= keys)
-
-    def on_match(self, call: RelOptRuleCall) -> None:
-        agg, join = call.rel(0), call.rel(1)
-        inner = LogicalAggregate(join.left, sorted(agg.group_set), [])
-        # Remap join condition onto the aggregated left side.
-        from ..rex import InputRefRemapper
-        n_left = join.left.row_type.field_count
-        ordered = sorted(agg.group_set)
-        mapping = {old: new for new, old in enumerate(ordered)}
-        for i in range(join.right.row_type.field_count):
-            mapping[n_left + i] = len(ordered) + i
-        new_condition = InputRefRemapper(mapping).apply(join.condition)
-        new_join = join.copy(inputs=[inner, join.right]).with_condition(new_condition)
-        outer_keys = [mapping[k] for k in agg.group_set]
-        call.transform_to(LogicalAggregate(new_join, outer_keys, []))

@@ -14,7 +14,6 @@ from ..rel import (
     LogicalFilter,
     Project,
     SetOp,
-    Sort,
 )
 from ..rex import (
     InputRefRemapper,
@@ -227,28 +226,6 @@ class FilterSetOpTransposeRule(RelOptRule):
         new_inputs = [LogicalFilter(i, filter_.condition, none)
                       for i in setop.inputs]
         call.transform_to(setop.copy(inputs=new_inputs, traits=none))
-
-
-class FilterSortTransposeRule(RelOptRule):
-    """Swap Filter over Sort (valid when the sort has no limit)."""
-
-    def __init__(self) -> None:
-        super().__init__(logical(Filter, any_logical(Sort)),
-                         "FilterSortTransposeRule")
-
-    def matches(self, call: RelOptRuleCall) -> bool:
-        sort = call.rel(1)
-        return sort.offset is None and sort.fetch is None
-
-    def on_match(self, call: RelOptRuleCall) -> None:
-        from ..rel import LogicalSort
-        from ..traits import Convention, RelTraitSet
-        filter_, sort = call.rel(0), call.rel(1)
-        none = RelTraitSet(Convention.NONE)
-        new_filter = LogicalFilter(sort.input, filter_.condition, none)
-        call.transform_to(LogicalSort(
-            new_filter, sort.collation, sort.offset, sort.fetch,
-            RelTraitSet(Convention.NONE, sort.collation)))
 
 
 class FilterSimplifyRule(RelOptRule):

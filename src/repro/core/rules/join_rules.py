@@ -111,56 +111,3 @@ class JoinAssociateRule(RelOptRule):
             compose_conjunction(top_new) or literal(True),
             JoinRelType.INNER)
         call.transform_to(new_top)
-
-
-class JoinExtractFilterRule(RelOptRule):
-    """Turn an inner join's condition into a Filter above a cross join.
-
-    This exposes the condition to filter rules (e.g. so parts can be
-    pushed into adapters), at the cost of a cartesian intermediate that
-    the cost model will normally reject unless something better happens.
-    """
-
-    def __init__(self) -> None:
-        super().__init__(any_logical(Join), "JoinExtractFilterRule")
-
-    def matches(self, call: RelOptRuleCall) -> bool:
-        join = call.rel(0)
-        return (join.join_type is JoinRelType.INNER
-                and not join.condition.is_always_true())
-
-    def on_match(self, call: RelOptRuleCall) -> None:
-        from ..rel import LogicalFilter
-        join = call.rel(0)
-        cross = LogicalJoin(join.left, join.right, literal(True), JoinRelType.INNER)
-        call.transform_to(LogicalFilter(cross, join.condition))
-
-
-class JoinToCorrelateRule(RelOptRule):
-    """Rewrite an equi/theta join as a Correlate (nested-loop form)."""
-
-    def __init__(self) -> None:
-        super().__init__(any_logical(Join), "JoinToCorrelateRule")
-
-    def matches(self, call: RelOptRuleCall) -> bool:
-        return call.rel(0).join_type in (JoinRelType.INNER, JoinRelType.LEFT)
-
-    def on_match(self, call: RelOptRuleCall) -> None:
-        from ..rel import LogicalCorrelate, LogicalFilter
-        join = call.rel(0)
-        n_left = join.left.row_type.field_count
-        refs = input_refs_used(join.condition)
-        required = sorted(r for r in refs if r < n_left)
-        correlate = LogicalCorrelate(
-            join.left,
-            LogicalFilter(join.right,
-                          InputRefShifter(-0).apply(join.condition)),
-            correlation_id=f"$cor{join.id}",
-            required_columns=required,
-            join_type=join.join_type)
-        # The filter above references the concatenated row, which the
-        # correlate's right side cannot see; this simplistic rewrite is
-        # only safe when no such references exist.
-        if any(r < n_left for r in refs):
-            return
-        call.transform_to(correlate)

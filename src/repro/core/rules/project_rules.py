@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from ..rel import (
-    Filter,
     Join,
     LogicalProject,
     Project,
@@ -65,38 +64,6 @@ class ProjectRemoveRule(RelOptRule):
 
     def on_match(self, call: RelOptRuleCall) -> None:
         call.transform_to(call.rel(0).input)
-
-
-class ProjectFilterTransposeRule(RelOptRule):
-    """Push a project below a filter (keeping fields the filter needs)."""
-
-    def __init__(self) -> None:
-        super().__init__(logical(Project, any_logical(Filter)),
-                         "ProjectFilterTransposeRule")
-
-    def on_match(self, call: RelOptRuleCall) -> None:
-        project, filter_ = call.rel(0), call.rel(1)
-        needed = set()
-        for p in project.projects:
-            needed |= input_refs_used(p)
-        needed |= input_refs_used(filter_.condition)
-        if len(needed) >= filter_.input.row_type.field_count:
-            return  # nothing to trim
-        from ..rel import LogicalFilter
-        from ..traits import Convention, RelTraitSet
-        none = RelTraitSet(Convention.NONE)
-        ordered = sorted(needed)
-        mapping = {old: new for new, old in enumerate(ordered)}
-        in_fields = filter_.input.row_type.fields
-        trim = LogicalProject(
-            filter_.input,
-            [RexInputRef(i, in_fields[i].type) for i in ordered],
-            [in_fields[i].name for i in ordered], none)
-        remapper = InputRefRemapper(mapping)
-        new_filter = LogicalFilter(trim, remapper.apply(filter_.condition), none)
-        new_projects = [remapper.apply(p) for p in project.projects]
-        call.transform_to(
-            LogicalProject(new_filter, new_projects, project.field_names, none))
 
 
 class ProjectJoinTransposeRule(RelOptRule):

@@ -30,8 +30,17 @@ class TestConfigOptions:
         assert p.last_volcano.mq.caching is False
 
     def test_extra_rules_injected(self, hr_catalog):
-        from repro.core.rules import JoinExtractFilterRule
-        extra = JoinExtractFilterRule()
+        from repro.core.rel import Filter
+        from repro.core.rule import RelOptRule, any_logical
+
+        class NoOpFilterRule(RelOptRule):
+            def __init__(self):
+                super().__init__(any_logical(Filter), "NoOpFilterRule")
+
+            def on_match(self, call):
+                pass
+
+        extra = NoOpFilterRule()
         p = Planner(FrameworkConfig(hr_catalog, rules=[extra]))
         assert extra in p.all_rules()
 
