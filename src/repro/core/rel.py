@@ -619,10 +619,15 @@ class Values(RelNode):
     def derive_row_type(self) -> RelDataType:
         return self._values_row_type
 
-    def attr_digest(self) -> str:
-        rows = "; ".join(
+    def _tuples_text(self) -> str:
+        return "; ".join(
             "(" + ", ".join(v.digest for v in row) + ")" for row in self.tuples)
-        return rows
+
+    def attr_digest(self) -> str:
+        # The row type is part of the identity: empty Values of
+        # different row types are different relations, and one digest
+        # would merge their Volcano sets.
+        return f"{self._tuples_text()}, type={self.row_type}"
 
     def copy(self, inputs: Optional[Sequence[RelNode]] = None,
              traits: Optional[RelTraitSet] = None) -> "Values":
@@ -632,7 +637,7 @@ class Values(RelNode):
         return float(len(self.tuples))
 
     def explain_terms(self) -> List[Tuple[str, Any]]:
-        return [("tuples", self.attr_digest())]
+        return [("tuples", self._tuples_text())]
 
 
 class LogicalValues(Values):

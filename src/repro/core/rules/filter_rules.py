@@ -166,9 +166,13 @@ class FilterMergeRule(RelOptRule):
 
     def on_match(self, call: RelOptRuleCall) -> None:
         top, bottom = call.rel(0), call.rel(1)
-        condition = compose_conjunction(
-            decompose_conjunction(top.condition) +
-            decompose_conjunction(bottom.condition))
+        # Each conjunct once: a filter whose input is its own set (after
+        # its input was pruned to an empty Values) would otherwise merge
+        # with itself into an ever longer condition.
+        conjuncts = {c.digest: c for c in
+                     decompose_conjunction(top.condition)
+                     + decompose_conjunction(bottom.condition)}
+        condition = compose_conjunction(list(conjuncts.values()))
         if condition is None:
             call.transform_to(bottom.input)
             return

@@ -168,6 +168,14 @@ class TestTreeHelpers:
         assert v.tuples == []
         assert v.row_type.field_names == ("a",)
 
+    def test_empty_values_of_different_row_types_differ(self):
+        """One digest would merge their Volcano sets, mixing row types."""
+        one = LogicalValues.empty(F.struct(["a"], [F.integer()]))
+        two = LogicalValues.empty(
+            F.struct(["a", "b"], [F.integer(), F.varchar()]))
+        assert one.digest != two.digest
+        assert one.explain() == two.explain()  # plans print the tuples only
+
     def test_single_input_accessor_raises_on_join(self, hr_catalog):
         emps, depts = two_tables(hr_catalog)
         join = LogicalJoin(emps, depts, literal(True), JoinRelType.INNER)

@@ -315,3 +315,60 @@ class TestAggregateRules:
         result = apply_rules(rel, [AggregateRemoveRule()])
         assert not isinstance(result, Aggregate)
         check_equivalent(rel, result)
+
+
+# -- every default rule fires in some statement --------------------------------
+
+#: ``emps`` under a constant column the Hep pass cannot see through:
+#: ``WHERE one = 2`` only becomes FALSE once Volcano pushes it below
+#: the project, so the empty relation it prunes to appears inside the
+#: Volcano search, where the ``*EmptyRule``s match it.  The UNION ALL
+#: branch keeps each answer non-empty.
+_EMPS = "(SELECT 1 AS one, deptno, name, sal FROM hr.emps)"
+_PLUS = " UNION ALL SELECT name FROM hr.emps WHERE deptno = 10"
+
+#: (rule, statement whose Volcano search fires it)
+FIRING_STATEMENTS = [
+    ("ProjectSetOpTransposeRule",
+     "SELECT y, x FROM (SELECT deptno AS x, empid AS y FROM hr.emps "
+     "UNION ALL SELECT deptno, deptno FROM hr.depts) u"),
+    ("AggregateUnionAggregateRule",
+     "SELECT DISTINCT deptno FROM (SELECT DISTINCT deptno FROM hr.emps "
+     "UNION ALL SELECT deptno FROM hr.depts) u"),
+    ("FilterEmptyRule",
+     f"SELECT name FROM (SELECT * FROM {_EMPS} t WHERE one = 2) s "
+     f"WHERE sal > 5{_PLUS}"),
+    ("SortEmptyRule",
+     f"SELECT name FROM (SELECT * FROM {_EMPS} t WHERE one = 2 "
+     f"ORDER BY sal LIMIT 3) s{_PLUS}"),
+    ("AggregateEmptyRule",
+     f"SELECT name FROM (SELECT name, COUNT(*) AS n FROM {_EMPS} t "
+     f"WHERE one = 2 GROUP BY name) s{_PLUS}"),
+    ("JoinLeftEmptyRule",
+     f"SELECT t.name FROM (SELECT * FROM {_EMPS} t0 WHERE one = 2) t "
+     f"LEFT JOIN hr.depts d ON t.deptno = d.deptno{_PLUS}"),
+]
+
+
+@pytest.mark.parametrize("engine", ["row", "vectorized"])
+@pytest.mark.parametrize("rule,sql", [pytest.param(r, s, id=r)
+                                      for r, s in FIRING_STATEMENTS])
+def test_default_rule_fires_and_keeps_the_answer(hr_catalog, engine, rule,
+                                                 sql):
+    """The rule fires in the statement's search, and the statement
+    returns the same bag with the rule registered and without it."""
+    from repro.framework import FrameworkConfig, Planner
+
+    class WithoutRule(Planner):
+        def all_rules(self):
+            return [r for r in super().all_rules()
+                    if type(r).__name__ != rule]
+
+    config = FrameworkConfig(hr_catalog, engine=engine)
+    with_rule, without_rule = Planner(config), WithoutRule(config)
+    got = with_rule.execute(sql)
+    assert with_rule.last_volcano.rule_stats[rule].fired > 0
+    expected = without_rule.execute(sql)
+    assert rule not in without_rule.last_volcano.rule_stats
+    assert got.rows
+    assert sorted(got.rows, key=repr) == sorted(expected.rows, key=repr)
