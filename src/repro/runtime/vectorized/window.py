@@ -40,7 +40,11 @@ from typing import Any, Iterator, List, Optional, Tuple
 from ...core.cost import RelOptCost
 from ...core.rel import LogicalWindow, RelNode, Window
 from ...core.rex import RANKING_KINDS, RexOver, SqlKind
-from ...core.rex_eval import EvalContext, compile as compile_row_rex
+from ...core.rex_eval import (
+    EvalContext,
+    RexExecutionError,
+    compile as compile_row_rex,
+)
 from ..operators import ExecutionContext, null_key_range_frame, window_runs
 from .batch import ColumnBatch, is_array, pylist
 from .expr import Frame, as_column, compile_rex
@@ -48,9 +52,9 @@ from .nodes import _VEC_TRAITS, VECTORIZED, VectorizedRel
 from ...core.rule import ConverterRule, RelOptRuleCall
 from ...core.traits import Convention
 
-#: Window function kinds the vectorized kernels implement: the kinds the
-#: row engine implements too.
-SUPPORTED_WINDOW_KINDS = RANKING_KINDS | {
+#: Window function kinds both engines implement; any other fails at run
+#: time, as on the row engine.
+WINDOW_KINDS = RANKING_KINDS | {
     SqlKind.LAG, SqlKind.LEAD,
     SqlKind.COUNT, SqlKind.SUM, SqlKind.SUM0, SqlKind.AVG,
     SqlKind.MIN, SqlKind.MAX,
@@ -59,11 +63,6 @@ SUPPORTED_WINDOW_KINDS = RANKING_KINDS | {
 
 #: A window's partitions as ``(start, end)`` slices of its row ordering.
 Runs = List[Tuple[int, int]]
-
-
-def supported_over(over: Any) -> bool:
-    """True when the vectorized kernels cover this window expression."""
-    return isinstance(over, RexOver) and over.op.kind in SUPPORTED_WINDOW_KINDS
 
 
 class VectorizedWindow(VectorizedRel, Window):
@@ -77,15 +76,13 @@ class VectorizedWindow(VectorizedRel, Window):
 
 
 class VectorizedWindowRule(ConverterRule):
-    """LogicalWindow → VectorizedWindow when every OVER is supported."""
+    """LogicalWindow → VectorizedWindow."""
 
     def __init__(self) -> None:
         super().__init__(LogicalWindow, Convention.NONE, VECTORIZED,
                          "VectorizedWindowRule")
 
     def convert(self, rel: RelNode, call: RelOptRuleCall) -> Optional[RelNode]:
-        if not all(supported_over(e) for e in rel.window_exprs):
-            return None
         return VectorizedWindow(call.convert_input(rel.input, _VEC_TRAITS),
                                 rel.window_exprs, rel.field_names, _VEC_TRAITS)
 
@@ -120,6 +117,9 @@ def eval_over_column(over: RexOver, frame: Frame,
                      eval_ctx: EvalContext) -> Any:
     """One window expression over a whole (compact) frame → one column
     (an array when the typed running sum computed it)."""
+    if over.op.kind not in WINDOW_KINDS:
+        raise RexExecutionError(
+            f"window aggregate {over.op.name} not supported")
     n = frame.num_rows
     key_cols = [_column(k, frame) for k in over.partition_keys]
     order_cols = [_column(k, frame) for k, _desc in over.order_keys]

@@ -667,3 +667,16 @@ def test_range_offset_frame_over_null_keys_matches_sqlite(engine, frame):
     expected = referee.execute(sql.replace("hr.emps", "emps")).fetchall()
     assert sorted(got) == sorted(expected)
     assert (2, None, 4, 2) in got  # the four NULLs; two in dept 10
+
+
+@pytest.mark.parametrize("engine", ["row", "vectorized"])
+def test_unimplemented_window_kind_fails_alike_on_both_engines(engine):
+    """The vectorized planner has no row-engine window to fall back to,
+    so it plans the window and fails at run time as the row engine
+    does."""
+    from repro.core.rex_eval import RexExecutionError
+    row_planner, vec_planner = _planners(build_hr_catalog)
+    planner = row_planner if engine == "row" else vec_planner
+    with pytest.raises(RexExecutionError, match="COLLECT not supported"):
+        planner.execute("SELECT empid, COLLECT(sal) OVER "
+                        "(PARTITION BY deptno) FROM hr.emps")
