@@ -94,6 +94,8 @@ def never_called(called: Set[Key]) -> List[Tuple[str, int, str, int]]:
 
 
 def main(argv: List[str]) -> int:
+    # Tests import ``tests.*`` from the root, as under ``python -m pytest``.
+    sys.path.insert(0, str(ROOT))
     status, called = run_recorded(argv or ["-q", "-p", "no:cacheprovider"])
     missing = never_called(called)
     print("\nFunctions under src/ never called:")
