@@ -22,7 +22,6 @@ compiled once too.
 
 from __future__ import annotations
 
-import itertools
 import threading as _threading
 from collections import Counter, OrderedDict
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -47,10 +46,8 @@ from ..core.rel import (
     Window,
 )
 from ..core.rex import (
-    RANKING_KINDS,
     RexCorrelVariable,
     RexNode,
-    RexOver,
     RexSubQuery,
     SqlKind,
 )
@@ -711,224 +708,15 @@ def _minus(rel: Minus, ctx: ExecutionContext) -> Iterator[tuple]:
 # -- window evaluation (Section 4's window operator) --------------------------
 
 def _window(rel: Window, ctx: ExecutionContext) -> Iterator[tuple]:
+    """The window kernels (:mod:`.vectorized.window`) over the input's
+    rows as list columns."""
+    from .vectorized.expr import Frame
+    from .vectorized.window import eval_over_column
     rows = list(_execute(rel.input, ctx))
+    if not rows:
+        return
     eval_ctx = ctx.eval_context()
-    extra_columns: List[List[Any]] = []
-    for over in rel.window_exprs:
-        assert isinstance(over, RexOver)
-        extra_columns.append(_evaluate_over(over, rows, eval_ctx))
-    for i, row in enumerate(rows):
-        yield row + tuple(col[i] for col in extra_columns)
-
-
-def window_runs(n: int, partition_keys: Optional[Sequence[Any]],
-                order_cols: Sequence[Sequence[Any]],
-                order_keys: Sequence[Tuple[Any, bool]]
-                ) -> Tuple[List[int], List[int]]:
-    """The PARTITION BY and ORDER BY of a window, in both engines: the
-    ``n`` row positions of its input in one global order, each
-    partition a contiguous run.
-
-    Returns ``(ordered, bounds)``: partition ``j`` is
-    ``ordered[bounds[j]:bounds[j + 1]]``.  ``partition_keys[i]`` is row
-    ``i``'s PARTITION BY key (a tuple when there are several keys), None
-    for no PARTITION BY; ``order_cols[k][i]`` is its ORDER BY key ``k``.
-
-    All positions are put in window order once — one stable sort per
-    ORDER BY key, last key first, keyed by the column itself.  NULLs
-    sort as the largest value of either direction (the SQL default:
-    NULLS LAST ascending, NULLS FIRST descending), so a column holding a
-    NULL is keyed by ``(v is None, v)`` instead, and peers keep their
-    input order.  Partitions are the groups of a dict over the keys (a
-    NULL key is a partition of its own), numbered in first-seen order;
-    a stable sort by partition number then gathers each one into a run
-    without disturbing its window order.
-    """
-    ordered = list(range(n))
-    for col, (_expr, desc) in reversed(list(zip(order_cols, order_keys))):
-        if None in col:
-            col = [(v is None, v) for v in col]
-        ordered.sort(key=col.__getitem__, reverse=desc)
-    if partition_keys is None:
-        return ordered, [0, n]
-    sizes = Counter(partition_keys)
-    number = dict(zip(sizes, itertools.count()))
-    ordered.sort(key=list(map(number.__getitem__, partition_keys)).__getitem__)
-    return ordered, list(itertools.accumulate(sizes.values(), initial=0))
-
-
-def _evaluate_over(over: RexOver, rows: List[tuple],
-                   eval_ctx: EvalContext) -> List[Any]:
-    """Evaluate one windowed aggregate for every input row."""
-    results: List[Any] = [None] * len(rows)
-    order_key = bind_projection([k for k, _desc in over.order_keys], eval_ctx)
-    order_vals = [order_key(row) for row in rows]
-    partition_keys = None
-    if over.partition_keys:
-        partition_key = bind_projection(over.partition_keys, eval_ctx)
-        partition_keys = [partition_key(row) for row in rows]
-    in_order, bounds = window_runs(len(rows), partition_keys,
-                                   list(zip(*order_vals)), over.order_keys)
-    kind = over.op.kind
-    for start, end in zip(bounds, bounds[1:]):
-        ordered = in_order[start:end]
-        if kind in RANKING_KINDS:
-            _apply_ranking(kind, ordered, order_vals, results)
-            continue
-        if kind in (SqlKind.LAG, SqlKind.LEAD):
-            _apply_lag_lead(over, ordered, rows, results, eval_ctx)
-            continue
-        for pos, row_idx in enumerate(ordered):
-            frame = _frame_rows(over, ordered, pos, rows, eval_ctx)
-            results[row_idx] = _apply_window_agg(over, [rows[i] for i in frame],
-                                                 rows[row_idx], eval_ctx)
-    return results
-
-
-def _apply_ranking(kind: SqlKind, ordered: List[int],
-                   order_vals: List[tuple],
-                   results: List[Any]) -> None:
-    """ROW_NUMBER/RANK/DENSE_RANK over one ordered partition.
-
-    Ranking ignores the frame: it is a property of the partition
-    ordering alone.  Peers (equal ORDER BY values) share RANK and
-    DENSE_RANK; ROW_NUMBER breaks ties by input order (stable sort).
-    """
-    rank = dense = 0
-    prev: Optional[tuple] = None
-    for pos, row_idx in enumerate(ordered):
-        vals = order_vals[row_idx]
-        if prev is None or vals != prev:
-            rank = pos + 1
-            dense += 1
-            prev = vals
-        if kind is SqlKind.ROW_NUMBER:
-            results[row_idx] = pos + 1
-        elif kind is SqlKind.RANK:
-            results[row_idx] = rank
-        else:  # DENSE_RANK
-            results[row_idx] = dense
-
-
-def _apply_lag_lead(over: RexOver, ordered: List[int], rows: List[tuple],
-                    results: List[Any], eval_ctx: EvalContext) -> None:
-    """LAG/LEAD: the operand evaluated ``offset`` rows behind/ahead in
-    the partition ordering; the optional third operand is the default
-    outside the partition (NULL when absent).  Frames are ignored."""
-    n = len(ordered)
-    step = -1 if over.op.kind is SqlKind.LAG else 1
-    operands = [compile_rex(o) for o in over.operands]
-    for pos, row_idx in enumerate(ordered):
-        row = rows[row_idx]
-        offset = 1
-        if len(operands) > 1:
-            off = operands[1](row, eval_ctx)
-            offset = 1 if off is None else int(off)
-        target = pos + step * offset
-        if 0 <= target < n:
-            results[row_idx] = operands[0](rows[ordered[target]], eval_ctx)
-        elif len(operands) > 2:
-            results[row_idx] = operands[2](row, eval_ctx)
-        else:
-            results[row_idx] = None
-
-
-def _frame_rows(over: RexOver, ordered: List[int], pos: int,
-                rows: List[tuple], eval_ctx: EvalContext) -> List[int]:
-    n = len(ordered)
-    if over.rows:
-        lo = _row_bound(over.lower, pos, n, eval_ctx, rows, is_lower=True)
-        hi = _row_bound(over.upper, pos, n, eval_ctx, rows, is_lower=False)
-        lo = max(lo, 0)
-        hi = min(hi, n - 1)
-        if lo > hi:
-            return []
-        return ordered[lo: hi + 1]
-    # RANGE frame over the first order key (covers the paper's
-    # "RANGE INTERVAL '1' HOUR PRECEDING" sliding windows).
-    if not over.order_keys:
-        return list(ordered)
-    key = compile_rex(over.order_keys[0][0])
-    current = key(rows[ordered[pos]], eval_ctx)
-    if current is None:
-        return null_key_range_frame(
-            over, ordered, lambda i: key(rows[i], eval_ctx) is None)
-    lo_val, hi_val = None, current
-    if over.lower.bound_kind == "PRECEDING" and over.lower.offset is not None:
-        delta = compile_rex(over.lower.offset)(rows[ordered[pos]], eval_ctx)
-        lo_val = current - delta
-    elif over.lower.bound_kind == "CURRENT_ROW":
-        lo_val = current
-    if over.upper.bound_kind == "UNBOUNDED_FOLLOWING":
-        hi_val = None
-    elif over.upper.bound_kind == "FOLLOWING" and over.upper.offset is not None:
-        delta = compile_rex(over.upper.offset)(rows[ordered[pos]], eval_ctx)
-        hi_val = current + delta
-    out = []
-    for i in ordered:
-        v = key(rows[i], eval_ctx)
-        if v is None:
-            continue
-        if lo_val is not None and v < lo_val:
-            continue
-        if hi_val is not None and v > hi_val:
-            continue
-        out.append(i)
-    return out
-
-
-def null_key_range_frame(over: RexOver, ordered: List[int],
-                         key_is_null: Callable[[int], bool]) -> List[int]:
-    """The RANGE frame, in both engines, of a row whose first ORDER BY
-    key is NULL, over its partition's rows in window order.  A NULL has
-    no value to offset from: an offset or CURRENT ROW bound stops at
-    the edge of the row's NULL peers (contiguous, since NULLs sort
-    largest), an UNBOUNDED bound at the edge of the partition."""
-    peers = [p for p, i in enumerate(ordered) if key_is_null(i)]
-    lo = 0 if over.lower.bound_kind == "UNBOUNDED_PRECEDING" else peers[0]
-    hi = (len(ordered) if over.upper.bound_kind == "UNBOUNDED_FOLLOWING"
-          else peers[-1] + 1)
-    return ordered[lo:hi]
-
-
-def _row_bound(bound, pos: int, n: int, eval_ctx: EvalContext,
-               rows: List[tuple], is_lower: bool) -> int:
-    kind = bound.bound_kind
-    if kind == "UNBOUNDED_PRECEDING":
-        return 0
-    if kind == "UNBOUNDED_FOLLOWING":
-        return n - 1
-    if kind == "CURRENT_ROW":
-        return pos
-    offset = (compile_rex(bound.offset)((), eval_ctx)
-              if bound.offset is not None else 0)
-    if kind == "PRECEDING":
-        return pos - int(offset)
-    return pos + int(offset)
-
-
-def _apply_window_agg(over: RexOver, frame_rows: List[tuple],
-                      current_row: tuple, eval_ctx: EvalContext) -> Any:
-    kind = over.op.kind
-    if over.operands:
-        operand = compile_rex(over.operands[0])
-        values = [v for v in (operand(row, eval_ctx) for row in frame_rows)
-                  if v is not None]
-    else:
-        values = [1] * len(frame_rows)
-    if kind is SqlKind.COUNT:
-        return len(values)
-    if kind in (SqlKind.SUM, SqlKind.SUM0, SqlKind.AVG):
-        if not values:
-            return 0 if kind is SqlKind.SUM0 else None
-        # A left fold from the first value, as every other SUM/AVG
-        # accumulates: sum() would start from 0 and turn -0.0 into 0.0.
-        total = values[0]
-        for v in values[1:]:
-            total += v
-        return total / len(values) if kind is SqlKind.AVG else total
-    if kind is SqlKind.MIN:
-        return min(values) if values else None
-    if kind is SqlKind.MAX:
-        return max(values) if values else None
-    raise RexExecutionError(f"window aggregate {over.op.name} not supported")
+    frame = Frame([list(c) for c in zip(*rows)], len(rows), eval_ctx)
+    extra = [eval_over_column(over, frame, eval_ctx)
+             for over in rel.window_exprs]
+    yield from map(tuple.__add__, rows, zip(*extra))

@@ -263,7 +263,7 @@ class KeyIndex:
 def window_runs(partition: Any, order_cols: Sequence[Any],
                 descending: Sequence[bool]
                 ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """:func:`repro.runtime.operators.window_runs` over typed columns,
+    """:func:`.window.window_runs` over typed columns,
     as ``(ordered, bounds)`` arrays: one stable ``lexsort`` keyed by the
     partition number (first-seen order) and then the ORDER BY keys,
     which orders peers by input position exactly as the successive
@@ -302,3 +302,19 @@ def running_sum(ordered: np.ndarray, bounds: np.ndarray,
     out = np.empty(n, dtype=INT64)
     out[ordered] = running - np.repeat(base, np.diff(bounds))
     return out
+
+
+def fill_peers(out: np.ndarray, ordered: np.ndarray, bounds: np.ndarray,
+               order_cols: Sequence[np.ndarray]) -> None:
+    """In place, each row of ``out`` takes the value of the last row of
+    its group: the rows of one run equal in every one of ``order_cols``
+    (the whole run for none), a running value's RANGE peer fill."""
+    last = np.zeros(len(ordered), dtype=bool)
+    last[bounds[1:] - 1] = True
+    for column in order_cols:
+        values = column.take(ordered)
+        last[:-1] |= values[1:] != values[:-1]
+    if last.all():
+        return  # every group is one row
+    group = np.cumsum(last) - last  # the groups ended before each row
+    out[ordered] = out.take(ordered.take(np.flatnonzero(last).take(group)))

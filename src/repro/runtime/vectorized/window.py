@@ -1,31 +1,36 @@
-"""Vectorized window execution (Section 4's window operator, columnar).
+"""Window functions (Section 4's window operator): the one definition
+both engines run.
 
-:class:`VectorizedWindow` is the batch twin of the row engine's window
-interpreter (:func:`repro.runtime.operators._window`): it gathers its
-input into one compact :class:`~.batch.ColumnBatch` and evaluates every
-partition/order/argument expression once over whole columns.  The rows
-are then put in one global order, each partition a contiguous run of
-it (:func:`repro.runtime.operators.window_runs`, shared with the row
-engine: window order once over all rows, then a stable sort by
-partition number), and one kernel per expression walks that ordering,
-resetting at run boundaries:
+:func:`eval_over_column` evaluates one windowed call over whole
+columns.  :class:`VectorizedWindow` hands it its input gathered into one
+compact :class:`~.batch.ColumnBatch`; the row engine's window operator
+(:func:`repro.runtime.operators._window`) hands it its rows pivoted into
+list columns.  Every partition/order/argument expression is evaluated
+once over whole columns.  The rows are then put in one global order,
+each partition a contiguous run of it (:func:`window_runs`: window order
+once over all rows, then a stable sort by partition number), and one
+kernel per expression walks that ordering, resetting at run boundaries:
 
 * ROW_NUMBER / RANK / DENSE_RANK — positional, frame-free;
 * LAG / LEAD — ordered-offset addressing with an optional default;
-* COUNT / SUM / SUM0 / AVG / MIN / MAX — over ROWS frames, with a
-  running-accumulation fast path for the common
-  ``UNBOUNDED PRECEDING .. CURRENT ROW`` frame, and RANGE frames over
-  the first order key.  Accumulation order is partition order, so
-  float results agree with the row engine bit for bit.
+* COUNT / SUM / AVG / MIN / MAX — a frame starting at the partition's
+  first row is a running accumulation, after which each row of a peer
+  group takes the group's last value (RANGE .. CURRENT ROW) or each row
+  of a run the run's last (.. UNBOUNDED FOLLOWING); any other frame is a
+  slice of the run per row, ROWS by position and RANGE by the first
+  order key's values, in the key's direction.  Accumulation is always a
+  left fold in partition order.
+
+With no frame clause SQL's default applies (see
+:meth:`repro.sql.to_rel.SqlToRelConverter._convert_over`): RANGE
+UNBOUNDED PRECEDING .. CURRENT ROW with an ORDER BY, the whole partition
+without one.
 
 Over typed columns (:mod:`.typed`) — one PARTITION BY key or none,
 and every ORDER BY key — the ordering is one stable ``lexsort`` instead,
-and a running SUM/SUM0 over a typed column a ``cumsum`` that restarts
-at each run; every other kernel walks built-in values.
-
-Semantics — NULL ordering, tie handling, frame clamping, NULL-skipping
-accumulation — deliberately mirror the row engine so the two engines
-stay differentially testable against each other.
+and a running SUM over a typed column a ``cumsum`` that restarts at
+each run, its peer fill a gather; every other kernel walks built-in
+values.  The row engine's columns are lists, so it never loads numpy.
 
 The operator appends its result columns after the pass-through input
 fields, so any hash distribution of the input remains valid above the
@@ -35,17 +40,20 @@ this to run windows shard-local on co-partitioned inputs.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, List, Optional, Tuple
+import itertools
+import operator
+from collections import Counter
+from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 from ...core.cost import RelOptCost
 from ...core.rel import LogicalWindow, RelNode, Window
-from ...core.rex import RANKING_KINDS, RexOver, SqlKind
+from ...core.rex import RANKING_KINDS, RexOver, RexWindowBound, SqlKind
 from ...core.rex_eval import (
     EvalContext,
     RexExecutionError,
     compile as compile_row_rex,
 )
-from ..operators import ExecutionContext, null_key_range_frame, window_runs
+from ..operators import ExecutionContext
 from .batch import ColumnBatch, is_array, pylist
 from .expr import Frame, as_column, compile_rex
 from .nodes import _VEC_TRAITS, VECTORIZED, VectorizedRel
@@ -53,11 +61,10 @@ from ...core.rule import ConverterRule, RelOptRuleCall
 from ...core.traits import Convention
 
 #: Window function kinds both engines implement; any other fails at run
-#: time, as on the row engine.
+#: time.
 WINDOW_KINDS = RANKING_KINDS | {
     SqlKind.LAG, SqlKind.LEAD,
-    SqlKind.COUNT, SqlKind.SUM, SqlKind.SUM0, SqlKind.AVG,
-    SqlKind.MIN, SqlKind.MAX,
+    SqlKind.COUNT, SqlKind.SUM, SqlKind.AVG, SqlKind.MIN, SqlKind.MAX,
 }
 
 
@@ -109,6 +116,42 @@ def window_batches(rel: VectorizedWindow, ctx: ExecutionContext,
     yield ColumnBatch(columns, n)
 
 
+def window_runs(n: int, partition_keys: Optional[Sequence[Any]],
+                order_cols: Sequence[Sequence[Any]],
+                order_keys: Sequence[Tuple[Any, bool]]
+                ) -> Tuple[List[int], List[int]]:
+    """The PARTITION BY and ORDER BY of a window: the ``n`` row
+    positions of its input in one global order, each partition a
+    contiguous run.
+
+    Returns ``(ordered, bounds)``: partition ``j`` is
+    ``ordered[bounds[j]:bounds[j + 1]]``.  ``partition_keys[i]`` is row
+    ``i``'s PARTITION BY key (a tuple when there are several keys), None
+    for no PARTITION BY; ``order_cols[k][i]`` is its ORDER BY key ``k``.
+
+    All positions are put in window order once — one stable sort per
+    ORDER BY key, last key first, keyed by the column itself.  NULLs
+    sort as the largest value of either direction (the SQL default:
+    NULLS LAST ascending, NULLS FIRST descending), so a column holding a
+    NULL is keyed by ``(v is None, v)`` instead, and peers keep their
+    input order.  Partitions are the groups of a dict over the keys (a
+    NULL key is a partition of its own), numbered in first-seen order;
+    a stable sort by partition number then gathers each one into a run
+    without disturbing its window order.
+    """
+    ordered = list(range(n))
+    for col, (_expr, desc) in reversed(list(zip(order_cols, order_keys))):
+        if None in col:
+            col = [(v is None, v) for v in col]
+        ordered.sort(key=col.__getitem__, reverse=desc)
+    if partition_keys is None:
+        return ordered, [0, n]
+    sizes = Counter(partition_keys)
+    number = dict(zip(sizes, itertools.count()))
+    ordered.sort(key=list(map(number.__getitem__, partition_keys)).__getitem__)
+    return ordered, list(itertools.accumulate(sizes.values(), initial=0))
+
+
 def _column(expr: Any, frame: Frame) -> Any:
     return as_column(compile_rex(expr)(frame), frame.num_rows)
 
@@ -117,17 +160,24 @@ def eval_over_column(over: RexOver, frame: Frame,
                      eval_ctx: EvalContext) -> Any:
     """One window expression over a whole (compact) frame → one column
     (an array when the typed running sum computed it)."""
-    if over.op.kind not in WINDOW_KINDS:
+    kind = over.op.kind
+    if kind not in WINDOW_KINDS:
         raise RexExecutionError(
             f"window aggregate {over.op.name} not supported")
     n = frame.num_rows
     key_cols = [_column(k, frame) for k in over.partition_keys]
     order_cols = [_column(k, frame) for k, _desc in over.order_keys]
     arg_cols = [_column(o, frame) for o in over.operands]
-    kind = over.op.kind
-    running = (over.rows
-               and over.lower.bound_kind == "UNBOUNDED_PRECEDING"
-               and over.upper.bound_kind == "CURRENT_ROW")
+    # A frame from the partition's first row to the end of a group of
+    # rows is a running value that each row of the group then takes
+    # from the group's last: the group is the run (UNBOUNDED
+    # FOLLOWING), the row's peers (RANGE .. CURRENT ROW) or the row
+    # itself (ROWS .. CURRENT ROW, no fill).
+    upper = over.upper.bound_kind
+    running = (over.lower.bound_kind == "UNBOUNDED_PRECEDING"
+               and upper in ("CURRENT_ROW", "UNBOUNDED_FOLLOWING"))
+    fill = ([] if upper == "UNBOUNDED_FOLLOWING"
+            else None if over.rows else order_cols)
     typed_runs = None
     if len(key_cols) <= 1 and any(map(is_array, key_cols + order_cols)):
         from . import typed
@@ -136,9 +186,11 @@ def eval_over_column(over: RexOver, frame: Frame,
                                        [desc for _k, desc in over.order_keys])
     if typed_runs is not None:
         ordered, bounds = typed_runs
-        if running and kind in (SqlKind.SUM, SqlKind.SUM0):
+        if running and kind is SqlKind.SUM:
             out = typed.running_sum(ordered, bounds, arg_cols[0])
             if out is not None:
+                if fill is not None:
+                    typed.fill_peers(out, ordered, bounds, fill)
                 return out
         ordered, bounds = ordered.tolist(), bounds.tolist()
     key_cols = [pylist(c) for c in key_cols]
@@ -148,28 +200,35 @@ def eval_over_column(over: RexOver, frame: Frame,
         keys = (None if not key_cols else key_cols[0] if len(key_cols) == 1
                 else list(zip(*key_cols)))
         ordered, bounds = window_runs(n, keys, order_cols, over.order_keys)
-    range_offsets = None
-    if not over.rows:
-        # RANGE offsets are evaluated against the current row (they are
-        # almost always literals, but mirror the row engine regardless).
-        range_offsets = (
-            pylist(_column(over.lower.offset, frame))
-            if over.lower.offset is not None else None,
-            pylist(_column(over.upper.offset, frame))
-            if over.upper.offset is not None else None)
     runs = list(zip(bounds, bounds[1:]))
+    peer_key = _peer_keys(order_cols, n)
     results: List[Any] = [None] * n
+    arg_col = arg_cols[0] if arg_cols else None  # None: COUNT(*)
     if kind in RANKING_KINDS:
-        _ranking_kernel(kind, ordered, runs, order_cols, results)
+        _ranking_kernel(kind, ordered, runs, peer_key, results)
     elif kind in (SqlKind.LAG, SqlKind.LEAD):
         _lag_lead_kernel(kind, ordered, runs, arg_cols, results)
     elif running:
-        arg_col = arg_cols[0] if arg_cols else None  # None: COUNT(*)
         _running_kernel(kind, ordered, runs, arg_col, results)
+        if fill is not None:
+            _fill_peers(results, ordered, runs,
+                        peer_key if fill else _peer_keys([], n))
     else:
-        _agg_kernel(over, ordered, runs, arg_cols, order_cols, range_offsets,
-                    results, eval_ctx)
+        if over.rows:
+            frames = _rows_frames(over, eval_ctx)
+        else:
+            frames = _range_frames(over, frame, order_cols, peer_key)
+        _agg_kernel(kind, ordered, runs, arg_col, frames, results)
     return results
+
+
+def _peer_keys(order_cols: List[list], n: int) -> Sequence[Any]:
+    """Each row's ORDER BY values, as peers are found by: the value for
+    one key, a tuple for several, ``()`` (every row a peer) for none.
+    Peers are identical or equal values."""
+    if len(order_cols) == 1:
+        return order_cols[0]
+    return list(zip(*order_cols)) if order_cols else [()] * n
 
 
 #: Compares unequal to every ORDER BY value: the first row of a run
@@ -178,18 +237,12 @@ _NO_PEER = object()
 
 
 def _ranking_kernel(kind: SqlKind, ordered: List[int], runs: Runs,
-                    order_cols: List[list], results: List[Any]) -> None:
+                    peer_key: Sequence[Any], results: List[Any]) -> None:
     if kind is SqlKind.ROW_NUMBER:
         for start, end in runs:
             for number, row_idx in enumerate(ordered[start:end], 1):
                 results[row_idx] = number
         return
-    # Peers compare as the row engine's ORDER BY tuples do: identical
-    # or equal values.
-    if len(order_cols) == 1:
-        peer_key = order_cols[0]
-    else:
-        peer_key = list(zip(*order_cols)) if order_cols else [()] * len(results)
     dense_only = kind is SqlKind.DENSE_RANK
     for start, end in runs:
         rank = dense = 0
@@ -225,37 +278,10 @@ def _lag_lead_kernel(kind: SqlKind, ordered: List[int], runs: Runs,
             # else: stays None (no default outside the partition)
 
 
-def _agg_kernel(over: RexOver, ordered: List[int], runs: Runs,
-                arg_cols: List[list], order_cols: List[list], range_offsets,
-                results: List[Any], eval_ctx: EvalContext) -> None:
-    """Any other frame: each row's frame is a slice of its partition's
-    run (ROWS) or the run's rows within a key range (RANGE)."""
-    kind = over.op.kind
-    arg_col = arg_cols[0] if arg_cols else None  # None: COUNT(*)
-    for start, end in runs:
-        run = ordered[start:end]
-        m = end - start
-        for pos, row_idx in enumerate(run):
-            if over.rows:
-                lo = max(_bound_pos(over.lower, pos, m, eval_ctx), 0)
-                hi = min(_bound_pos(over.upper, pos, m, eval_ctx), m - 1)
-                frame_idx = run[lo: hi + 1] if lo <= hi else []
-            else:
-                frame_idx = _range_frame(over, run, pos, order_cols,
-                                         range_offsets)
-            if arg_col is None:
-                values: List[Any] = [1] * len(frame_idx)
-            else:
-                values = [arg_col[i] for i in frame_idx
-                          if arg_col[i] is not None]
-            results[row_idx] = _finish_agg(kind, values)
-
-
 def _running_kernel(kind: SqlKind, ordered: List[int], runs: Runs,
                     arg_col: Optional[list], results: List[Any]) -> None:
     """``ROWS UNBOUNDED PRECEDING .. CURRENT ROW``: accumulate in
-    partition order instead of recomputing each growing frame —
-    identical accumulation order, so floats agree with the row engine."""
+    partition order instead of recomputing each growing frame."""
     if kind in (SqlKind.MIN, SqlKind.MAX):
         pick = min if kind is SqlKind.MIN else max
         for start, end in runs:
@@ -290,17 +316,51 @@ def _running_kernel(kind: SqlKind, ordered: List[int], runs: Runs,
                 total = v if total is None else total + v
             # AVG of no values is NULL, as is SUM's total.
             results[row_idx] = total / count if average and count else total
-    if kind is SqlKind.SUM0:
-        results[:] = [0 if t is None else t for t in results]
+
+
+def _fill_peers(results: List[Any], ordered: List[int], runs: Runs,
+                peer_key: Sequence[Any]) -> None:
+    """Each peer group of each run takes the value of its last row."""
+    for start, end in runs:
+        prev: Any = _NO_PEER
+        value: Any = None
+        for pos in range(end - 1, start - 1, -1):
+            row_idx = ordered[pos]
+            vals = peer_key[row_idx]
+            if vals is not prev and vals != prev:
+                prev = vals
+                value = results[row_idx]
+            results[row_idx] = value
+
+
+#: The frames of one run: its row positions, the run's ordering, to the
+#: ``(lo, hi)`` slice of that ordering each row's frame is.
+FrameSlices = Callable[[List[int]], Iterator[Tuple[int, int]]]
+
+
+def _agg_kernel(kind: SqlKind, ordered: List[int], runs: Runs,
+                arg_col: Optional[list], frames: FrameSlices,
+                results: List[Any]) -> None:
+    """Any other frame: each row's frame is a slice of its partition's
+    run, folded on its own."""
+    for start, end in runs:
+        run = ordered[start:end]
+        for row_idx, (lo, hi) in zip(run, frames(run)):
+            if arg_col is None:
+                values: List[Any] = [1] * max(hi - lo, 0)
+            else:
+                values = [arg_col[i] for i in run[lo:hi]
+                          if arg_col[i] is not None]
+            results[row_idx] = _finish_agg(kind, values)
 
 
 def _finish_agg(kind: SqlKind, values: List[Any]) -> Any:
     if kind is SqlKind.COUNT:
         return len(values)
-    if kind in (SqlKind.SUM, SqlKind.SUM0, SqlKind.AVG):
+    if kind in (SqlKind.SUM, SqlKind.AVG):
         if not values:
-            return 0 if kind is SqlKind.SUM0 else None
-        total = values[0]  # a left fold, as the row engine's
+            return None
+        total = values[0]  # a left fold, as every other SUM/AVG
         for v in values[1:]:
             total += v
         return total / len(values) if kind is SqlKind.AVG else total
@@ -309,50 +369,104 @@ def _finish_agg(kind: SqlKind, values: List[Any]) -> Any:
     return max(values) if values else None  # MAX
 
 
-def _bound_pos(bound: Any, pos: int, n: int, eval_ctx: EvalContext) -> int:
+def _row_step(bound: RexWindowBound, eval_ctx: EvalContext) -> Optional[int]:
+    """A ROWS bound as a signed offset from the current row; None when
+    unbounded."""
     kind = bound.bound_kind
-    if kind == "UNBOUNDED_PRECEDING":
-        return 0
-    if kind == "UNBOUNDED_FOLLOWING":
-        return n - 1
+    if kind.startswith("UNBOUNDED"):
+        return None
     if kind == "CURRENT_ROW":
-        return pos
-    offset = (compile_row_rex(bound.offset)((), eval_ctx)
-              if bound.offset is not None else 0)
-    return pos - int(offset) if kind == "PRECEDING" else pos + int(offset)
+        return 0
+    offset = int(compile_row_rex(bound.offset)((), eval_ctx))
+    return -offset if kind == "PRECEDING" else offset
 
 
-def _range_frame(over: RexOver, ordered: List[int], pos: int,
-                 order_cols: List[list], range_offsets) -> List[int]:
-    """RANGE frame over the first order key, mirroring the row engine
-    (rows whose key is NULL never join a non-NULL row's frame)."""
-    if not order_cols:
-        return list(ordered)
-    key_col = order_cols[0]
-    row_idx = ordered[pos]
-    current = key_col[row_idx]
-    if current is None:
-        return null_key_range_frame(over, ordered,
-                                    lambda i: key_col[i] is None)
-    lo_off_col, hi_off_col = range_offsets
-    lo_val: Any = None
-    hi_val: Any = current
-    if over.lower.bound_kind == "PRECEDING" and lo_off_col is not None:
-        lo_val = current - lo_off_col[row_idx]
-    elif over.lower.bound_kind == "CURRENT_ROW":
-        lo_val = current
-    if over.upper.bound_kind == "UNBOUNDED_FOLLOWING":
-        hi_val = None
-    elif over.upper.bound_kind == "FOLLOWING" and hi_off_col is not None:
-        hi_val = current + hi_off_col[row_idx]
-    out: List[int] = []
-    for i in ordered:
-        v = key_col[i]
-        if v is None:
-            continue
-        if lo_val is not None and v < lo_val:
-            continue
-        if hi_val is not None and v > hi_val:
-            continue
-        out.append(i)
-    return out
+def _rows_frames(over: RexOver, eval_ctx: EvalContext) -> FrameSlices:
+    """ROWS frames: the bounds' offsets from each row's position,
+    clamped to the run."""
+    lower = _row_step(over.lower, eval_ctx)
+    upper = _row_step(over.upper, eval_ctx)
+
+    def frames(run: List[int]) -> Iterator[Tuple[int, int]]:
+        m = len(run)
+        for pos in range(m):
+            lo = 0 if lower is None else max(pos + lower, 0)
+            hi = m if upper is None else min(max(pos + upper + 1, 0), m)
+            yield lo, hi
+
+    return frames
+
+
+def _range_frames(over: RexOver, frame: Frame, order_cols: List[list],
+                  peer_key: Sequence[Any]) -> FrameSlices:
+    """RANGE frames.  A run is sorted by its first ORDER BY key, so a
+    frame is the slice between two edges: an UNBOUNDED bound is the
+    run's edge, CURRENT ROW the edge of the row's peers, and an offset
+    bound the edge of the values within the offset of the row's value,
+    counted in the key's direction (a DESC key's PRECEDING values are
+    the larger ones).  NULLs sort largest, so they are a block at one
+    end of the run: a NULL has no value to offset from, and an offset
+    bound of a NULL row stops at the edge of its NULL peers, as one of a
+    non-NULL row stops short of the NULLs.  With no ORDER BY every row
+    is a peer of every other."""
+    desc = bool(over.order_keys) and over.order_keys[0][1]
+    before = operator.gt if desc else operator.lt
+    offsets = [pylist(_column(b.offset, frame)) if b.offset is not None
+               else None for b in (over.lower, over.upper)]
+    bounds = (over.lower, over.upper)
+
+    def frames(run: List[int]) -> Iterator[Tuple[int, int]]:
+        m = len(run)
+        keys = ([order_cols[0][i] for i in run] if order_cols
+                else [None] * m)
+        nulls = keys.count(None)
+        a, b = (nulls, m) if desc else (0, m - nulls)  # the non-NULL block
+        group_lo, group_hi = _peer_groups(run, peer_key)
+        for pos in range(m):
+            edges = []
+            for upper, bound in enumerate(bounds):
+                kind = bound.bound_kind
+                current = keys[pos]
+                if kind.startswith("UNBOUNDED"):
+                    edges.append(0 if kind == "UNBOUNDED_PRECEDING" else m)
+                elif kind == "CURRENT_ROW" or current is None:
+                    edges.append(group_hi[pos] if upper else group_lo[pos])
+                else:
+                    delta = offsets[upper][run[pos]]
+                    target = (current - delta if (kind == "PRECEDING") != desc
+                              else current + delta)
+                    if upper:  # past the last value not after the target
+                        edges.append(_first(a, b, lambda p: before(target,
+                                                                   keys[p])))
+                    else:  # at the first value not before the target
+                        edges.append(_first(a, b, lambda p: not before(
+                            keys[p], target)))
+            yield edges[0], edges[1]
+
+    return frames
+
+
+def _peer_groups(run: List[int], peer_key: Sequence[Any]
+                 ) -> Tuple[List[int], List[int]]:
+    """For each position of a run, the ``[lo, hi)`` slice of its peers."""
+    m = len(run)
+    group_lo = [0] * m
+    for pos in range(1, m):
+        vals, prev = peer_key[run[pos]], peer_key[run[pos - 1]]
+        group_lo[pos] = group_lo[pos - 1] if vals is prev or vals == prev else pos
+    group_hi = [m] * m
+    for pos in range(m - 2, -1, -1):
+        group_hi[pos] = group_hi[pos + 1] if group_lo[pos + 1] <= pos else pos + 1
+    return group_lo, group_hi
+
+
+def _first(lo: int, hi: int, pred: Callable[[int], bool]) -> int:
+    """The first position in ``[lo, hi)`` where ``pred`` holds (``hi``
+    if none), for a ``pred`` that holds from some position on."""
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo

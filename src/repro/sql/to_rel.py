@@ -704,6 +704,13 @@ class SqlToRelConverter:
                 return RexWindowBound(kind)
             return RexWindowBound(kind, self._convert_expr(offset, scope))
 
+        if not spec.explicit_frame:
+            # SQL's default frame: the row's peers and every row before
+            # them, which without an ORDER BY is the whole partition.
+            return RexOver(op, operands, partition, order,
+                           RexWindowBound.UNBOUNDED_PRECEDING,
+                           RexWindowBound.CURRENT_ROW if order
+                           else RexWindowBound.UNBOUNDED_FOLLOWING, False)
         return RexOver(op, operands, partition, order,
                        bound(spec.lower), bound(spec.upper), spec.is_rows)
 

@@ -158,6 +158,21 @@ def build_hr_catalog() -> Catalog:
     return catalog
 
 
+def build_frames_catalog() -> Catalog:
+    """Small tables whose window frames are easy to check by hand: peers
+    in ``t`` and a salary column ``e`` ranged over DESC."""
+    catalog = Catalog()
+    s = Schema("s")
+    catalog.add_schema(s)
+    i = F.integer()
+    s.add_table(MemoryTable("t", ["id", "g", "k"], [i, i, i],
+                            [(1, 10, 5), (2, 10, 5), (3, 10, 7), (4, 20, 1)]))
+    s.add_table(MemoryTable(
+        "e", ["empid", "sal"], [i, i],
+        [(1, 5000), (2, 4950), (3, 5050), (4, 4800), (5, 5200)]))
+    return catalog
+
+
 #: (case id, catalog builder, SQL, ordered?).  ``ordered`` requests an
 #: order-sensitive comparison and is only set where the ORDER BY keys
 #: are unique (ties may legitimately order differently between engines).
@@ -261,10 +276,35 @@ CASES = [
      "FROM s.sales",
      False),
     ("win_running_sum", build_sales_catalog,
-     # Default frame: ROWS UNBOUNDED PRECEDING .. CURRENT ROW.
+     # Default frame, RANGE UNBOUNDED PRECEDING .. CURRENT ROW, over a
+     # key unique in its partition: a running sum.
      "SELECT saleId, "
      "SUM(units) OVER (PARTITION BY productId ORDER BY saleId) "
      "FROM s.sales",
+     False),
+    ("win_default_frame_whole_partition", build_frames_catalog,
+     # No ORDER BY: the default frame is the whole partition.
+     "SELECT id, SUM(k) OVER (PARTITION BY g), COUNT(*) OVER (), "
+     "AVG(k) OVER (PARTITION BY g), MIN(k) OVER (), "
+     "MAX(k) OVER (PARTITION BY g) FROM s.t",
+     False),
+    ("win_default_frame_peers", build_frames_catalog,
+     # With ORDER BY the default frame ends at the row's last peer: the
+     # tied k = 5 rows share one value.
+     "SELECT id, SUM(k) OVER (PARTITION BY g ORDER BY k), "
+     "COUNT(*) OVER (ORDER BY g), AVG(k) OVER (ORDER BY g, k), "
+     "MIN(k) OVER (ORDER BY k DESC), MAX(id) OVER (PARTITION BY g "
+     "ORDER BY k) FROM s.t",
+     False),
+    ("win_default_frame_null_peers", build_sales_catalog,
+     # discount ties heavily and is NULL for ~a quarter of sales: NULLs
+     # are peers, last ascending and first descending.
+     "SELECT saleId, "
+     "SUM(units) OVER (PARTITION BY productId ORDER BY discount), "
+     "COUNT(discount) OVER (PARTITION BY productId ORDER BY discount "
+     "DESC), "
+     "AVG(units) OVER (PARTITION BY productId ORDER BY discount DESC, "
+     "units) FROM s.sales",
      False),
     ("win_sliding_avg", build_sales_catalog,
      "SELECT saleId, AVG(discount) OVER (PARTITION BY productId "
@@ -289,6 +329,57 @@ CASES = [
      "COUNT(*) OVER (PARTITION BY productId ORDER BY saleId "
      "ROWS BETWEEN 1 PRECEDING AND CURRENT ROW) "
      "FROM s.sales WHERE units > 18",
+     False),
+    ("win_rows_offsets", build_sales_catalog,
+     "SELECT saleId, SUM(units) OVER (PARTITION BY productId "
+     "ORDER BY saleId ROWS BETWEEN 3 PRECEDING AND 1 PRECEDING), "
+     "MIN(units) OVER (PARTITION BY productId ORDER BY saleId "
+     "ROWS BETWEEN 1 FOLLOWING AND 2 FOLLOWING), "
+     "MAX(discount) OVER (PARTITION BY productId ORDER BY saleId DESC "
+     "ROWS 2 PRECEDING) FROM s.sales",
+     False),
+    ("win_range_offsets", build_sales_catalog,
+     "SELECT saleId, SUM(units) OVER (PARTITION BY productId "
+     "ORDER BY discount RANGE BETWEEN 5 PRECEDING AND CURRENT ROW), "
+     "COUNT(*) OVER (PARTITION BY productId ORDER BY discount "
+     "RANGE BETWEEN CURRENT ROW AND 5 FOLLOWING), "
+     "AVG(units) OVER (PARTITION BY productId ORDER BY units "
+     "RANGE BETWEEN 2 PRECEDING AND 2 FOLLOWING), "
+     "MIN(units) OVER (PARTITION BY productId ORDER BY discount "
+     "RANGE BETWEEN UNBOUNDED PRECEDING AND 5 PRECEDING), "
+     "MAX(units) OVER (PARTITION BY productId ORDER BY discount "
+     "RANGE BETWEEN 5 FOLLOWING AND UNBOUNDED FOLLOWING) FROM s.sales",
+     False),
+    ("win_range_desc", build_frames_catalog,
+     # DESC reverses what PRECEDING means: the larger salaries.
+     "SELECT empid, SUM(sal) OVER (ORDER BY sal DESC "
+     "RANGE BETWEEN 100 PRECEDING AND CURRENT ROW), "
+     "SUM(sal) OVER (ORDER BY sal DESC "
+     "RANGE BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW), "
+     "COUNT(*) OVER (ORDER BY sal DESC "
+     "RANGE BETWEEN 60 FOLLOWING AND 250 FOLLOWING) FROM s.e",
+     False),
+    ("win_range_desc_nulls", build_sales_catalog,
+     # DESC puts the NULL discounts first, inside an UNBOUNDED
+     # PRECEDING frame and outside an offset one.
+     "SELECT saleId, COUNT(*) OVER (PARTITION BY productId "
+     "ORDER BY discount DESC RANGE BETWEEN 5 PRECEDING AND 5 FOLLOWING), "
+     "SUM(units) OVER (PARTITION BY productId ORDER BY discount DESC "
+     "RANGE BETWEEN UNBOUNDED PRECEDING AND 5 FOLLOWING), "
+     "AVG(units) OVER (PARTITION BY productId ORDER BY discount DESC "
+     "RANGE BETWEEN 10 PRECEDING AND UNBOUNDED FOLLOWING), "
+     "MIN(units) OVER (PARTITION BY productId ORDER BY units DESC "
+     "RANGE BETWEEN CURRENT ROW AND 3 FOLLOWING), "
+     "MAX(units) OVER (PARTITION BY productId ORDER BY units DESC "
+     "RANGE BETWEEN 3 PRECEDING AND 1 PRECEDING) FROM s.sales",
+     False),
+    ("win_ranking_desc", build_sales_catalog,
+     "SELECT saleId, "
+     "ROW_NUMBER() OVER (PARTITION BY productId ORDER BY saleId DESC), "
+     "RANK() OVER (PARTITION BY productId ORDER BY units DESC), "
+     "LAG(units) OVER (PARTITION BY productId ORDER BY saleId DESC), "
+     "LEAD(units, 1, -1) OVER (PARTITION BY productId ORDER BY saleId "
+     "DESC) FROM s.sales",
      False),
     # -- partition-aware distinct set operations -----------------------
     ("setop_union_distinct", build_sales_catalog,

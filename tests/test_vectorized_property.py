@@ -252,7 +252,7 @@ class TestWindowAgainstNaiveOracle:
     partition), not from either engine's implementation."""
 
     FRAMES = [
-        None,  # parser default: ROWS UNBOUNDED PRECEDING .. CURRENT ROW
+        None,  # SQL's default: RANGE UNBOUNDED PRECEDING .. CURRENT ROW
         ("UNBOUNDED PRECEDING", "CURRENT ROW"),
         ("2 PRECEDING", "CURRENT ROW"),
         ("1 PRECEDING", "3 FOLLOWING"),
@@ -326,6 +326,8 @@ class TestWindowAgainstNaiveOracle:
                 else:
                     lo = max(self._bound(lo_s, pos, m), 0)
                     hi = min(self._bound(hi_s, pos, m), m - 1)
+                    if frame is None:  # RANGE: through the last peer
+                        hi = max(p for p in range(m) if keys[p] == keys[pos])
                     frame_idx = ordered[lo: hi + 1] if lo <= hi else []
                     window = [rows[j][2] for j in frame_idx
                               if rows[j][2] is not None]
@@ -448,9 +450,12 @@ class TestWindowAgainstNaiveOracle:
                 elif func == "LEAD(v, 2, -1)":
                     out[row[0]] = part[pos + 2][5] if pos + 2 < m else -1
                 else:
-                    if frame is None or frame.startswith("ROWS"):
-                        lo, hi = (frame or "ROWS BETWEEN UNBOUNDED PRECEDING"
-                                  " AND CURRENT ROW")[13:].split(" AND ")
+                    if frame is None:
+                        # SQL's default, RANGE UNBOUNDED PRECEDING ..
+                        # CURRENT ROW: through the last peer
+                        window = part[:m - peers[::-1].index(peers[pos])]
+                    elif frame.startswith("ROWS"):
+                        lo, hi = frame[13:].split(" AND ")
                         bound = TestWindowAgainstNaiveOracle._bound
                         window = part[max(bound(lo, pos, m), 0):
                                       min(bound(hi, pos, m), m - 1) + 1]
