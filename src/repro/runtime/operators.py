@@ -684,25 +684,32 @@ def _union(rel: Union, ctx: ExecutionContext) -> Iterator[tuple]:
 
 
 def _intersect(rel: Intersect, ctx: ExecutionContext) -> Iterator[tuple]:
-    sets = [set(_execute(i, ctx)) for i in rel.inputs[1:]]
-    seen = set()
+    """Rows of the first input in every other input, in first-input
+    order: ALL keeps each row as often as its fewest copies in any
+    input, DISTINCT once."""
+    others = [Counter(_execute(i, ctx)) for i in rel.inputs[1:]]
     for row in _execute(rel.inputs[0], ctx):
-        if row in seen:
-            continue
-        if all(row in s for s in sets):
-            seen.add(row)
+        if all(copies[row] > 0 for copies in others):
+            for copies in others:
+                copies[row] = copies[row] - 1 if rel.all else 0
             yield row
 
 
 def _minus(rel: Minus, ctx: ExecutionContext) -> Iterator[tuple]:
-    exclude = set()
+    """Rows of the first input in no other input, in first-input order:
+    ALL keeps each row as often as its copies there outnumber its
+    copies in the others, DISTINCT once."""
+    exclude: Counter = Counter()
     for i in rel.inputs[1:]:
-        exclude |= set(_execute(i, ctx))
-    seen = set()
+        exclude.update(_execute(i, ctx))
     for row in _execute(rel.inputs[0], ctx):
-        if row not in exclude and row not in seen:
-            seen.add(row)
-            yield row
+        if exclude[row] > 0:
+            if rel.all:
+                exclude[row] -= 1
+            continue
+        if not rel.all:
+            exclude[row] = 1  # a later copy is excluded
+        yield row
 
 
 # -- window evaluation (Section 4's window operator) --------------------------

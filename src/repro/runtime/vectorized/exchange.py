@@ -37,7 +37,7 @@ from typing import Any, Callable, Iterator, List, Optional, Sequence
 from ...core.cost import RelOptCost
 from ...core.rel import RelNode
 from ...core.traits import Convention, RelCollation, RelDistribution, RelTraitSet
-from .batch import ColumnBatch
+from .batch import DEFAULT_BATCH_SIZE, ColumnBatch, RowStream
 from .nodes import VectorizedRel
 
 VECTORIZED = Convention.VECTORIZED
@@ -175,6 +175,11 @@ class InjectedStream(RelNode):
 
     def derive_row_type(self):
         return self._injected_row_type
+
+    def execute_rows(self, ctx) -> Iterator[tuple]:
+        """The stream's rows, for a row-engine operator run per
+        partition over it (a theta join, INTERSECT, EXCEPT)."""
+        return RowStream.of(self.open(ctx, ctx.batch_size or DEFAULT_BATCH_SIZE))
 
     def attr_digest(self) -> str:
         return f"injected#{self.id}"

@@ -8,9 +8,10 @@ stability) deliberately mirror the row engine so the two engines are
 differentially testable against each other.
 
 Pipelining operators (scan / filter / project / the probe side of a
-hash join) stream batches; blocking operators (aggregate, sort, the
-set operations, the build side of a hash join) gather their input into
-one batch first.
+hash join) stream batches; blocking operators (aggregate, sort, window,
+the build side of a hash join) gather their input into one batch first.
+The joins the hash join declines, INTERSECT and EXCEPT keep one
+definition, the row engine's, and rebatch its rows.
 
 Over typed (int64) columns (:mod:`.typed`) the filter selects through
 a mask, the inner hash join on one int64 key probes a sorted build
@@ -35,7 +36,9 @@ from ..operators import (
     ExecutionContext,
     _Accumulator,
     _execute,
+    _intersect as row_intersect,
     _join as row_join,
+    _minus as row_minus,
     row_sort_key,
     sort_rows,
 )
@@ -68,6 +71,15 @@ from .nodes import (
 from .window import VectorizedWindow, window_batches
 
 
+#: Operators with one definition, the row engine's: the vectorized node
+#: runs it over its inputs' rows.
+_ROW_OPERATORS = {
+    VectorizedThetaJoin: row_join,
+    VectorizedIntersect: row_intersect,
+    VectorizedMinus: row_minus,
+}
+
+
 def execute_batches(rel: RelNode, ctx: Optional[ExecutionContext] = None,
                     batch_size: int = DEFAULT_BATCH_SIZE) -> Iterator[ColumnBatch]:
     """Execute a vectorized operator tree, yielding column batches."""
@@ -81,9 +93,10 @@ def execute_batches(rel: RelNode, ctx: Optional[ExecutionContext] = None,
         return _project(rel, ctx, batch_size)
     if isinstance(rel, VectorizedHashJoin):
         return _hash_join(rel, ctx, batch_size)
-    if isinstance(rel, VectorizedThetaJoin):
-        # The row engine's join over the inputs' rows, rebatched.
-        return batches_from_rows(row_join(rel, ctx),
+    row_operator = _ROW_OPERATORS.get(type(rel))
+    if row_operator is not None:
+        # The row engine's operator over the inputs' rows, rebatched.
+        return batches_from_rows(row_operator(rel, ctx),
                                  rel.row_type.field_count, batch_size)
     if isinstance(rel, VectorizedAggregate):
         return _aggregate(rel, ctx, batch_size)
@@ -91,10 +104,6 @@ def execute_batches(rel: RelNode, ctx: Optional[ExecutionContext] = None,
         return _sort(rel, ctx, batch_size)
     if isinstance(rel, VectorizedUnion):
         return _union(rel, ctx, batch_size)
-    if isinstance(rel, VectorizedIntersect):
-        return _intersect(rel, ctx, batch_size)
-    if isinstance(rel, VectorizedMinus):
-        return _minus(rel, ctx, batch_size)
     if isinstance(rel, VectorizedValues):
         return _values(rel)
     if isinstance(rel, VectorizedWindow):
@@ -529,38 +538,3 @@ def _union(rel: VectorizedUnion, ctx: ExecutionContext,
             if out:
                 seen.update(out)
                 yield ColumnBatch.from_rows(out, field_count)
-
-
-def _intersect(rel: VectorizedIntersect, ctx: ExecutionContext,
-               batch_size: int) -> Iterator[ColumnBatch]:
-    sets = [set(_gather_input(i, ctx, batch_size).to_rows())
-            for i in rel.inputs[1:]]
-    seen: set = set()
-    field_count = rel.row_type.field_count
-    for batch in execute_batches(rel.inputs[0], ctx, batch_size):
-        out: List[tuple] = []
-        for row in batch.to_rows():
-            if row in seen:
-                continue
-            if all(row in s for s in sets):
-                seen.add(row)
-                out.append(row)
-        if out:
-            yield ColumnBatch.from_rows(out, field_count)
-
-
-def _minus(rel: VectorizedMinus, ctx: ExecutionContext,
-           batch_size: int) -> Iterator[ColumnBatch]:
-    exclude: set = set()
-    for i in rel.inputs[1:]:
-        exclude |= set(_gather_input(i, ctx, batch_size).to_rows())
-    seen: set = set()
-    field_count = rel.row_type.field_count
-    for batch in execute_batches(rel.inputs[0], ctx, batch_size):
-        out: List[tuple] = []
-        for row in batch.to_rows():
-            if row not in exclude and row not in seen:
-                seen.add(row)
-                out.append(row)
-        if out:
-            yield ColumnBatch.from_rows(out, field_count)

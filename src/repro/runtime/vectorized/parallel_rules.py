@@ -448,13 +448,14 @@ class ExchangeInsertionRules:
         return common
 
     def _distinct_setop(self, rel: RelNode) -> Tuple[RelNode, _Dist]:
-        """Distinct UNION/INTERSECT/MINUS: hash-exchange every input on
-        the full row, so all copies of a row — across batches *and*
-        across inputs — co-locate on one worker, whose local dedup is
-        then globally correct (the final phase of the two-phase shape).
-        Already-partitioned inputs get a per-partition pre-dedup before
-        the shuffle (the partial phase), shrinking exchange volume to
-        distinct rows only."""
+        """Distinct UNION/INTERSECT/MINUS, and INTERSECT/MINUS ALL:
+        hash-exchange every input on the full row, so all copies of a
+        row — across batches *and* across inputs — co-locate on one
+        worker, whose local set operation is then globally correct (the
+        final phase of the two-phase shape).  Already-partitioned inputs
+        of a distinct operation get a per-partition pre-dedup before the
+        shuffle (the partial phase), shrinking exchange volume to
+        distinct rows only; an ALL operation counts every copy."""
         keys = tuple(range(rel.row_type.field_count))
         outs: List[RelNode] = []
         for i in rel.inputs:
@@ -463,7 +464,8 @@ class ExchangeInsertionRules:
                 # Every worker holds every row: per-worker dedup would
                 # multiply the result.  Collapse to one stream first.
                 child, dist = self._gather(child, dist), _SINGLETON
-            if dist.kind in ("RANDOM", "HASH") and dist.keys != keys:
+            if (dist.kind in ("RANDOM", "HASH") and dist.keys != keys
+                    and not rel.all):
                 child = VectorizedAggregate(child, keys, [], _VEC_TRAITS)
             child, dist = self._ensure_hash(child, dist, keys)
             outs.append(child)

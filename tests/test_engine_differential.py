@@ -159,8 +159,9 @@ def build_hr_catalog() -> Catalog:
 
 
 def build_frames_catalog() -> Catalog:
-    """Small tables whose window frames are easy to check by hand: peers
-    in ``t`` and a salary column ``e`` ranged over DESC."""
+    """Small tables whose window frames and bag set operations are easy
+    to check by hand: peers in ``t``, a salary column ``e`` ranged over
+    DESC, and inputs ``a``/``b`` with repeated rows."""
     catalog = Catalog()
     s = Schema("s")
     catalog.add_schema(s)
@@ -170,6 +171,8 @@ def build_frames_catalog() -> Catalog:
     s.add_table(MemoryTable(
         "e", ["empid", "sal"], [i, i],
         [(1, 5000), (2, 4950), (3, 5050), (4, 4800), (5, 5200)]))
+    s.add_table(MemoryTable("a", ["x"], [i], [(1,), (1,), (1,), (2,)]))
+    s.add_table(MemoryTable("b", ["x"], [i], [(1,), (1,), (2,)]))
     return catalog
 
 
@@ -398,6 +401,25 @@ CASES = [
     ("setop_except_distinct", build_sales_catalog,
      "SELECT productId FROM s.products "
      "EXCEPT SELECT productId FROM s.sales WHERE units > 15",
+     False),
+    # -- bag set operations ---------------------------------------------
+    ("setop_intersect_all", build_frames_catalog,
+     "SELECT x FROM s.a INTERSECT ALL SELECT x FROM s.b",
+     False),
+    ("setop_except_all", build_frames_catalog,
+     "SELECT x FROM s.a EXCEPT ALL SELECT x FROM s.b",
+     False),
+    ("setop_intersect_all_join", build_sales_catalog,
+     # At p=2 the join's rows are spread at random and then shuffled on
+     # the full row: no per-partition dedup may drop copies first.
+     "SELECT s.units FROM s.sales s JOIN s.products p "
+     "ON s.productId = p.productId WHERE p.category = 'A' "
+     "INTERSECT ALL SELECT units FROM s.sales WHERE discount > 5",
+     False),
+    ("setop_except_all_join", build_sales_catalog,
+     "SELECT s.units FROM s.sales s JOIN s.products p "
+     "ON s.productId = p.productId WHERE p.category = 'A' "
+     "EXCEPT ALL SELECT units FROM s.sales WHERE discount > 5",
      False),
     # -- joins the batch hash join declines (VectorizedThetaJoin) ------
     ("join_theta", build_hr_catalog,
