@@ -276,8 +276,8 @@ def _extract(unit: str, value: Any) -> int:
         return getattr(value, "minute", 0)
     if unit == "SECOND":
         return getattr(value, "second", 0)
-    if unit == "DOW":
-        return value.weekday()
+    if unit == "DOW":  # 1 (Sunday) .. 7 (Saturday), as Calcite's
+        return value.isoweekday() % 7 + 1
     raise RexExecutionError(f"EXTRACT unit {unit} not supported")
 
 

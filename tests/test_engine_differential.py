@@ -793,3 +793,44 @@ def test_unimplemented_window_kind_fails_alike_on_both_engines(engine):
     with pytest.raises(RexExecutionError, match="COLLECT not supported"):
         planner.execute("SELECT empid, COLLECT(sal) OVER "
                         "(PARTITION BY deptno) FROM hr.emps")
+
+
+# -- EXTRACT over DATE, TIMESTAMP and NULL ------------------------------------
+
+#: 2024-01-07 is a Sunday, 2023-12-30 a Saturday
+_EXTRACT_ROWS = [
+    (1, "2024-01-07", (2024, 1, 7, 13, 45, 30)),
+    (2, "2023-12-30", (2023, 12, 30, 0, 5, 59)),
+    (3, None, None),
+]
+
+#: unit -> per row, (from the DATE, from the TIMESTAMP); DOW runs from
+#: 1 (Sunday) to 7 (Saturday), and a DATE's time of day is midnight
+_EXTRACTED = {
+    "YEAR": [(2024, 2024), (2023, 2023)],
+    "MONTH": [(1, 1), (12, 12)],
+    "DAY": [(7, 7), (30, 30)],
+    "HOUR": [(0, 13), (0, 0)],
+    "MINUTE": [(0, 45), (0, 5)],
+    "SECOND": [(0, 30), (0, 59)],
+    "DOW": [(1, 1), (7, 7)],
+}
+
+
+@pytest.mark.parametrize("unit", list(_EXTRACTED))
+@pytest.mark.parametrize("engine", ["row", "vectorized"])
+def test_extract_every_unit_from_date_timestamp_and_null(engine, unit):
+    from datetime import date, datetime
+    from repro import connect
+    catalog = Catalog()
+    s = Schema("s")
+    catalog.add_schema(s)
+    s.add_table(MemoryTable(
+        "d", ["id", "dt", "ts"], [F.integer(False), F.date(), F.timestamp()],
+        [(i, d and date.fromisoformat(d), ts and datetime(*ts))
+         for i, d, ts in _EXTRACT_ROWS]))
+    rows = connect(catalog, engine=engine).execute(
+        f"SELECT id, EXTRACT({unit} FROM dt), EXTRACT({unit} FROM ts) "
+        f"FROM s.d").fetchall()
+    assert sorted(rows) == [(i + 1,) + pair for i, pair in
+                            enumerate(_EXTRACTED[unit])] + [(3, None, None)]
