@@ -130,8 +130,6 @@ class FrameworkConfig:
     metadata_caching: bool = True
     #: enable materialized-view rewriting
     use_materializations: bool = True
-    #: enable lattice-based rewriting
-    use_lattices: bool = True
     #: reuse physical plans across executions of the same statement.
     #: SQL strings handed to :meth:`Planner.execute`/:meth:`Planner.prepare`
     #: are normalized (whitespace/comment/keyword-case insensitive) and
@@ -297,13 +295,12 @@ class Planner:
                 rewritten = try_substitute(rel, materializations, self._mq())
                 if rewritten is not None:
                     rel = rewritten
-        if self.config.use_lattices:
-            lattices = self.catalog.all_lattices()
-            if lattices:
-                from .mv.lattice import try_rewrite_with_lattices
-                rewritten = try_rewrite_with_lattices(rel, lattices)
-                if rewritten is not None:
-                    rel = rewritten
+        lattices = self.catalog.all_lattices()
+        if lattices:
+            from .mv.lattice import try_rewrite_with_lattices
+            rewritten = try_rewrite_with_lattices(rel, lattices)
+            if rewritten is not None:
+                rel = rewritten
         return rel
 
     def optimize_with_volcano(self, rel: RelNode,
@@ -398,7 +395,7 @@ class Planner:
                 c.batch_size, c.broadcast_join_threshold,
                 c.partitioned_scans, self.catalog.capability_fingerprint(),
                 c.join_reorder, c.exhaustive, c.delta, c.patience,
-                c.use_materializations, c.use_lattices,
+                c.use_materializations,
                 tuple(id(r) for r in c.rules),
                 tuple(id(p) for p in c.metadata_providers))
 
