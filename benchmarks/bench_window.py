@@ -115,7 +115,12 @@ def _process_hardware() -> "tuple[bool, str]":
 
 
 def _window_curve(name: str, sql: str, backend: str = "thread") -> dict:
-    """Time row baseline + vectorized at every worker count; record all."""
+    """Time row baseline + vectorized at every worker count; record all.
+
+    The row engine's rows are the reference.  It runs the same window
+    kernels over list columns, so this checks the typed kernels and the
+    parallel plans against the list kernels; ``tests/test_sqlite_referee.py``
+    checks the kernels themselves against sqlite."""
     row_plan = _plan(sql, "row")
     reference = sorted(execute(row_plan, ExecutionContext()), key=repr)
     times = {"row": _time_execution(row_plan)}

@@ -40,20 +40,23 @@ fi
 leg tier-1 python -m pytest -x -q ${MARKER_ARGS[@]+"${MARKER_ARGS[@]}"}
 
 # Cross-engine gates: row and vectorized engines must agree everywhere,
-# typed (numpy) column kernels must agree with the list kernels and the
-# row engine, and the vectorized engine must win the
-# scan+filter+aggregate bench.
+# the window and set-operation cases must agree with sqlite3, typed
+# (numpy) column kernels must agree with the list kernels and the row
+# engine, and the vectorized engine must win the scan+filter+aggregate
+# bench.
 leg cross-engine python -m pytest -q -m "$CROSS_ENGINE_MARKER" \
     tests/test_engine_differential.py \
+    tests/test_sqlite_referee.py \
     tests/test_vectorized_property.py \
     tests/test_typed_kernels.py \
     benchmarks/bench_vectorized.py
 
 # Parallelism matrix: the multi-worker axis (parallelism 2, and 4 when
-# not in quick mode) of the differential suite, the parallel runtime
-# tests, and the worker-scaling bench.
+# not in quick mode) of the differential suite and of the sqlite
+# referee, the parallel runtime tests, and the worker-scaling bench.
 leg parallel python -m pytest -q -m "$PARALLEL_MARKER" \
     tests/test_engine_differential.py \
+    tests/test_sqlite_referee.py \
     tests/test_parallel_execution.py \
     benchmarks/bench_parallel.py
 

@@ -28,6 +28,9 @@ from collections import Counter
 
 import pytest
 
+from repro.core.rel import Window
+from repro.core.rex import RANKING_KINDS, SqlKind
+from repro.runtime.vectorized.window import WINDOW_KINDS
 from repro.schema.core import MemoryTable
 
 from test_engine_differential import CASES, _parallel_planner, _planners
@@ -132,3 +135,47 @@ def test_nulls_are_spelled_out_for_sqlite():
         "b DESC NULLS FIRST), "
         "SUM(k) OVER (ORDER BY a NULLS LAST ROWS BETWEEN 1 PRECEDING AND "
         "CURRENT ROW) FROM s.t ORDER BY a")
+
+
+def _window_calls(rel):
+    """Every windowed call in a plan."""
+    calls = list(rel.window_exprs) if isinstance(rel, Window) else []
+    for child in rel.inputs:
+        calls += _window_calls(child)
+    return calls
+
+
+def _frame_shapes(over) -> set:
+    """The frame shapes one windowed call exercises."""
+    shapes = set()
+    if any(desc for _key, desc in over.order_keys):
+        shapes.add("DESC")
+    if over.lower.offset is not None or over.upper.offset is not None:
+        shapes.add("ROWS offset" if over.rows else "RANGE offset")
+    elif not over.rows and over.lower.bound_kind == "UNBOUNDED_PRECEDING":
+        # what an OVER without a frame clause gets
+        if over.order_keys and over.upper.bound_kind == "CURRENT_ROW":
+            shapes.add("default, ORDER BY")
+        if not over.order_keys and \
+                over.upper.bound_kind == "UNBOUNDED_FOLLOWING":
+            shapes.add("default, no ORDER BY")
+    return shapes
+
+
+#: the frame shapes each window kind supports: ranking, LAG and LEAD
+#: need an ORDER BY and read no frame
+_FRAME_FREE = {"default, ORDER BY", "DESC"}
+_FRAMED = _FRAME_FREE | {"default, no ORDER BY", "ROWS offset",
+                         "RANGE offset"}
+
+
+def test_every_window_kind_is_refereed_in_every_frame_shape():
+    seen = {kind: set() for kind in WINDOW_KINDS}
+    for _case_id, builder, sql, _ordered in REFEREE_CASES:
+        for over in _window_calls(_planners(builder)[0].rel(sql)):
+            seen[over.op.kind] |= _frame_shapes(over)
+    frame_free = RANKING_KINDS | {SqlKind.LAG, SqlKind.LEAD}
+    missing = {kind.name: sorted((_FRAME_FREE if kind in frame_free
+                                  else _FRAMED) - shapes)
+               for kind, shapes in seen.items()}
+    assert not any(missing.values()), missing

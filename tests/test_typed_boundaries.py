@@ -2,8 +2,9 @@
 
 * The row engine never loads numpy: a fresh interpreter imports
   ``repro`` and runs the served key-lookup shapes, prepared and
-  re-executed on the default engine, without numpy in ``sys.modules``;
-  one vectorized statement over a memory table then loads it.
+  re-executed on the default engine, and a running window, without
+  numpy in ``sys.modules``; one vectorized statement over a memory
+  table then loads it.
 * Every value fetched through a cursor is a built-in ``int``, ``float``,
   ``str`` or ``None`` — never a numpy scalar, which compares and hashes
   like one — for the analytic templates, serially and at parallelism 2
@@ -101,6 +102,7 @@ import json, sys
 from repro.avatica import QueryServer
 
 SERVED = %r
+ROW_WINDOW = %r
 loaded = {"import": "numpy" in sys.modules}
 server = QueryServer()
 server.register_catalog("lib", library(300))
@@ -114,6 +116,9 @@ for sql in SERVED:
     cursor = connection.cursor()
     cursor.execute(sql, (2,))
     cursor.fetchall()
+cursor = connection.cursor()
+cursor.execute(ROW_WINDOW)  # the window kernels over list columns
+cursor.fetchall()
 loaded["row"] = "numpy" in sys.modules
 vectorized = QueryServer(engine="vectorized")
 vectorized.register_catalog("lib", library(300))
@@ -129,7 +134,8 @@ def test_the_row_engine_never_loads_numpy():
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     out = subprocess.run(
-        [sys.executable, "-c", NO_NUMPY_SCRIPT % (SERVED,)], env=env,
+        [sys.executable, "-c", NO_NUMPY_SCRIPT % (SERVED, ANALYTIC[2])],
+        env=env,
         capture_output=True, text=True, timeout=120, check=True)
     loaded = json.loads(out.stdout.strip().splitlines()[-1])
     assert loaded == {"import": False, "row": False, "vectorized": True}
