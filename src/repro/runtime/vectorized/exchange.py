@@ -179,7 +179,8 @@ class InjectedStream(RelNode):
     def execute_rows(self, ctx) -> Iterator[tuple]:
         """The stream's rows, for a row-engine operator run per
         partition over it (a theta join, INTERSECT, EXCEPT)."""
-        return RowStream.of(self.open(ctx, ctx.batch_size or DEFAULT_BATCH_SIZE))
+        return RowStream.of(
+            self.open(ctx, ctx.batch_size or DEFAULT_BATCH_SIZE))
 
     def attr_digest(self) -> str:
         return f"injected#{self.id}"

@@ -168,16 +168,14 @@ def eval_over_column(over: RexOver, frame: Frame,
     key_cols = [_column(k, frame) for k in over.partition_keys]
     order_cols = [_column(k, frame) for k, _desc in over.order_keys]
     arg_cols = [_column(o, frame) for o in over.operands]
-    # A frame from the partition's first row to the end of a group of
-    # rows is a running value that each row of the group then takes
-    # from the group's last: the group is the run (UNBOUNDED
-    # FOLLOWING), the row's peers (RANGE .. CURRENT ROW) or the row
-    # itself (ROWS .. CURRENT ROW, no fill).
-    upper = over.upper.bound_kind
+    # A frame from the partition's first row to the current row, or to
+    # the end of its run, is a running value; under RANGE, or to the
+    # end of the run, each group of rows (the row's peers, or the whole
+    # run) then takes the value of the group's last row.
+    to_end = over.upper.bound_kind == "UNBOUNDED_FOLLOWING"
     running = (over.lower.bound_kind == "UNBOUNDED_PRECEDING"
-               and upper in ("CURRENT_ROW", "UNBOUNDED_FOLLOWING"))
-    fill = ([] if upper == "UNBOUNDED_FOLLOWING"
-            else None if over.rows else order_cols)
+               and (to_end or over.upper.bound_kind == "CURRENT_ROW"))
+    fill = to_end or not over.rows
     typed_runs = None
     if len(key_cols) <= 1 and any(map(is_array, key_cols + order_cols)):
         from . import typed
@@ -189,8 +187,9 @@ def eval_over_column(over: RexOver, frame: Frame,
         if running and kind is SqlKind.SUM:
             out = typed.running_sum(ordered, bounds, arg_cols[0])
             if out is not None:
-                if fill is not None:
-                    typed.fill_peers(out, ordered, bounds, fill)
+                if fill:
+                    typed.fill_peers(out, ordered, bounds,
+                                     [] if to_end else order_cols)
                 return out
         ordered, bounds = ordered.tolist(), bounds.tolist()
     key_cols = [pylist(c) for c in key_cols]
@@ -201,23 +200,20 @@ def eval_over_column(over: RexOver, frame: Frame,
                 else list(zip(*key_cols)))
         ordered, bounds = window_runs(n, keys, order_cols, over.order_keys)
     runs = list(zip(bounds, bounds[1:]))
-    peer_key = _peer_keys(order_cols, n)
     results: List[Any] = [None] * n
     arg_col = arg_cols[0] if arg_cols else None  # None: COUNT(*)
     if kind in RANKING_KINDS:
-        _ranking_kernel(kind, ordered, runs, peer_key, results)
+        _ranking_kernel(kind, ordered, runs, order_cols, results)
     elif kind in (SqlKind.LAG, SqlKind.LEAD):
         _lag_lead_kernel(kind, ordered, runs, arg_cols, results)
     elif running:
         _running_kernel(kind, ordered, runs, arg_col, results)
-        if fill is not None:
+        if fill:
             _fill_peers(results, ordered, runs,
-                        peer_key if fill else _peer_keys([], n))
+                        _peer_keys([] if to_end else order_cols, n))
     else:
-        if over.rows:
-            frames = _rows_frames(over, eval_ctx)
-        else:
-            frames = _range_frames(over, frame, order_cols, peer_key)
+        frames = (_rows_frames(over, eval_ctx) if over.rows
+                  else _range_frames(over, frame, order_cols))
         _agg_kernel(kind, ordered, runs, arg_col, frames, results)
     return results
 
@@ -237,12 +233,13 @@ _NO_PEER = object()
 
 
 def _ranking_kernel(kind: SqlKind, ordered: List[int], runs: Runs,
-                    peer_key: Sequence[Any], results: List[Any]) -> None:
+                    order_cols: List[list], results: List[Any]) -> None:
     if kind is SqlKind.ROW_NUMBER:
         for start, end in runs:
             for number, row_idx in enumerate(ordered[start:end], 1):
                 results[row_idx] = number
         return
+    peer_key = _peer_keys(order_cols, len(results))
     dense_only = kind is SqlKind.DENSE_RANK
     for start, end in runs:
         rank = dense = 0
@@ -280,7 +277,7 @@ def _lag_lead_kernel(kind: SqlKind, ordered: List[int], runs: Runs,
 
 def _running_kernel(kind: SqlKind, ordered: List[int], runs: Runs,
                     arg_col: Optional[list], results: List[Any]) -> None:
-    """``ROWS UNBOUNDED PRECEDING .. CURRENT ROW``: accumulate in
+    """``UNBOUNDED PRECEDING .. CURRENT ROW`` by position: accumulate in
     partition order instead of recomputing each growing frame."""
     if kind in (SqlKind.MIN, SqlKind.MAX):
         pick = min if kind is SqlKind.MIN else max
@@ -322,14 +319,9 @@ def _fill_peers(results: List[Any], ordered: List[int], runs: Runs,
                 peer_key: Sequence[Any]) -> None:
     """Each peer group of each run takes the value of its last row."""
     for start, end in runs:
-        prev: Any = _NO_PEER
-        value: Any = None
-        for pos in range(end - 1, start - 1, -1):
-            row_idx = ordered[pos]
-            vals = peer_key[row_idx]
-            if vals is not prev and vals != prev:
-                prev = vals
-                value = results[row_idx]
+        run = ordered[start:end]
+        last = [results[run[hi - 1]] for hi in _peer_groups(run, peer_key)[1]]
+        for row_idx, value in zip(run, last):
             results[row_idx] = value
 
 
@@ -397,8 +389,8 @@ def _rows_frames(over: RexOver, eval_ctx: EvalContext) -> FrameSlices:
     return frames
 
 
-def _range_frames(over: RexOver, frame: Frame, order_cols: List[list],
-                  peer_key: Sequence[Any]) -> FrameSlices:
+def _range_frames(over: RexOver, frame: Frame,
+                  order_cols: List[list]) -> FrameSlices:
     """RANGE frames.  A run is sorted by its first ORDER BY key, so a
     frame is the slice between two edges: an UNBOUNDED bound is the
     run's edge, CURRENT ROW the edge of the row's peers, and an offset
@@ -411,9 +403,10 @@ def _range_frames(over: RexOver, frame: Frame, order_cols: List[list],
     is a peer of every other."""
     desc = bool(over.order_keys) and over.order_keys[0][1]
     before = operator.gt if desc else operator.lt
-    offsets = [pylist(_column(b.offset, frame)) if b.offset is not None
-               else None for b in (over.lower, over.upper)]
-    bounds = (over.lower, over.upper)
+    peer_key = _peer_keys(order_cols, frame.num_rows)
+    lower_offsets, upper_offsets = (
+        pylist(_column(b.offset, frame)) if b.offset is not None else None
+        for b in (over.lower, over.upper))
 
     def frames(run: List[int]) -> Iterator[Tuple[int, int]]:
         m = len(run)
@@ -422,26 +415,28 @@ def _range_frames(over: RexOver, frame: Frame, order_cols: List[list],
         nulls = keys.count(None)
         a, b = (nulls, m) if desc else (0, m - nulls)  # the non-NULL block
         group_lo, group_hi = _peer_groups(run, peer_key)
+
+        def edge(pos: int, bound: RexWindowBound, offsets: Optional[list],
+                 upper: bool) -> int:
+            kind = bound.bound_kind
+            current = keys[pos]
+            if kind == "UNBOUNDED_PRECEDING":
+                return 0
+            if kind == "UNBOUNDED_FOLLOWING":
+                return m
+            if kind == "CURRENT_ROW" or current is None:
+                return group_hi[pos] if upper else group_lo[pos]
+            delta = offsets[run[pos]]
+            target = (current - delta if (kind == "PRECEDING") != desc
+                      else current + delta)
+            if upper:  # past the last value not after the target
+                return _first(a, b, lambda p: before(target, keys[p]))
+            # at the first value not before the target
+            return _first(a, b, lambda p: not before(keys[p], target))
+
         for pos in range(m):
-            edges = []
-            for upper, bound in enumerate(bounds):
-                kind = bound.bound_kind
-                current = keys[pos]
-                if kind.startswith("UNBOUNDED"):
-                    edges.append(0 if kind == "UNBOUNDED_PRECEDING" else m)
-                elif kind == "CURRENT_ROW" or current is None:
-                    edges.append(group_hi[pos] if upper else group_lo[pos])
-                else:
-                    delta = offsets[upper][run[pos]]
-                    target = (current - delta if (kind == "PRECEDING") != desc
-                              else current + delta)
-                    if upper:  # past the last value not after the target
-                        edges.append(_first(a, b, lambda p: before(target,
-                                                                   keys[p])))
-                    else:  # at the first value not before the target
-                        edges.append(_first(a, b, lambda p: not before(
-                            keys[p], target)))
-            yield edges[0], edges[1]
+            yield (edge(pos, over.lower, lower_offsets, False),
+                   edge(pos, over.upper, upper_offsets, True))
 
     return frames
 
@@ -453,10 +448,12 @@ def _peer_groups(run: List[int], peer_key: Sequence[Any]
     group_lo = [0] * m
     for pos in range(1, m):
         vals, prev = peer_key[run[pos]], peer_key[run[pos - 1]]
-        group_lo[pos] = group_lo[pos - 1] if vals is prev or vals == prev else pos
+        peer = vals is prev or vals == prev
+        group_lo[pos] = group_lo[pos - 1] if peer else pos
     group_hi = [m] * m
     for pos in range(m - 2, -1, -1):
-        group_hi[pos] = group_hi[pos + 1] if group_lo[pos + 1] <= pos else pos + 1
+        peer = group_lo[pos + 1] <= pos
+        group_hi[pos] = group_hi[pos + 1] if peer else pos + 1
     return group_lo, group_hi
 
 
