@@ -159,9 +159,11 @@ def build_hr_catalog() -> Catalog:
 
 
 def build_frames_catalog() -> Catalog:
-    """Small tables whose window frames and bag set operations are easy
-    to check by hand: peers in ``t``, a salary column ``e`` ranged over
-    DESC, and inputs ``a``/``b`` with repeated rows."""
+    """Small tables whose window frames, bag set operations and
+    aggregates are easy to check by hand: peers in ``t``, a salary
+    column ``e`` ranged over DESC, inputs ``a``/``b`` with repeated
+    rows, and ``m`` with NULL group keys, NULL values, a group whose
+    values are all NULL, repeated values and strings."""
     catalog = Catalog()
     s = Schema("s")
     catalog.add_schema(s)
@@ -173,6 +175,12 @@ def build_frames_catalog() -> Catalog:
         [(1, 5000), (2, 4950), (3, 5050), (4, 4800), (5, 5200)]))
     s.add_table(MemoryTable("a", ["x"], [i], [(1,), (1,), (1,), (2,)]))
     s.add_table(MemoryTable("b", ["x"], [i], [(1,), (1,), (2,)]))
+    s.add_table(MemoryTable(
+        "m", ["id", "g", "h", "k", "name"], [i, i, i, i, F.varchar()],
+        [(1, 10, 1, 5, "pear"), (2, 10, 1, 5, "apple"), (3, 10, 2, 7, None),
+         (4, 20, 1, 2, "fig"), (5, 20, 2, None, None),
+         (6, None, 1, 3, "kiwi"), (7, None, 2, None, "date"),
+         (8, 30, 1, None, None), (9, 30, 1, None, "plum")]))
     return catalog
 
 
@@ -421,6 +429,36 @@ CASES = [
      "ON s.productId = p.productId WHERE p.category = 'A' "
      "EXCEPT ALL SELECT units FROM s.sales WHERE discount > 5",
      False),
+    # -- grouped and global aggregates ----------------------------------
+    ("agg_nulls", build_frames_catalog,
+     # g = NULL is one group; every k of g = 30 is NULL.
+     "SELECT g, COUNT(*), COUNT(k), SUM(k), AVG(k), MIN(k), MAX(k) "
+     "FROM s.m GROUP BY g",
+     False),
+    ("agg_global_empty", build_frames_catalog,
+     "SELECT COUNT(*), COUNT(k), SUM(k), AVG(k), MIN(k), MAX(k) "
+     "FROM s.m WHERE id > 99",
+     False),
+    ("agg_distinct", build_frames_catalog,
+     "SELECT g, COUNT(DISTINCT k), SUM(DISTINCT k), COUNT(k) "
+     "FROM s.m GROUP BY g",
+     False),
+    ("agg_distinct_global", build_frames_catalog,
+     "SELECT COUNT(DISTINCT k), SUM(DISTINCT k), COUNT(*) FROM s.m",
+     False),
+    ("agg_strings", build_frames_catalog,
+     "SELECT h, MIN(name), MAX(name), COUNT(name) FROM s.m GROUP BY h",
+     False),
+    ("agg_two_keys_having", build_frames_catalog,
+     "SELECT g, h, COUNT(*), SUM(k) FROM s.m GROUP BY g, h "
+     "HAVING COUNT(*) > 1",
+     False),
+    ("agg_sales_nulls", build_sales_catalog,
+     # NULL discounts over 1 000 rows: at p=2 a partial/final split.
+     "SELECT productId, COUNT(*), COUNT(discount), SUM(discount), "
+     "AVG(discount), MIN(discount), MAX(units), AVG(units) "
+     "FROM s.sales GROUP BY productId",
+     False),
     # -- joins the batch hash join declines (VectorizedThetaJoin) ------
     ("join_theta", build_hr_catalog,
      "SELECT e.empid, d.dname FROM hr.emps e JOIN hr.depts d "
@@ -442,10 +480,10 @@ CASES = [
     for kind in ("LEFT", "RIGHT", "FULL")
 ]
 
-#: The window, set-op and join subsets additionally run on both worker
-#: backends.
+#: The window, set-op, aggregate and join subsets additionally run on
+#: both worker backends.
 _WORKER_AXIS_CASES = [c for c in CASES
-                      if c[0].startswith(("win_", "setop_", "join_"))]
+                      if c[0].startswith(("win_", "setop_", "agg_", "join_"))]
 
 
 _CATALOG_CACHE = {}

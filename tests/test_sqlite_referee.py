@@ -1,11 +1,11 @@
-"""The window and set-operation cases of the differential suite, refereed
-by stdlib ``sqlite3`` instead of by the row engine.
+"""The window, set-operation and aggregate cases of the differential
+suite, refereed by stdlib ``sqlite3`` instead of by the row engine.
 
 ``test_engine_differential.py`` checks the engines against each other;
 this module checks each of them against an independent implementation.
-Every ``win_*`` and ``setop_*`` case runs on the row engine, the serial
-vectorized engine and, at parallelism 2, on thread and process workers,
-and must return the bag of rows sqlite returns for the same SQL over a
+Every ``win_*``, ``setop_*`` and ``agg_*`` case runs on the row engine,
+the serial vectorized engine and, at parallelism 2, on thread and
+process workers, and must return the bag of rows sqlite returns for the same SQL over a
 copy of the same memory tables.
 
 sqlite has neither ``INTERSECT ALL`` nor ``EXCEPT ALL``: for those the
@@ -35,8 +35,9 @@ from repro.schema.core import MemoryTable
 
 from test_engine_differential import CASES, _parallel_planner, _planners
 
-#: the cases refereed here: every window and set-operation case
-REFEREE_CASES = [c for c in CASES if c[0].startswith(("win_", "setop_"))]
+#: the cases refereed here: every window, set-operation and aggregate case
+REFEREE_CASES = [c for c in CASES
+                 if c[0].startswith(("win_", "setop_", "agg_"))]
 
 _BAG_OPS = {" INTERSECT ALL ": Counter.__and__, " EXCEPT ALL ": Counter.__sub__}
 
