@@ -126,32 +126,14 @@ class SparkJoin(Join, SparkRel):
 
 class SparkAggregate(Aggregate, SparkRel):
     def rdd(self, ctx) -> RDD:
-        from ...runtime.operators import _Accumulator, _execute
-        sc = DEFAULT_SPARK_CONTEXT
-        rows = list(_execute(self.input, ctx))
-        rdd = sc.parallelize(rows)
-        group_set = self.group_set
-        calls = self.agg_calls
-        paired = rdd.key_by(lambda r: tuple(r[g] for g in group_set))
-        grouped = paired.group_by_key()
-
-        def finish(kv):
-            key, members = kv
-            accs = [_Accumulator(c) for c in calls]
-            for row in members:
-                for acc in accs:
-                    acc.add(row)
-            return key + tuple(a.result() for a in accs)
-
-        return grouped.map(finish)
-
-    def execute_rows(self, ctx):
-        rows = self.rdd(ctx).collect()
-        if not rows and not self.group_set:
-            from ...runtime.operators import _Accumulator
-            accs = [_Accumulator(c) for c in self.agg_calls]
-            return [tuple(a.result() for a in accs)]
-        return rows
+        from ...runtime.operators import aggregate_rows
+        # group_by_key's shuffle leaves every group in its one output
+        # partition, which the engines' aggregate then runs over (a
+        # global one over no rows still yields its one row).
+        grouped = _input_rdd(self, ctx).key_by(
+            tuple_getter(self.group_set)).group_by_key()
+        return grouped.map_partitions(lambda groups: aggregate_rows(
+            self, [row for _key, rows in groups for row in rows]))
 
     def compute_self_cost(self, mq) -> RelOptCost:
         in_rows = mq.row_count(self.input)

@@ -17,6 +17,10 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .rex import (
     AGG_KINDS,
+    MAX,
+    MIN,
+    SUM,
+    SUM0,
     RexCall,
     RexInputRef,
     RexLiteral,
@@ -95,6 +99,12 @@ class JoinRelType(enum.Enum):
         return self not in (JoinRelType.SEMI, JoinRelType.ANTI)
 
 
+#: the aggregate that merges partial results of each kind: counts and
+#: sums add up, MIN and MAX compose
+_ROLLUPS = {SqlKind.COUNT: SUM0, SqlKind.SUM: SUM, SqlKind.SUM0: SUM0,
+            SqlKind.MIN: MIN, SqlKind.MAX: MAX}
+
+
 class AggregateCall:
     """One aggregate function application within an Aggregate node."""
 
@@ -122,6 +132,16 @@ class AggregateCall:
 
     def __repr__(self) -> str:
         return self.digest
+
+    def rollup(self) -> Optional[SqlOperator]:
+        """The aggregate that merges partial results of this call
+        (Calcite's ``SqlAggFunction.getRollup``), which parallel
+        partial/final plans, view roll-ups and lattice tiles all use;
+        None where partials do not merge: DISTINCT, FILTER, AVG (which
+        splits into a SUM and a COUNT), COLLECT and SINGLE_VALUE."""
+        if self.distinct or self.filter_arg is not None:
+            return None
+        return _ROLLUPS.get(self.op.kind)
 
     def with_args(self, args: Sequence[int], filter_arg: Optional[int] = None) -> "AggregateCall":
         return AggregateCall(self.op, args, self.distinct, self.name, self.type,

@@ -29,16 +29,29 @@ from ..core.rel import (
 from ..adapters.memory import MemoryTable
 
 
+#: the aggregate each measure kind names
+_MEASURE_OPS = {"SUM": rexmod.SUM, "COUNT": rexmod.COUNT,
+                "MIN": rexmod.MIN, "MAX": rexmod.MAX}
+
+
 class Measure:
     """An aggregate measure over a star-row column: e.g. SUM(units)."""
 
     def __init__(self, agg: str, column: int, name: Optional[str] = None) -> None:
         agg = agg.upper()
-        if agg not in ("SUM", "COUNT", "MIN", "MAX"):
+        if agg not in _MEASURE_OPS:
             raise ValueError(f"unsupported lattice measure {agg}")
         self.agg = agg
         self.column = column
         self.name = name or f"{agg.lower()}_{column}"
+
+    def call(self, star_fields) -> AggregateCall:
+        """The measure as an aggregate call over the star's row."""
+        op = _MEASURE_OPS[self.agg]
+        args = [] if self.agg == "COUNT" else [self.column]
+        return AggregateCall(op, args, False, self.name,
+                             op.return_type([star_fields[a].type
+                                             for a in args]))
 
     def matches(self, call: AggregateCall) -> bool:
         if call.distinct or call.filter_arg is not None:
@@ -94,14 +107,7 @@ class Lattice:
         from ..runtime.operators import execute_to_list
         dims = tuple(sorted(dimensions))
         star_fields = self.star_rel.row_type.fields
-        calls = []
-        for m in self.measures:
-            op = {"SUM": rexmod.SUM, "COUNT": rexmod.COUNT,
-                  "MIN": rexmod.MIN, "MAX": rexmod.MAX}[m.agg]
-            args = [] if m.agg == "COUNT" else [m.column]
-            arg_types = [star_fields[a].type for a in args]
-            calls.append(AggregateCall(op, args, False, m.name,
-                                       op.return_type(arg_types)))
+        calls = [m.call(star_fields) for m in self.measures]
         agg = LogicalAggregate(self.star_rel, list(dims), calls)
         rows = execute_to_list(_force_enumerable(agg))
         table = MemoryTable(
@@ -147,15 +153,10 @@ class Lattice:
         dim_pos = {d: i for i, d in enumerate(tile.dimensions)}
         group = [dim_pos[g] for g in agg.group_set]
         n_dims = len(tile.dimensions)
-        calls: List[AggregateCall] = []
-        for call, pos in zip(agg.agg_calls, measure_pos):
-            measure = self.measures[pos]
-            column = n_dims + pos
-            # COUNT and SUM roll up by summing partials; MIN/MAX compose.
-            rollup_op = {"SUM": rexmod.SUM, "COUNT": rexmod.SUM0,
-                         "MIN": rexmod.MIN, "MAX": rexmod.MAX}[measure.agg]
-            calls.append(AggregateCall(rollup_op, [column], False,
-                                       call.name, call.type))
+        star_fields = self.star_rel.row_type.fields
+        calls = [AggregateCall(self.measures[pos].call(star_fields).rollup(),
+                               [n_dims + pos], False, call.name, call.type)
+                 for call, pos in zip(agg.agg_calls, measure_pos)]
         return LogicalAggregate(scan, group, calls)
 
     def __repr__(self) -> str:

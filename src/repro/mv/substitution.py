@@ -147,10 +147,6 @@ def _unwrap_aggregate(view: RelNode):
     return None, None
 
 
-_ROLLUP_OPS = {"SUM": rexmod.SUM, "COUNT": rexmod.SUM0, "MIN": rexmod.MIN,
-               "MAX": rexmod.MAX, "$SUM0": rexmod.SUM0}
-
-
 def _rollup(query: Aggregate, view: Aggregate, out_map,
             mat: Materialization) -> Optional[RelNode]:
     if query.input.digest != view.input.digest:
@@ -169,9 +165,7 @@ def _rollup(query: Aggregate, view: Aggregate, out_map,
         new_group.append(out_map[view_group_pos[g]])
     new_calls: List[AggregateCall] = []
     for call in query.agg_calls:
-        if call.distinct or call.filter_arg is not None:
-            return None
-        rollup_op = _ROLLUP_OPS.get(call.op.name)
+        rollup_op = call.rollup()
         if rollup_op is None:
             return None
         pos = view_agg_pos.get(call.digest)

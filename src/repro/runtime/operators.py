@@ -23,12 +23,11 @@ compiled once too.
 from __future__ import annotations
 
 import threading as _threading
-from collections import Counter, OrderedDict
+from collections import Counter
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.rel import (
     Aggregate,
-    AggregateCall,
     Converter,
     Correlate,
     Delta,
@@ -503,84 +502,19 @@ def _correlation_names(subquery: RexSubQuery) -> Tuple[str, ...]:
 
 # -- aggregation --------------------------------------------------------------
 
-class _Accumulator:
-    """Accumulates one aggregate call over the rows of a group."""
-
-    def __init__(self, call: AggregateCall) -> None:
-        self.call = call
-        self.kind = call.op.kind
-        self.count = 0
-        self.total: Any = None
-        self.best: Any = None
-        self.items: List[Any] = []
-        self.distinct_seen: set = set()
-
-    def add(self, row: tuple) -> None:
-        call = self.call
-        if call.filter_arg is not None and row[call.filter_arg] is not True:
-            return
-        if not call.args:  # COUNT(*)
-            self.count += 1
-            return
-        values = tuple(row[a] for a in call.args)
-        if any(v is None for v in values):
-            return
-        value = values[0] if len(values) == 1 else values
-        if call.distinct:
-            if value in self.distinct_seen:
-                return
-            self.distinct_seen.add(value)
-        self.count += 1
-        kind = self.kind
-        if kind in (SqlKind.SUM, SqlKind.SUM0, SqlKind.AVG):
-            self.total = value if self.total is None else self.total + value
-        elif kind is SqlKind.MIN:
-            self.best = value if self.best is None else min(self.best, value)
-        elif kind is SqlKind.MAX:
-            self.best = value if self.best is None else max(self.best, value)
-        elif kind in (SqlKind.COLLECT, SqlKind.SINGLE_VALUE):
-            self.items.append(value)
-
-    def result(self) -> Any:
-        kind = self.kind
-        if kind is SqlKind.COUNT:
-            return self.count
-        if kind is SqlKind.SUM:
-            return self.total
-        if kind is SqlKind.SUM0:
-            return self.total if self.total is not None else 0
-        if kind is SqlKind.AVG:
-            if self.count == 0:
-                return None
-            return self.total / self.count
-        if kind in (SqlKind.MIN, SqlKind.MAX):
-            return self.best
-        if kind is SqlKind.COLLECT:
-            return list(self.items)
-        if kind is SqlKind.SINGLE_VALUE:
-            if len(self.items) > 1:
-                raise RexExecutionError("SINGLE_VALUE saw more than one row")
-            return self.items[0] if self.items else None
-        raise RexExecutionError(f"unsupported aggregate {self.call.op.name}")
-
-
 def _aggregate(rel: Aggregate, ctx: ExecutionContext) -> Iterator[tuple]:
-    groups: "OrderedDict[tuple, List[_Accumulator]]" = OrderedDict()
-    group_set = rel.group_set
-    group_key = tuple_getter(group_set)
-    for row in _execute(rel.input, ctx):
-        key = group_key(row)
-        if key not in groups:
-            groups[key] = [_Accumulator(c) for c in rel.agg_calls]
-        for acc in groups[key]:
-            acc.add(row)
-    if not groups and not group_set:
-        # Global aggregate over empty input still yields one row.
-        accs = [_Accumulator(c) for c in rel.agg_calls]
-        yield tuple(a.result() for a in accs)
-        return
-    for key, accs in groups.items():
-        yield key + tuple(a.result() for a in accs)
+    yield from aggregate_rows(rel, list(_execute(rel.input, ctx)))
+
+
+def aggregate_rows(rel: Aggregate, rows: List[tuple]) -> List[tuple]:
+    """The aggregate (:mod:`.vectorized.aggregate`) over ``rows`` as list
+    columns."""
+    from .vectorized.aggregate import aggregate_columns
+    columns = (list(map(list, zip(*rows))) if rows else
+               [[] for _ in range(rel.input.row_type.field_count)])
+    out, n_groups = aggregate_columns(columns, len(rows), rel.group_set,
+                                      rel.agg_calls)
+    return list(zip(*out)) if out else [()] * n_groups
 
 
 def _sort(rel: Sort, ctx: ExecutionContext) -> Iterator[tuple]:

@@ -21,9 +21,9 @@ tuples, matching the row engine's representation exactly) only at the
 engine boundary — the plan root, the ``RowToBatch`` bridge and
 row-only sources, which :func:`batches_from_rows` pivots — or for
 operators that are inherently row-oriented (sorting, distinct set
-operations, generic accumulators).  Materialising a selected batch
-gathers each column through the selection once, turns each array into
-built-in values with one ``tolist()``, and zips the results.
+operations).  Materialising a selected batch gathers each column
+through the selection once, turns each array into built-in values with
+one ``tolist()``, and zips the results.
 """
 
 from __future__ import annotations

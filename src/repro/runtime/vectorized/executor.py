@@ -3,38 +3,37 @@
 The columnar twin of :mod:`repro.runtime.operators`: where the row
 runtime interprets one tuple at a time, :func:`execute_batches` streams
 :class:`ColumnBatch` values through the plan.  Per-operator semantics
-(NULL handling, join matching, aggregate accumulation order, sort
-stability) deliberately mirror the row engine so the two engines are
-differentially testable against each other.
+(NULL handling, join matching, sort stability) deliberately mirror the
+row engine so the two engines are differentially testable against each
+other.
 
 Pipelining operators (scan / filter / project / the probe side of a
 hash join) stream batches; blocking operators (aggregate, sort, window,
 the build side of a hash join) gather their input into one batch first.
 The joins the hash join declines, INTERSECT and EXCEPT keep one
-definition, the row engine's, and rebatch its rows.
+definition, the row engine's, and rebatch its rows; aggregates and
+windows have one definition over columns (:mod:`.aggregate`,
+:mod:`.window`), which the row engine runs over its rows.
 
 Over typed (int64) columns (:mod:`.typed`) the filter selects through
-a mask, the inner hash join on one int64 key probes a sorted build
-side, and grouping and the COUNT/SUM/SUM0/AVG/MIN/MAX accumulators are
-array reductions; each is a branch of the operator's own function,
-taken only when its inputs are arrays, with the list branch kept as the
-path for every other column.
+a mask and the inner hash join on one int64 key probes a sorted build
+side; each is a branch of the operator's own function, taken only when
+its inputs are arrays, with the list branch kept as the path for every
+other column.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import Counter
 from itertools import compress, count, repeat
 from operator import is_
 from typing import Any, Dict, Iterator, List, Optional
 
-from ...core.rel import AggregateCall, JoinRelType, RelNode
-from ...core.rex import RexInputRef, SqlKind
+from ...core.rel import JoinRelType, RelNode
+from ...core.rex import RexInputRef
 from ...core.rex_eval import EvalContext
 from ..operators import (
     ExecutionContext,
-    _Accumulator,
     _execute,
     _intersect as row_intersect,
     _join as row_join,
@@ -51,6 +50,7 @@ from .batch import (
     is_array,
     pylist,
 )
+from .aggregate import aggregate_columns
 from .exchange import Exchange, InjectedStream, SingletonExchange
 from .partitioned import PartitionedScan, PartitionedTableScan
 from .expr import Frame, Scalar, as_column, compile_rex
@@ -316,141 +316,11 @@ def _join_keys(columns: List[Any], keys: List[int]):
 
 # -- aggregation --------------------------------------------------------------
 
-#: Aggregate kinds with a columnar accumulation fast path.
-_FAST_AGG_KINDS = {SqlKind.COUNT, SqlKind.SUM, SqlKind.SUM0, SqlKind.AVG,
-                   SqlKind.MIN, SqlKind.MAX}
-
-
-def _fast_path(call: AggregateCall) -> bool:
-    return (call.op.kind in _FAST_AGG_KINDS and not call.distinct
-            and call.filter_arg is None and len(call.args) <= 1)
-
-
-def _accumulate_fast(call: AggregateCall, column: Optional[Any],
-                     group_ids: Any, n_groups: int) -> List[Any]:
-    """Columnar accumulation for one aggregate call across all groups.
-
-    Over a typed column (or COUNT(*)) with typed group ids this is an
-    array reduction (:func:`.typed.accumulate`), which declines where
-    int64 could overflow; otherwise it is the loop below.  Either way accumulation order is row order within
-    each group — identical to the row engine, so float sums agree
-    bit-for-bit.
-    """
-    kind = call.op.kind
-    if is_array(group_ids) and (column is None or is_array(column)):
-        from . import typed
-        out = typed.accumulate(kind, column, group_ids, n_groups)
-        if out is not None:
-            return out
-    group_ids = pylist(group_ids)
-    if column is None:
-        # COUNT(*): group ids are numbered in first-seen order, which is
-        # also the order Counter keeps them in.
-        return list(Counter(group_ids).values())
-    column = pylist(column)
-    counts = [0] * n_groups
-    if kind is SqlKind.COUNT:
-        for g, v in zip(group_ids, column):
-            if v is not None:
-                counts[g] += 1
-        return counts
-    if kind in (SqlKind.SUM, SqlKind.SUM0, SqlKind.AVG):
-        totals: List[Any] = [None] * n_groups
-        for g, v in zip(group_ids, column):
-            if v is None:
-                continue
-            counts[g] += 1
-            totals[g] = v if totals[g] is None else totals[g] + v
-        if kind is SqlKind.SUM:
-            return totals
-        if kind is SqlKind.SUM0:
-            return [t if t is not None else 0 for t in totals]
-        return [None if c == 0 else t / c for t, c in zip(totals, counts)]
-    best: List[Any] = [None] * n_groups
-    if kind is SqlKind.MIN:
-        for g, v in zip(group_ids, column):
-            if v is not None:
-                best[g] = v if best[g] is None else min(best[g], v)
-        return best
-    # MAX
-    for g, v in zip(group_ids, column):
-        if v is not None:
-            best[g] = v if best[g] is None else max(best[g], v)
-    return best
-
-
 def _aggregate(rel: VectorizedAggregate, ctx: ExecutionContext,
                batch_size: int) -> Iterator[ColumnBatch]:
     batch = _gather_input(rel.input, ctx, batch_size)
-    n = batch.num_rows
-    group_set = rel.group_set
-    out_fields = rel.row_type.field_count
-
-    if n == 0:
-        if not group_set:
-            # Global aggregate over empty input still yields one row.
-            accs = [_Accumulator(c) for c in rel.agg_calls]
-            row = tuple(a.result() for a in accs)
-            yield ColumnBatch.from_rows([row], out_fields)
-        else:
-            yield ColumnBatch.empty(out_fields)
-        return
-
-    # Group identification: ids in first-seen order, matching the row
-    # engine's OrderedDict iteration.
-    key_cols = [batch.columns[g] for g in group_set]
-    typed_groups = None
-    if key_cols and all(map(is_array, key_cols)):
-        from . import typed
-        typed_groups = typed.group_ids(key_cols)
-    group_ids: Any
-    if typed_groups is not None:
-        group_ids, n_groups, firsts = typed_groups
-        result_cols: List[Any] = [col.take(firsts).tolist()
-                                  for col in key_cols]
-    elif not key_cols:
-        group_ids = [0] * n
-        if any(is_array(batch.columns[c.args[0]]) for c in rel.agg_calls
-               if c.args):
-            from . import typed
-            group_ids = typed.zeros(n)
-        result_cols = []
-    elif len(key_cols) == 1:
-        col = pylist(key_cols[0])
-        # dict.fromkeys and the map run in C; a key equal to an earlier
-        # one (1 and 1.0) joins its group, as a dict lookup does.
-        gid = dict(zip(dict.fromkeys(col), count()))
-        group_ids = list(map(gid.__getitem__, col))
-        result_cols = [list(gid)]
-    else:
-        group_ids = [0] * n
-        groups: Dict[tuple, int] = {}
-        for i, key in enumerate(zip(*map(pylist, key_cols))):
-            g = groups.get(key)
-            if g is None:
-                g = groups[key] = len(groups)
-            group_ids[i] = g
-        result_cols = [list(c) for c in zip(*groups)]
-    if typed_groups is None:
-        n_groups = len(result_cols[0]) if result_cols else 1
-
-    rows: Optional[List[tuple]] = None  # lazily built for generic calls
-    for call in rel.agg_calls:
-        if _fast_path(call):
-            column = batch.columns[call.args[0]] if call.args else None
-            result_cols.append(
-                _accumulate_fast(call, column, group_ids, n_groups))
-        else:
-            # Generic path: feed the row engine's accumulator row by row
-            # (DISTINCT, FILTER, COLLECT, SINGLE_VALUE, multi-arg calls).
-            if rows is None:
-                rows = batch.to_rows()
-            accs = [_Accumulator(call) for _ in range(n_groups)]
-            for i, g in enumerate(pylist(group_ids)):
-                accs[g].add(rows[i])
-            result_cols.append([a.result() for a in accs])
-
-    yield ColumnBatch(result_cols, n_groups)
+    yield ColumnBatch(*aggregate_columns(batch.columns, batch.num_rows,
+                                         rel.group_set, rel.agg_calls))
 
 
 #: Bound under which a LIMIT with a collation uses the top-N heap

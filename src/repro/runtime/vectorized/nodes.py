@@ -132,7 +132,8 @@ class VectorizedThetaJoin(VectorizedRel, Join):
 
 
 class VectorizedAggregate(VectorizedRel, Aggregate):
-    """Hash aggregation with columnar accumulation fast paths."""
+    """Hash aggregation: the input gathered into one batch, then
+    :func:`.aggregate.aggregate_columns`."""
 
     def compute_self_cost(self, mq) -> RelOptCost:
         rows = mq.row_count(self)

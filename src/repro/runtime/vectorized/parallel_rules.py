@@ -81,7 +81,7 @@ _VEC_TRAITS = RelTraitSet(Convention.VECTORIZED)
 DEFAULT_BROADCAST_THRESHOLD = 32.0
 
 # The final stage of a decomposed AVG: SUM(sums) / SUM0(counts) using
-# Python true division, matching the row engine's accumulator exactly
+# Python true division, matching the one-phase AVG exactly
 # (rex DIVIDE keeps exact integer quotients integral, which AVG must
 # not).  NULL propagation comes from the registered-function calling
 # convention: a NULL total (no non-null inputs) yields NULL.
@@ -102,20 +102,12 @@ _BROADCAST = _Dist("BROADCAST")
 
 
 def _decomposable(call: AggregateCall) -> bool:
-    return (call.op.kind in (SqlKind.COUNT, SqlKind.SUM, SqlKind.SUM0,
-                             SqlKind.AVG, SqlKind.MIN, SqlKind.MAX)
-            and not call.distinct and call.filter_arg is None
-            and len(call.args) <= 1)
-
-
-#: final-stage operator for each decomposable partial (AVG is special).
-_FINAL_OPS = {
-    SqlKind.COUNT: rexmod.SUM0,  # counts add up
-    SqlKind.SUM: rexmod.SUM,
-    SqlKind.SUM0: rexmod.SUM0,
-    SqlKind.MIN: rexmod.MIN,
-    SqlKind.MAX: rexmod.MAX,
-}
+    """Partials of ``call`` merge: it has a roll-up, or it is an AVG whose
+    SUM and COUNT partials do."""
+    if call.op.kind is SqlKind.AVG:
+        call = AggregateCall(rexmod.SUM, call.args, call.distinct,
+                             filter_arg=call.filter_arg)
+    return call.rollup() is not None
 
 
 class ExchangeInsertionRules:
@@ -354,7 +346,7 @@ class ExchangeInsertionRules:
                 call.op, call.args, name=call.name, type_=call.type))
             post.append(("ref", len(finals)))
             finals.append(AggregateCall(
-                _FINAL_OPS[call.op.kind], [partial_pos], name=call.name,
+                call.rollup(), [partial_pos], name=call.name,
                 type_=call.type))
         return partials, finals, post
 

@@ -19,9 +19,9 @@ columnar copy for a vectorized scan.
 
 Each kernel here is the typed branch of an operator whose list branch
 stays the path for every other column (see the callers in :mod:`.expr`,
-:mod:`.executor` and :mod:`.window`).  Where numpy could disagree with
-Python arithmetic the kernel declines by returning ``None`` and the
-caller takes its list branch instead:
+:mod:`.executor`, :mod:`.aggregate` and :mod:`.window`).  Where numpy
+could disagree with Python arithmetic the kernel declines by returning
+``None`` and the caller takes its list branch instead:
 
 * int64 sums are taken only when no partial sum can leave int64, so
   nothing ever wraps;

@@ -690,6 +690,10 @@ class SqlToRelConverter:
         op = rexmod.OPERATORS.lookup(node.name)
         if op is None:
             raise ValidationError(f"unknown window function {node.name}")
+        if node.distinct:
+            # The window kernels fold every row of the frame.
+            raise ValidationError(
+                f"DISTINCT is not supported in windowed {node.name}")
         operands = [] if node.star else [
             self._convert_expr(o, scope) for o in node.operands]
         spec = node.over

@@ -92,6 +92,40 @@ class TestSparkAdapter:
         assert "SparkAggregate" in best.explain()
         assert sorted(execute_to_list(best)) == [(10, 3), (20, 1), (30, 1)]
 
+    @staticmethod
+    def _spark_and_row_bags(rel):
+        """The bag of rows ``rel`` returns planned in the spark
+        convention, and the bag the row engine returns."""
+        from collections import Counter
+        from repro.core.volcano import VolcanoPlanner
+        from repro.runtime.nodes import EnumerableTableScanRule
+        from repro.runtime.operators import execute_to_list
+        planner = VolcanoPlanner(rules=[EnumerableTableScanRule()] + spark_rules())
+        best = planner.optimize(rel)
+        assert "SparkAggregate" in best.explain()
+        return Counter(execute_to_list(best)), Counter(execute_to_list(rel))
+
+    def test_spark_global_aggregate_over_empty_input(self, catalog):
+        b = RelBuilder(catalog)
+        b.scan("hr", "emps")
+        b.filter(b.greater_than(b.field("sal"), b.literal(99999)))
+        rel = b.aggregate(b.group_key(), b.count_star("c"),
+                          b.sum(False, "s", b.field("sal")),
+                          b.min("m", b.field("name"))).build()
+        spark, row = self._spark_and_row_bags(rel)
+        assert spark == row == {(0, None, None): 1}
+
+    def test_spark_distinct_aggregate(self, catalog):
+        b = RelBuilder(catalog)
+        b.scan("hr", "emps")
+        rel = b.aggregate(b.group_key("deptno"),
+                          b.count(True, "d", b.field("commission")),
+                          b.sum(True, "s", b.field("deptno")),
+                          b.count_star("c")).build()
+        spark, row = self._spark_and_row_bags(rel)
+        assert spark == row == {(10, 2, 10, 3): 1, (20, 1, 20, 1): 1,
+                                (30, 1, 30, 1): 1}
+
     def test_spark_jobs_counted(self, catalog):
         from repro.adapters.spark import DEFAULT_SPARK_CONTEXT
         from repro.core.volcano import VolcanoPlanner

@@ -459,6 +459,11 @@ CASES = [
      "AVG(discount), MIN(discount), MAX(units), AVG(units) "
      "FROM s.sales GROUP BY productId",
      False),
+    ("count_two_args", build_frames_catalog,
+     # sqlite has no two-argument COUNT, so no referee: at p=2 the
+     # counts split into per-partition counts and their sum.
+     "SELECT COUNT(k, name), COUNT(g, h) FROM s.m",
+     False),
     # -- joins the batch hash join declines (VectorizedThetaJoin) ------
     ("join_theta", build_hr_catalog,
      "SELECT e.empid, d.dname FROM hr.emps e JOIN hr.depts d "
@@ -831,6 +836,19 @@ def test_unimplemented_window_kind_fails_alike_on_both_engines(engine):
     with pytest.raises(RexExecutionError, match="COLLECT not supported"):
         planner.execute("SELECT empid, COLLECT(sal) OVER "
                         "(PARTITION BY deptno) FROM hr.emps")
+
+
+@pytest.mark.parametrize("engine", ["row", "vectorized"])
+def test_windowed_distinct_is_rejected_on_both_engines(engine):
+    """The window kernels fold every row of the frame, so a windowed
+    DISTINCT would count the repeated k = 5 of g = 10 twice (3, where
+    the distinct count is 2): the validator refuses it."""
+    from repro.sql.to_rel import ValidationError
+    row_planner, vec_planner = _planners(build_frames_catalog)
+    planner = row_planner if engine == "row" else vec_planner
+    with pytest.raises(ValidationError, match="DISTINCT"):
+        planner.execute("SELECT id, COUNT(DISTINCT k) OVER "
+                        "(PARTITION BY g) FROM s.t")
 
 
 # -- EXTRACT over DATE, TIMESTAMP and NULL ------------------------------------

@@ -2,8 +2,8 @@
 
 * The row engine never loads numpy: a fresh interpreter imports
   ``repro`` and runs the served key-lookup shapes, prepared and
-  re-executed on the default engine, and a running window, without
-  numpy in ``sys.modules``; one vectorized statement over a memory
+  re-executed on the default engine, a running window and a grouped
+  aggregate with a DISTINCT call, without numpy in ``sys.modules``; one vectorized statement over a memory
   table then loads it.
 * Every value fetched through a cursor is a built-in ``int``, ``float``,
   ``str`` or ``None`` — never a numpy scalar, which compares and hashes
@@ -97,12 +97,20 @@ ANALYTIC = [
     "WHERE chunk_no = 0",
 ]
 
+#: a grouped aggregate with every typed kind and a DISTINCT call
+ROW_AGGREGATE = (
+    "SELECT chunktype_id, COUNT(*) AS n, SUM(chunklength) AS s, "
+    "AVG(chunklength) AS a, MIN(chunklength) AS lo, "
+    "MAX(chunklength) AS hi, COUNT(DISTINCT document_id) AS d "
+    "FROM lib.chunks GROUP BY chunktype_id")
+
 NO_NUMPY_SCRIPT = CATALOG_SOURCE + r'''
 import json, sys
 from repro.avatica import QueryServer
 
 SERVED = %r
 ROW_WINDOW = %r
+ROW_AGGREGATE = %r
 loaded = {"import": "numpy" in sys.modules}
 server = QueryServer()
 server.register_catalog("lib", library(300))
@@ -119,6 +127,8 @@ for sql in SERVED:
 cursor = connection.cursor()
 cursor.execute(ROW_WINDOW)  # the window kernels over list columns
 cursor.fetchall()
+cursor.execute(ROW_AGGREGATE)  # the aggregate routine over list columns
+cursor.fetchall()
 loaded["row"] = "numpy" in sys.modules
 vectorized = QueryServer(engine="vectorized")
 vectorized.register_catalog("lib", library(300))
@@ -134,7 +144,8 @@ def test_the_row_engine_never_loads_numpy():
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     out = subprocess.run(
-        [sys.executable, "-c", NO_NUMPY_SCRIPT % (SERVED, ANALYTIC[2])],
+        [sys.executable, "-c",
+         NO_NUMPY_SCRIPT % (SERVED, ANALYTIC[2], ROW_AGGREGATE)],
         env=env,
         capture_output=True, text=True, timeout=120, check=True)
     loaded = json.loads(out.stdout.strip().splitlines()[-1])
