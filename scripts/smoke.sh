@@ -40,10 +40,10 @@ fi
 leg tier-1 python -m pytest -x -q ${MARKER_ARGS[@]+"${MARKER_ARGS[@]}"}
 
 # Cross-engine gates: row and vectorized engines must agree everywhere,
-# the window and set-operation cases must agree with sqlite3, typed
-# (numpy) column kernels must agree with the list kernels and the row
-# engine, and the vectorized engine must win the scan+filter+aggregate
-# bench.
+# the window, set-operation and aggregate cases must agree with
+# sqlite3, typed (numpy) column kernels must agree with the list
+# kernels and the row engine, and the vectorized engine must win the
+# scan+filter+aggregate bench.
 leg cross-engine python -m pytest -q -m "$CROSS_ENGINE_MARKER" \
     tests/test_engine_differential.py \
     tests/test_sqlite_referee.py \
