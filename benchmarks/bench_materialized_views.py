@@ -26,14 +26,14 @@ QUERIES = [
 ]
 
 
-def _with_lattice(catalog):
+def _with_lattice(catalog, planner):
     schema = catalog.resolve_schema(["star"])
     scan = LogicalTableScan(catalog.resolve_table(["star", "facts"]))
     lattice = Lattice("facts_lat", scan, dimension_columns=[1, 2, 3],
                       measures=[Measure("SUM", 4), Measure("COUNT", 4, "cnt")])
-    lattice.materialize_tile([1, 2, 3])
-    lattice.materialize_tile([2, 3])
-    lattice.materialize_tile([3])
+    lattice.materialize_tile(planner, [1, 2, 3])
+    lattice.materialize_tile(planner, [2, 3])
+    lattice.materialize_tile(planner, [3])
     schema.lattices.append(lattice)
     return lattice
 
@@ -44,7 +44,7 @@ def _with_materialization(catalog, planner):
         "SELECT region, customer, SUM(amount) AS s, COUNT(*) AS c "
         "FROM star.facts GROUP BY region, customer")
     schema.materializations.append(
-        Materialization.create("facts_rc", view, ("star", "facts_rc")))
+        Materialization.create(planner, "facts_rc", view, ("star", "facts_rc")))
 
 
 def _run_all(planner):
@@ -64,8 +64,8 @@ def test_mv_and_lattice_latency_shape():
     t_mv, rows_mv = _run_all(mv_planner)
 
     lat_catalog = make_star_catalog(n_rows=8000)
-    lattice = _with_lattice(lat_catalog)
     lat_planner = Planner(FrameworkConfig(lat_catalog))
+    lattice = _with_lattice(lat_catalog, lat_planner)
     t_lat, rows_lat = _run_all(lat_planner)
 
     # correctness first: all three strategies agree
@@ -86,8 +86,8 @@ def test_mv_and_lattice_latency_shape():
 
 def test_lattice_matching_rate():
     catalog = make_star_catalog(n_rows=2000)
-    lattice = _with_lattice(catalog)
     planner = Planner(FrameworkConfig(catalog))
+    lattice = _with_lattice(catalog, planner)
     matched = 0
     for q in QUERIES:
         result = planner.execute(q)
@@ -117,8 +117,8 @@ def bench_aggregate_with_mv(benchmark):
 
 def bench_aggregate_with_lattice(benchmark):
     catalog = make_star_catalog(n_rows=8000)
-    _with_lattice(catalog)
     planner = Planner(FrameworkConfig(catalog))
+    _with_lattice(catalog, planner)
     q = QUERIES[0]
     rows = benchmark(lambda: planner.execute(q).rows)
     assert rows

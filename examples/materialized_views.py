@@ -43,7 +43,7 @@ def main() -> None:
     view = planner.rel("SELECT product, region, SUM(units) AS su, "
                        "COUNT(*) AS c FROM sales.orders GROUP BY product, region")
     sales.materializations.append(
-        Materialization.create("orders_cube", view, ("sales", "orders_cube")))
+        Materialization.create(planner, "orders_cube", view, ("sales", "orders_cube")))
     t0 = time.perf_counter()
     with_mv = planner.execute(query)
     mv_time = time.perf_counter() - t0
@@ -57,8 +57,8 @@ def main() -> None:
     scan = LogicalTableScan(catalog.resolve_table(["sales", "orders"]))
     lattice = Lattice("star", scan, dimension_columns=[1, 2],
                       measures=[Measure("SUM", 3), Measure("COUNT", 3, "cnt")])
-    lattice.materialize_tile([1, 2])
-    lattice.materialize_tile([2])
+    lattice.materialize_tile(planner, [1, 2])
+    lattice.materialize_tile(planner, [2])
     sales.lattices.append(lattice)
     t0 = time.perf_counter()
     with_tile = planner.execute(query)

@@ -327,7 +327,8 @@ class PreparedStatement:
 
     Holds on to its :class:`~repro.framework.PreparedPlan` so repeat
     executions skip even the cache lookup; the plan is re-prepared
-    (through the cache) only when the catalog version moves.
+    (through the cache) only when the catalog version moves or a view
+    or tile the plan reads goes stale.
     """
 
     def __init__(self, connection: "Connection", sql: str) -> None:
@@ -358,9 +359,11 @@ class PreparedStatement:
                 f"statement takes {self.parameter_count} parameter(s), "
                 f"got {len(parameters)}")
         version = self.connection._planner.catalog.version
-        if version != self._version:
-            # Catalog changed under us: re-prepare (the plan cache has
-            # already invalidated the superseded entry).
+        prepared = self._prepared
+        if version != self._version or (prepared.views
+                                         and prepared.is_stale()):
+            # Catalog changed under us, or a view the plan reads fell
+            # behind its tables: re-prepare through the plan cache.
             self._prepared, self._initial_hit = \
                 self.connection._prepare(self.sql)
             self._version = version

@@ -276,6 +276,21 @@ class LogicalTableScan(TableScan):
     pass
 
 
+def scanned_sources(rel: RelNode) -> List[Any]:
+    """The distinct ``table.source`` of every :class:`TableScan` in
+    ``rel``, in pre-order."""
+    out: List[Any] = []
+
+    def walk(node: RelNode) -> None:
+        if isinstance(node, TableScan) and node.table.source not in out:
+            out.append(node.table.source)
+        for child in node.inputs:
+            walk(child)
+
+    walk(rel)
+    return out
+
+
 class Filter(RelNode):
     """Keep rows for which ``condition`` evaluates to TRUE."""
 

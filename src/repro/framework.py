@@ -6,6 +6,14 @@
 skip straight to :meth:`Planner.optimize` with an operator tree built
 via :class:`repro.core.builder.RelBuilder`.
 
+Optimization is one program, :attr:`Planner.phases`: named ``rel ->
+rel`` phases (``hep``, ``materializations``, ``volcano``, then ``trim``
+and ``exchanges`` where the engine needs them) built once per planner
+from its config.  Everything that plans goes through it: SQL
+statements, materialized-view and lattice-tile builds, and STREAM
+statements, which then run through :meth:`Planner.bind` with the
+statement's deadline, cancellation and retry policy.
+
 Two built-in execution engines are available, selected by
 ``FrameworkConfig(engine=...)``:
 
@@ -46,7 +54,7 @@ from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 from .core.hep import HepMatchOrder, HepPlanner, HepProgram
 from .core.metadata import MetadataProvider, RelMetadataQuery
-from .core.rel import RelNode
+from .core.rel import RelNode, scanned_sources
 from .core.rule import RelOptRule
 from .core.rules import (
     join_reorder_rules,
@@ -63,7 +71,8 @@ from .runtime.nodes import EnumerableKeyLookupRule, enumerable_rules
 from .runtime.operators import ExecutionContext, execute
 from .runtime.vectorized import vectorized_rules
 from .runtime.vectorized.batch import DEFAULT_BATCH_SIZE
-from .runtime.vectorized.parallel_rules import DEFAULT_BROADCAST_THRESHOLD
+from .runtime.vectorized.parallel_rules import (
+    DEFAULT_BROADCAST_THRESHOLD, insert_exchanges)
 from .runtime.vectorized.trim import trim_fields
 from .schema.core import Catalog
 from .sql.parser import parse
@@ -184,7 +193,7 @@ class Planner:
     ``Planner.execute(sql, params)`` is split into two halves with a
     reuse boundary between them:
 
-    * :meth:`prepare` — parse → validate → Hep → Volcano, producing a
+    * :meth:`prepare` — parse → validate → :attr:`phases`, producing a
       parameter-independent :class:`PreparedPlan`.  This half is
       cacheable and, with ``config.plan_cache`` on, is served from an
       LRU keyed on normalized SQL + catalog version.
@@ -239,6 +248,17 @@ class Planner:
         #: shared server-wide when opened through a QueryServer
         self.breakers = breakers
         self._seen_catalog_version = self.catalog.version
+        #: :meth:`optimize`'s program (Section 6): named ``rel -> rel``
+        #: phases, run in order.  They are held unbound: bound methods
+        #: kept on the planner would make every planner cyclic garbage.
+        cls = type(self)
+        self.phases = [("hep", cls.rewrite_with_hep),
+                       ("materializations", cls.apply_materializations),
+                       ("volcano", cls.optimize_with_volcano)]
+        if config.engine == "vectorized":
+            self.phases.append(("trim", cls._trim))
+        if config.parallelism > 1:
+            self.phases.append(("exchanges", cls._insert_exchanges))
 
     # -- stage 1: parse ---------------------------------------------------
     def parse(self, sql: str):
@@ -251,32 +271,14 @@ class Planner:
     # -- stage 3: optimize ---------------------------------------------------
     def optimize(self, rel: RelNode,
                  required: Optional[RelTraitSet] = None) -> RelNode:
-        """Multi-stage optimization (Section 6's "planner programs").
-
-        Stage A rewrites with the exhaustive Hep engine (expression
-        reduction, empty-branch pruning, filter pushdown) — cheap,
-        always-good rewrites.  Stage B runs the Volcano engine with the
-        full rule set (including adapter conversion rules) to pick the
-        cheapest physical plan.  A vectorized plan then has its join
-        inputs narrowed to the fields read above them
-        (:mod:`repro.runtime.vectorized.trim`; inside the adapter's
-        query where its backend pushes projections) and, with
-        parallelism, gets its exchanges.
+        """Run :attr:`phases` over ``rel`` (Section 6's "planner programs"):
+        cheap, always-good Hep rewrites, view and tile substitution, the
+        cost-based Volcano search (the one phase given the ``required``
+        root traits), then a vectorized plan's trimming and exchanges.
         """
-        rel = self.rewrite_with_hep(rel)
-        rel = self.apply_materializations(rel)
-        rel = self.optimize_with_volcano(rel, required)
-        if self.config.engine != "vectorized":
-            return rel
-        rel = trim_fields(rel, [
-            rule for rule in self.catalog.all_rules() + self.config.rules
-            if isinstance(rule, PushRule) and rule.op == "project"])
-        if self.config.parallelism > 1:
-            from .runtime.vectorized.parallel_rules import insert_exchanges
-            rel = insert_exchanges(
-                rel, self.config.parallelism, mq=self._mq(),
-                broadcast_threshold=self.config.broadcast_join_threshold,
-                partitioned_scans=self.config.partitioned_scans)
+        for name, phase in self.phases:
+            rel = (phase(self, rel, required) if name == "volcano"
+                   else phase(self, rel))
         return rel
 
     def rewrite_with_hep(self, rel: RelNode) -> RelNode:
@@ -313,6 +315,19 @@ class Planner:
             distribution_enforcer=self._distribution_enforcer())
         self.last_volcano = planner
         return planner.optimize(rel, required or self.required_traits())
+
+    def _trim(self, rel: RelNode) -> RelNode:
+        """Narrow join inputs to the fields read above them
+        (:mod:`repro.runtime.vectorized.trim`)."""
+        return trim_fields(rel, [
+            rule for rule in self.catalog.all_rules() + self.config.rules
+            if isinstance(rule, PushRule) and rule.op == "project"])
+
+    def _insert_exchanges(self, rel: RelNode) -> RelNode:
+        return insert_exchanges(
+            rel, self.config.parallelism, mq=self._mq(),
+            broadcast_threshold=self.config.broadcast_join_threshold,
+            partitioned_scans=self.config.partitioned_scans)
 
     def _distribution_enforcer(self):
         """Root distribution enforcement for parallel vectorized plans."""
@@ -428,7 +443,8 @@ class Planner:
             self._seen_catalog_version = version
         key = self.cache_key(sql)
         prepared = cache.get(key)
-        if prepared is not None:
+        if prepared is not None and not (prepared.views
+                                         and prepared.is_stale()):
             return prepared, True
         prepared = self._plan(sql, key)
         cache.put(key, prepared)
@@ -437,15 +453,23 @@ class Planner:
     def _plan(self, sql: str, key: Optional[Tuple]) -> "PreparedPlan":
         from .sql.lexer import SqlLexError, tokenize
         logical = self.rel(sql)
-        physical = self.optimize(logical)
         try:
             n_params = sum(1 for t in tokenize(sql)
                            if t.kind == "OP" and t.value == "?")
         except SqlLexError:  # pragma: no cover - rel() would have raised
             n_params = 0
+        return self.prepare_rel(logical, sql, n_params, key)
+
+    def prepare_rel(self, rel: RelNode, sql: str = "",
+                    parameter_count: int = 0,
+                    key: Optional[Tuple] = None) -> "PreparedPlan":
+        """Optimize a logical tree into an (uncached) :class:`PreparedPlan`."""
+        physical = self.optimize(rel)
         return PreparedPlan(sql, physical,
                             list(physical.row_type.field_names),
-                            parameter_count=n_params, key=key)
+                            parameter_count=parameter_count, key=key,
+                            views=[t for t in scanned_sources(physical)
+                                   if getattr(t, "built_from", ())])
 
     # -- stage 5: bind + execute ----------------------------------------------
     def execution_context(self, parameters: Sequence[Any] = (),
@@ -497,12 +521,9 @@ class Planner:
     def execute(self, rel_or_sql, parameters: Sequence[Any] = ()) -> "Result":
         if isinstance(rel_or_sql, str):
             prepared, hit = self._prepare(rel_or_sql)
-            return self.execute_plan(prepared, parameters, cache_hit=hit)
-        physical = self.optimize(rel_or_sql)
-        ctx = self.execution_context(parameters)
-        rows = list(execute(physical, ctx))
-        ctx.rows_emitted = len(rows)
-        return Result(rows, list(physical.row_type.field_names), physical, ctx)
+        else:
+            prepared, hit = self.prepare_rel(rel_or_sql), False
+        return self.execute_plan(prepared, parameters, cache_hit=hit)
 
 
 class PreparedPlan:
@@ -514,7 +535,8 @@ class PreparedPlan:
     """
 
     def __init__(self, sql: str, plan: RelNode, columns: List[str],
-                 parameter_count: int = 0, key: Optional[Tuple] = None) -> None:
+                 parameter_count: int = 0, key: Optional[Tuple] = None,
+                 views: Sequence[Any] = ()) -> None:
         self.sql = sql
         self.plan = plan
         self.columns = columns
@@ -522,8 +544,17 @@ class PreparedPlan:
         self.parameter_count = parameter_count
         #: the plan-cache key this plan was stored under (None: uncached)
         self.key = key
+        #: backing tables (non-empty ``built_from``) of the views and
+        #: tiles the plan reads; empty for most plans, so reusing them
+        #: checks nothing
+        self.views = list(views)
         #: times this plan has been bound for execution
         self.executions = 0
+
+    def is_stale(self) -> bool:
+        """True when a view or tile the plan reads has fallen behind
+        the tables it was built from: the plan must be re-planned."""
+        return any(table.is_stale() for table in self.views)
 
     def explain(self) -> str:
         return self.plan.explain()
@@ -543,9 +574,6 @@ class RunningStatement:
         self.rows = rows
         self.columns = prepared.columns
         self.plan = prepared.plan
-
-    def __iter__(self) -> Iterator[tuple]:
-        return self.rows
 
 
 class Result:

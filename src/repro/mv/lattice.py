@@ -26,7 +26,7 @@ from ..core.rel import (
     RelNode,
     RelOptTable,
 )
-from ..adapters.memory import MemoryTable
+from .substitution import build_table
 
 
 #: the aggregate each measure kind names
@@ -101,22 +101,18 @@ class Lattice:
         self.rewrites = 0
 
     # ------------------------------------------------------------------
-    def materialize_tile(self, dimensions: Sequence[int]) -> Tile:
-        """Aggregate the star at ``dimensions`` and store the result."""
-        from ..mv.substitution import _force_enumerable
-        from ..runtime.operators import execute_to_list
+    def materialize_tile(self, planner, dimensions: Sequence[int]) -> Tile:
+        """Aggregate the star at ``dimensions`` with ``planner`` and store
+        the result (a finer tile already built may answer it)."""
         dims = tuple(sorted(dimensions))
         star_fields = self.star_rel.row_type.fields
         calls = [m.call(star_fields) for m in self.measures]
         agg = LogicalAggregate(self.star_rel, list(dims), calls)
-        rows = execute_to_list(_force_enumerable(agg))
-        table = MemoryTable(
-            f"{self.name}_tile_{'_'.join(map(str, dims))}",
-            list(agg.row_type.field_names),
-            [f.type for f in agg.row_type.fields], rows)
+        table = build_table(
+            planner, f"{self.name}_tile_{'_'.join(map(str, dims))}", agg)
         opt_table = RelOptTable(
             (self.name, table.name), agg.row_type, source=table,
-            row_count=float(len(rows)))
+            row_count=float(len(table.rows)))
         tile = Tile(self, dims, opt_table)
         self.tiles.append(tile)
         return tile
@@ -134,7 +130,8 @@ class Lattice:
             if pos is None:
                 return None
             measure_pos.append(pos)
-        candidates = [t for t in self.tiles if t.covers(agg.group_set)]
+        candidates = [t for t in self.tiles if t.covers(agg.group_set)
+                      and not t.table.source.is_stale()]
         if not candidates:
             return None
         tile = min(candidates, key=lambda t: t.row_count)

@@ -34,10 +34,11 @@ from ..core.rel import (
     LogicalTableScan,
     RelNode,
     RelOptTable,
+    scanned_sources,
 )
 from ..core.rex import decompose_conjunction
 from ..adapters.memory import MemoryTable
-from ..schema.core import Statistic
+from ..schema.core import Table
 
 
 class Materialization:
@@ -49,22 +50,19 @@ class Materialization:
         self.table = table
 
     @staticmethod
-    def create(name: str, query_rel: RelNode,
+    def create(planner, name: str, query_rel: RelNode,
                qualified_name: Sequence[str] = ()) -> "Materialization":
-        """Execute the definition and store the result in a memory table."""
-        from ..runtime.operators import execute_to_list
+        """Run the definition through ``planner`` and store the result in
+        a memory table."""
         # SELECT * introduces an identity projection; strip it so the
         # definition matches the equivalent bare subtree in queries.
         from ..core.rel import Project
         while isinstance(query_rel, Project) and query_rel.is_identity():
             query_rel = query_rel.input
-        rows = execute_to_list(_force_enumerable(query_rel))
-        row_type = query_rel.row_type
-        backing = MemoryTable(name, list(row_type.field_names),
-                              [f.type for f in row_type.fields], rows)
+        backing = build_table(planner, name, query_rel)
         opt_table = RelOptTable(
-            tuple(qualified_name) or (name,), row_type, source=backing,
-            row_count=float(len(rows)))
+            tuple(qualified_name) or (name,), query_rel.row_type,
+            source=backing, row_count=float(len(backing.rows)))
         return Materialization(name, query_rel, opt_table)
 
     def scan(self) -> RelNode:
@@ -74,18 +72,33 @@ class Materialization:
         return f"Materialization({self.name})"
 
 
-def _force_enumerable(rel: RelNode) -> RelNode:
-    """Plan a logical tree for execution (views are defined logically)."""
-    from ..core.rules import standard_logical_rules
-    from ..core.volcano import VolcanoPlanner
-    from ..runtime.nodes import enumerable_rules
-    planner = VolcanoPlanner(rules=standard_logical_rules() + enumerable_rules())
-    return planner.optimize(rel)
+def build_table(planner, name: str, rel: RelNode) -> MemoryTable:
+    """Execute ``rel`` with ``planner`` into a memory table that records
+    the data versions of the tables ``rel`` reads (its ``built_from``).
+
+    Scans inside subqueries are not recorded.
+    """
+    built_from = tuple((source, source.data_version)
+                       for source in scanned_sources(rel)
+                       if isinstance(source, Table))
+    row_type = rel.row_type
+    table = MemoryTable(name, list(row_type.field_names),
+                        [f.type for f in row_type.fields],
+                        planner.execute(rel).rows)
+    table.built_from = built_from
+    return table
 
 
 def try_substitute(rel: RelNode, materializations: Sequence[Materialization],
                    mq: Optional[RelMetadataQuery] = None) -> Optional[RelNode]:
-    """Rewrite ``rel`` to use materializations; None if nothing matched."""
+    """Rewrite ``rel`` to use materializations; None if nothing matched.
+
+    A materialization whose base tables changed since it was built is
+    skipped."""
+    materializations = [m for m in materializations
+                        if not m.table.source.is_stale()]
+    if not materializations:
+        return None
     changed = [False]
 
     def rewrite(node: RelNode) -> RelNode:

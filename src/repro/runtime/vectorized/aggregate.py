@@ -132,14 +132,18 @@ def _accumulate(call: AggregateCall, columns: Sequence[Any], ids: Any,
             if v is not None:
                 best[g] = v if best[g] is None else pick(best[g], v)
         return best
-    items: List[list] = [[] for _ in range(k)]
-    for g, v in pairs:
-        if v is not None:
-            items[g].append(v)
     if kind is SqlKind.COLLECT:
+        items: List[list] = [[] for _ in range(k)]
+        for g, v in pairs:
+            if v is not None:
+                items[g].append(v)
         return items
-    if kind is SqlKind.SINGLE_VALUE:
-        if any(len(values) > 1 for values in items):
+    if kind is SqlKind.SINGLE_VALUE:  # counts rows, NULLs included
+        values: List[Any] = [None] * k
+        for g, v in pairs:
+            counts[g] += 1
+            values[g] = v
+        if any(c > 1 for c in counts):
             raise RexExecutionError("SINGLE_VALUE saw more than one row")
-        return [values[0] if values else None for values in items]
+        return values
     raise RexExecutionError(f"unsupported aggregate {call.op.name}")

@@ -114,6 +114,18 @@ class Table:
     #: adapters may set this to create their own physical scan node
     scan_factory: Optional[Callable[[RelOptTable], Any]] = None
 
+    #: bumped by every insert (see :meth:`MemoryTable.insert`); tables
+    #: whose data changes out of sight keep 0
+    data_version: int = 0
+    #: a materialized view's or lattice tile's backing table: the
+    #: ``(table, data_version)`` pairs it was computed from
+    built_from: Tuple[Tuple["Table", int], ...] = ()
+
+    def is_stale(self) -> bool:
+        """True when a table this one was computed from changed since."""
+        return any(table.data_version != version
+                   for table, version in self.built_from)
+
 
 class MemoryTable(Table):
     """An in-memory list-of-tuples table (the simplest adapter)."""
@@ -134,6 +146,7 @@ class MemoryTable(Table):
     def insert(self, row: Sequence[Any]) -> None:
         self.rows.append(tuple(row))
         self.statistic.row_count = float(len(self.rows))
+        self.data_version += 1
 
     def insert_many(self, rows: Iterable[Sequence[Any]]) -> None:
         for row in rows:

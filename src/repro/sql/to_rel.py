@@ -55,6 +55,9 @@ _GROUP_WINDOW_AUX = {
     "SESSION_START": ("SESSION", "start"),
     "SESSION_END": ("SESSION", "end"),
 }
+#: group windows the parser knows but no engine implements yet
+_UNIMPLEMENTED_WINDOWS = {"HOP", "SESSION", "HOP_START", "HOP_END",
+                          "SESSION_START", "SESSION_END"}
 
 
 class ValidationError(Exception):
@@ -77,10 +80,6 @@ class _Scope:
                  parent: Optional["_Scope"] = None) -> None:
         self.namespaces = namespaces
         self.parent = parent
-
-    @property
-    def field_count(self) -> int:
-        return sum(ns.row_type.field_count for ns in self.namespaces)
 
     def resolve(self, names: List[str]) -> Optional[Tuple[int, RelDataType]]:
         """Resolve an identifier to (absolute index, type) in this scope."""
@@ -378,7 +377,7 @@ class SqlToRelConverter:
                          select: sqlast.SqlSelect,
                          agg_nodes: List[sqlast.SqlCall]) -> Tuple[RelNode, _AggContext]:
         ctx = _AggContext()
-        # Group keys (may be group-window calls: TUMBLE/HOP/SESSION).
+        # Group keys (may be a TUMBLE group-window call).
         for g in select.group_by:
             rex = self._convert_expr(g, scope)
             if rex.digest not in ctx.group_digest_to_index:
@@ -421,6 +420,7 @@ class SqlToRelConverter:
             return ctx.agg_ref(index)
         # Group-window auxiliary functions (TUMBLE_END etc., Section 7.2).
         if isinstance(node, sqlast.SqlCall) and node.name in _GROUP_WINDOW_AUX:
+            _check_implemented(node.name)
             base_name, which = _GROUP_WINDOW_AUX[node.name]
             operands = [self._convert_expr(o, scope) for o in node.operands]
             base_op = rexmod.OPERATORS.lookup(base_name)
@@ -679,6 +679,7 @@ class SqlToRelConverter:
             if isinstance(inner, RexLiteral) and isinstance(inner.value, (int, float)):
                 return rexmod.literal(-inner.value)
             return RexCall(rexmod.UNARY_MINUS, [inner], inner.type)
+        _check_implemented(name)
         op = rexmod.OPERATORS.lookup(name)
         if op is None:
             raise ValidationError(f"unknown function or operator {name}")
@@ -733,7 +734,12 @@ class SqlToRelConverter:
                 return
         raise ValidationError(
             "streaming aggregation requires a monotonic expression "
-            "(e.g. TUMBLE/HOP/SESSION on the stream's rowtime) in GROUP BY")
+            "(e.g. TUMBLE on the stream's rowtime) in GROUP BY")
+
+
+def _check_implemented(name: str) -> None:
+    if name in _UNIMPLEMENTED_WINDOWS:
+        raise ValidationError(f"group window {name} is not supported yet")
 
 
 def _is_monotonic(rex: RexNode) -> bool:

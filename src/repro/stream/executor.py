@@ -4,6 +4,11 @@ The executor runs a STREAM query continuously: events are pushed into
 :class:`~repro.stream.core.StreamTable` buffers, and each watermark
 advance emits the *new* result rows.
 
+The statement is planned once, through the planner's own phases, and
+every advance runs that plan through :meth:`Planner.bind
+<repro.framework.Planner.bind>`, so it gets the planner's deadline,
+cancellation, retry policy and batch size like any other statement.
+
 "Due to the inherently unbounded nature of streams, windowing is used
 to unblock blocking operators such as aggregates and joins": when the
 plan contains a group-window aggregate (TUMBLE), the executor only
@@ -16,11 +21,10 @@ stream-to-stream joins admit every event up to the watermark.
 from __future__ import annotations
 
 from collections import Counter
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional
 
-from ..core.rel import Aggregate, Delta, Project, RelNode, TableScan
+from ..core.rel import Delta, Project, RelNode, scanned_sources
 from ..core.rex import GROUP_WINDOW_KINDS, RexCall, RexLiteral, RexNode
-from ..runtime.operators import ExecutionContext, execute_to_list
 from .core import StreamTable
 
 
@@ -33,34 +37,14 @@ class StreamExecutor:
         if not isinstance(rel, Delta):
             raise ValueError(
                 "not a streaming statement (missing STREAM keyword)")
-        self.logical = rel.input
-        self.physical = planner.optimize(self.logical)
-        self.streams = self._find_streams(self.physical)
-        if not self.streams:
-            # optimization may push scans into adapter leaves; fall back
-            # to the logical plan for stream discovery and execution
-            self.streams = self._find_streams(self.logical)
-            self.physical = None
-        self.window_size = self._find_window_size(self.logical)
+        self.streams = [source for source in scanned_sources(rel.input)
+                        if isinstance(source, StreamTable)]
+        self.window_size = self._find_window_size(rel.input)
+        self.prepared = planner.prepare_rel(rel.input, sql)
         self._emitted: Counter = Counter()
         self.rows_emitted = 0
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _find_streams(rel: RelNode) -> List[StreamTable]:
-        out: List[StreamTable] = []
-
-        def walk(node: RelNode) -> None:
-            if isinstance(node, TableScan) and isinstance(node.table.source,
-                                                          StreamTable):
-                if node.table.source not in out:
-                    out.append(node.table.source)
-            for i in node.inputs:
-                walk(i)
-
-        walk(rel)
-        return out
-
     @staticmethod
     def _find_window_size(rel: RelNode) -> Optional[int]:
         """The TUMBLE interval if the plan aggregates on a group window."""
@@ -86,9 +70,6 @@ class StreamExecutor:
         return found[0] if found else None
 
     # ------------------------------------------------------------------
-    def push(self, stream_index: int, row: Sequence) -> None:
-        self.streams[stream_index].push(row)
-
     def advance(self, watermark: int) -> List[tuple]:
         """Advance event time; emit result rows that became final."""
         cutoff = watermark
@@ -98,10 +79,7 @@ class StreamExecutor:
         for stream in self.streams:
             stream.visible_upto = cutoff
         try:
-            plan = self.physical
-            if plan is None:
-                plan = self.planner.optimize(self.logical)
-            rows = execute_to_list(plan, ExecutionContext())
+            rows = list(self.planner.bind(self.prepared).rows)
         finally:
             for stream in self.streams:
                 stream.visible_upto = None

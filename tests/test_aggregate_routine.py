@@ -104,3 +104,7 @@ def test_single_value():
     assert out == [[1, 2, 3], [5, 7, None]]
     with pytest.raises(RexExecutionError, match="more than one row"):
         aggregate_columns(_columns(rows, False), 3, (), [call])
+    # a NULL is a row too: one group holding NULL and 7 has two
+    rows = [(4, None), (4, 7)]
+    with pytest.raises(RexExecutionError, match="more than one row"):
+        aggregate_columns(_columns(rows, False), 2, (0,), [call])

@@ -1,6 +1,10 @@
 """Tests for the framework facade: configuration options and staging."""
 
+import pathlib
+
 import pytest
+
+import repro
 
 from repro.framework import FrameworkConfig, Planner, planner_for
 from repro.core.traits import Convention, RelTraitSet
@@ -90,6 +94,31 @@ class TestStaging:
         p = planner_for(hr_catalog)
         rel = p.rel("SELECT COUNT(*) FROM hr.emps")
         assert p.execute(rel).rows == [(5,)]
+
+
+class TestOnePlanningPath:
+    @pytest.mark.parametrize("options, phases", [
+        ({}, ["hep", "materializations", "volcano"]),
+        ({"engine": "vectorized"},
+         ["hep", "materializations", "volcano", "trim"]),
+        ({"engine": "vectorized", "parallelism": 2},
+         ["hep", "materializations", "volcano", "trim", "exchanges"]),
+    ], ids=["row", "vectorized-p1", "vectorized-p2"])
+    def test_phase_names(self, hr_catalog, options, phases):
+        planner = planner_for(hr_catalog, **options)
+        assert [name for name, _phase in planner.phases] == phases
+
+    def test_only_the_framework_builds_planners_and_contexts(self):
+        """Views, tiles and streams plan and run through a Planner."""
+        src = pathlib.Path(repro.__file__).parent
+        for path in src.rglob("*.py"):
+            name = path.relative_to(src).as_posix()
+            text = path.read_text()
+            if name != "framework.py":
+                assert "VolcanoPlanner(" not in text, name
+                assert "HepPlanner(" not in text, name
+            if name.startswith(("mv/", "stream/")):
+                assert "ExecutionContext(" not in text, name
 
 
 class TestDeltaExecution:

@@ -1,10 +1,14 @@
 """Tests for the streaming extension (Section 7.2)."""
 
+import time
+
 import pytest
 
 from repro import Catalog, Schema
 from repro.core.types import DEFAULT_TYPE_FACTORY as F
+from repro.errors import DeadlineExceeded, TransientBackendError
 from repro.framework import planner_for
+from repro.sql.to_rel import ValidationError
 from repro.stream import (
     StreamExecutor,
     StreamTable,
@@ -192,3 +196,68 @@ class TestStreamExecutor:
         assert by_time[0] == 10
         assert by_time[30 * MIN] == 15
         assert by_time[2 * HOUR] == 2
+
+
+class _SlowFlakyStream(StreamTable):
+    """Fails its first ``failures`` scans with a transient error, and
+    sleeps ``delay`` seconds before serving each other one."""
+
+    def __init__(self, failures: int = 0, delay: float = 0.0) -> None:
+        super().__init__("orders", ["rowtime", "productId", "units"],
+                         [F.timestamp(False), F.integer(False),
+                          F.integer(False)])
+        self.failures = failures
+        self.delay = delay
+
+    def scan(self):
+        if self.failures:
+            self.failures -= 1
+            raise TransientBackendError("stream backend blinked")
+        time.sleep(self.delay)
+        yield from super().scan()
+
+
+def _stream_catalog(orders):
+    catalog = Catalog()
+    s = Schema("st")
+    catalog.add_schema(s)
+    s.add_table(orders)
+    return catalog
+
+
+class TestAdvanceRunsThroughThePlanner:
+    def test_transient_scan_failure_is_retried(self):
+        orders = _SlowFlakyStream(failures=1)
+        p = planner_for(_stream_catalog(orders), scan_retry_backoff=0.001)
+        ex = StreamExecutor(p, "SELECT STREAM rowtime FROM st.orders")
+        orders.push((1_000, 1, 1))
+        assert ex.advance(5_000) == [(1_000,)]
+
+    def test_statement_deadline_applies(self):
+        orders = _SlowFlakyStream(delay=0.05)
+        p = planner_for(_stream_catalog(orders), statement_timeout=0.01)
+        ex = StreamExecutor(p, "SELECT STREAM rowtime FROM st.orders")
+        orders.push_many((i, 1, 1) for i in range(100))
+        with pytest.raises(DeadlineExceeded):
+            ex.advance(5_000)
+        assert orders.visible_upto is None
+
+
+@pytest.mark.parametrize("engine", ["row", "vectorized"])
+@pytest.mark.parametrize("name, sql", [
+    ("HOP", "SELECT productId, COUNT(*) FROM st.orders GROUP BY "
+            "HOP(rowtime, INTERVAL '1' HOUR, INTERVAL '2' HOUR), productId"),
+    ("SESSION", "SELECT STREAM productId, COUNT(*) FROM st.orders GROUP BY "
+                "SESSION(rowtime, INTERVAL '1' HOUR), productId"),
+    ("HOP_START", "SELECT HOP_START(rowtime, INTERVAL '1' HOUR, "
+                  "INTERVAL '2' HOUR) FROM st.orders"),
+    ("SESSION_END", "SELECT SESSION_END(rowtime, INTERVAL '1' HOUR), "
+                    "COUNT(*) FROM st.orders "
+                    "GROUP BY TUMBLE(rowtime, INTERVAL '1' HOUR)"),
+], ids=["HOP", "SESSION", "HOP_START", "SESSION_END"])
+def test_unimplemented_group_windows_fail_validation(stream_env, engine,
+                                                     name, sql):
+    catalog, orders = stream_env
+    orders.push((1_000, 1, 1))
+    with pytest.raises(ValidationError, match=name):
+        planner_for(catalog, engine=engine).execute(sql)
